@@ -10,7 +10,6 @@ recover the standard scale.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -26,7 +25,7 @@ from .chains import (
 from .lr import lr_coefficient
 from .scattered import build_record, count, display_order, generate, spherical_family
 from .spin import SpinResult, lowest_k_type, spin_lowest_k_type, verify_spin_identity
-from .verify import batch_multiplicities, default_workers, run_verification
+from .verify import run_verification
 from .weights import to_fundamental
 
 EXIT_OK = 0
@@ -106,11 +105,7 @@ def _cmd_perm(args) -> int:
 def _records(n: int, with_multiplicity: bool):
     sets = [display_order(cs) for cs in generate(n)]
     sets.sort(key=lambda cs: cs.to_lists())
-    records = [build_record(cs) for cs in sets]
-    if with_multiplicity:
-        mults = batch_multiplicities(sets, default_workers())
-        records = [dataclasses.replace(r, multiplicity=m) for r, m in zip(records, mults)]
-    return records
+    return [build_record(cs, with_multiplicity) for cs in sets]
 
 
 def _cmd_enumerate(args) -> int:
@@ -147,7 +142,7 @@ def _cmd_verify(args) -> int:
     if not 2 <= args.n <= VERIFY_CAP:
         print(f"error: n must satisfy 2 <= n <= {VERIFY_CAP}", file=sys.stderr)
         return EXIT_BOUND
-    lines, ok = run_verification(args.n, default_workers())
+    lines, ok = run_verification(args.n)
     for line in lines:
         print(line)
     print(f"RESULT: {'PASS' if ok else 'FAIL'}")

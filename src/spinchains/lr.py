@@ -114,9 +114,12 @@ def lr_coefficient(outer, inner, weight) -> int:
 def _grow_candidates(mu: Partition, k: int, d: int, limit: Partition):
     """Partitions nu with mu <= nu <= limit reachable by adding a k^d rectangle.
 
-    Necessary conditions used to bound the search: |nu| = |mu| + k*d, the
-    first row grows by at most k, and no column of nu/mu exceeds d cells,
-    i.e. nu[i] <= mu[i-d].
+    Necessary conditions used to bound the search: |nu| = |mu| + k*d, and
+    Weyl's inequality nu[i+j-1] <= mu[i] + lambda[j] for lambda = k^d, which
+    holds whenever c(nu; mu, lambda) != 0.  Its case j = 1 lets every row
+    grow by at most k, nu[i] <= mu[i] + k; its case j = d + 1 says no column
+    of nu/mu exceeds d cells, nu[i] <= mu[i-d].  A branch also stops as soon
+    as the rows left cannot hold the cells left.
     """
     goal = sum(mu) + k * d
     maxlen = min(len(limit), len(mu) + d)
@@ -130,9 +133,12 @@ def _grow_candidates(mu: Partition, k: int, d: int, limit: Partition):
         if i >= maxlen:
             return
         lo = mu[i] if i < len(mu) else 0
+        hi = min(prev, limit[i], lo + k, remaining)
         # i < maxlen <= len(mu) + d, so mu[i - d] is in range whenever i >= d
-        col_cap = mu[i - d] if i >= d else (mu[0] if mu else 0) + k
-        hi = min(prev, limit[i], col_cap, remaining)
+        if i >= d:
+            hi = min(hi, mu[i - d])
+        if hi * (maxlen - i) < remaining:
+            return
         for part in range(hi, max(lo, 1) - 1, -1):
             acc.append(part)
             yield from rec(i + 1, part, remaining - part)

@@ -8,8 +8,6 @@ equivalence at 7).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from math import isqrt
 
 from .chains import (
@@ -42,30 +40,9 @@ UNIQUENESS_CAP = 6
 LR_SANITY_CAP = 6
 
 
-def default_workers() -> int:
-    env = os.environ.get("SPIN_CHAINS_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
-def _multiplicity_unit(lists) -> int:
-    cs = ChainSet.from_lists(lists)
-    return multiplicity_in_induced(cs, spin_lowest_k_type(cs).tau)
-
-
-def batch_multiplicities(chain_sets, workers: int | None = None) -> list[int]:
+def batch_multiplicities(chain_sets) -> list[int]:
     """Multiplicity of tau for each parameter, preserving input order."""
-    payload = [cs.to_lists() for cs in chain_sets]
-    if workers is None:
-        workers = default_workers()
-    if workers <= 1 or len(payload) < 4:
-        return [_multiplicity_unit(p) for p in payload]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_multiplicity_unit, payload, chunksize=max(1, len(payload) // (4 * workers))))
+    return [multiplicity_in_induced(cs, spin_lowest_k_type(cs).tau) for cs in chain_sets]
 
 
 def dominant_ball(n: int, coord_sum: int, norm_bound: int):
@@ -138,7 +115,7 @@ def _is_horizontal_strip(outer, inner) -> bool:
     return all(padded[i] >= outer[i + 1] for i in range(len(outer) - 1))
 
 
-def run_verification(n_max: int, workers: int | None = None):
+def run_verification(n_max: int):
     """Run every invariant check up to rank n_max.
 
     Returns (lines, ok): one human-readable line per check and the overall
@@ -183,40 +160,42 @@ def run_verification(n_max: int, workers: int | None = None):
         bad.to_json() if bad else "",
     )
 
+    spins = {n: [spin_lowest_k_type(cs) for cs in sets] for n, sets in per_rank.items()}
+
     def sweep(name, predicate, cap=None):
         top = min(n_max, cap) if cap else n_max
         offender = None
         for n in range(2, top + 1):
-            for cs in per_rank[n]:
-                if not predicate(cs):
+            for cs, res in zip(per_rank[n], spins[n]):
+                if not predicate(cs, res):
                     offender = cs
                     break
             if offender:
                 break
         report(f"{name}, n<={top}", offender is None, offender.to_json() if offender else "")
 
-    def involution_ok(cs):
+    def involution_ok(cs, _res):
         s = extract_involution(cs)
         return is_involution(s) and involves_all_simple_reflections(s)
 
     sweep("involutions use all simple reflections", involution_ok)
-    sweep("spin identity {tau-rho} = 2lambda-rho", lambda cs: verify_spin_identity(spin_lowest_k_type(cs)))
+    sweep("spin identity {tau-rho} = 2lambda-rho", lambda cs, res: verify_spin_identity(res))
     sweep(
         "tau differs from lowest K-type on multi-chain parameters",
-        lambda cs: len(cs.chains) == 1 or spin_lowest_k_type(cs).tau != lowest_k_type(cs),
+        lambda cs, res: len(cs.chains) == 1 or res.tau != lowest_k_type(cs),
     )
     sweep(
         "spin norm of tau equals |2lambda|",
-        lambda cs: spin_norm_sq(spin_lowest_k_type(cs).tau) == norm_sq(spin_lowest_k_type(cs).lambda2),
+        lambda cs, res: spin_norm_sq(res.tau) == norm_sq(res.lambda2),
     )
     sweep(
         "rules preserve the coordinate sum",
-        lambda cs: sum(spin_lowest_k_type(cs).tau) == sum(lowest_k_type(cs)),
+        lambda cs, res: sum(res.tau) == sum(lowest_k_type(cs)),
     )
-    sweep("tau is u-small", lambda cs: is_u_small(spin_lowest_k_type(cs).tau))
+    sweep("tau is u-small", lambda cs, res: is_u_small(res.tau))
     sweep(
         "lambda fundamental coefficients are 1/2 or 1",
-        lambda cs: set(to_fundamental(lambda_doubled(cs))) <= {1, 2},
+        lambda cs, res: set(to_fundamental(lambda_doubled(cs))) <= {1, 2},
     )
 
     offender = None
@@ -274,7 +253,7 @@ def run_verification(n_max: int, workers: int | None = None):
 
     mult_cap = min(n_max, MULTIPLICITY_CAP)
     sets = [cs for n in range(2, mult_cap + 1) for cs in per_rank[n]]
-    mults = batch_multiplicities(sets, workers)
+    mults = batch_multiplicities(sets)
     bad_idx = next((i for i, m in enumerate(mults) if m != 1), None)
     report(
         f"tau has multiplicity one, n<={mult_cap}",

@@ -19,10 +19,15 @@ from spinchains.scattered import (
     spherical_family,
 )
 from spinchains.spin import lowest_k_type, spin_lowest_k_type, verify_spin_identity
-from spinchains.verify import batch_multiplicities, spin_minimal_candidates
+from spinchains.verify import (
+    _partitions_up_to,
+    _sub_partitions,
+    batch_multiplicities,
+    spin_minimal_candidates,
+)
 from spinchains.weights import to_fundamental
 
-from test_lr import partitions_up_to, sub_partitions, horizontal_strips_above
+from test_lr import horizontal_strips_above
 
 EX22 = ChainSet.from_lists([[10, 8], [9, 7, 5, 3, 1], [6], [4]])
 
@@ -155,16 +160,16 @@ def test_criterion_10_spherical_family():
 
 def test_criterion_11_lr_engine_sanity():
     pieri_checked = symmetry_checked = 0
-    for outer in partitions_up_to(8):
+    for outer in _partitions_up_to(8):
         if not outer:
             continue
-        for inner in sub_partitions(outer):
+        for inner in _sub_partitions(outer):
             rest = sum(outer) - sum(inner)
             strip = tuple(outer) in {tuple(x) for x in horizontal_strips_above(inner, rest)}
             got = lr_coefficient(outer, inner, (rest,) if rest else ())
             assert got == (1 if strip else 0), (outer, inner)
             pieri_checked += 1
-            for weight in partitions_up_to(rest):
+            for weight in _partitions_up_to(rest):
                 if sum(weight) != rest:
                     continue
                 c = lr_coefficient(outer, inner, weight)

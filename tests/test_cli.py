@@ -158,22 +158,3 @@ def test_spherical_command(run_cli):
     assert "lowest K-type = (5, 5, 5, 5, 5, 5, 5)" in result.stdout
     assert run_cli("spherical", "-a", "2", "-b", "2").returncode == 2
 
-
-def test_workers_env_is_honoured():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
-    env["SPIN_CHAINS_WORKERS"] = "2"
-    result = subprocess.run(
-        [sys.executable, "-m", "spinchains", "enumerate", "-n", "5", "--json", "--with-multiplicity"],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=600,
-    )
-    assert result.returncode == 0
-    assert all(json.loads(line)["multiplicity"] == 1 for line in result.stdout.strip().splitlines())

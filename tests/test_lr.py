@@ -12,6 +12,7 @@ import pytest
 
 from spinchains.chains import ChainSet
 from spinchains.lr import (
+    _grow_candidates,
     contains,
     is_lattice_word,
     lr_coefficient,
@@ -19,6 +20,7 @@ from spinchains.lr import (
     normalize_partition,
 )
 from spinchains.spin import lowest_k_type, spin_lowest_k_type
+from spinchains.verify import _partitions_up_to, _sub_partitions
 
 from test_chains import EX22
 
@@ -72,26 +74,30 @@ def lr_oracle(outer, inner, weight):
     return total
 
 
-def partitions_up_to(size):
-    def rec(remaining, cap):
-        yield ()
-        for first in range(min(remaining, cap), 0, -1):
-            for rest in rec(remaining - first, first):
-                yield (first,) + rest
+def grow_candidates_unpruned(mu, k, d, limit):
+    """The candidate generator without the row bound nu[i] <= mu[i] + k or
+    the cut-off on rows too few for the cells left: the reference for the
+    pruned _grow_candidates."""
+    goal = sum(mu) + k * d
+    maxlen = min(len(limit), len(mu) + d)
+    acc = []
 
-    yield from rec(size, size)
-
-
-def sub_partitions(outer):
-    def rec(i, prev):
-        if i == len(outer):
-            yield ()
+    def rec(i, prev, remaining):
+        if remaining == 0:
+            if all(mu[j] == 0 for j in range(i, len(mu))):
+                yield tuple(acc)
             return
-        for part in range(min(outer[i], prev), -1, -1):
-            for rest in rec(i + 1, part):
-                yield ((part,) + rest) if part else ()
+        if i >= maxlen:
+            return
+        lo = mu[i] if i < len(mu) else 0
+        col_cap = mu[i - d] if i >= d else (mu[0] if mu else 0) + k
+        hi = min(prev, limit[i], col_cap, remaining)
+        for part in range(hi, max(lo, 1) - 1, -1):
+            acc.append(part)
+            yield from rec(i + 1, part, remaining - part)
+            acc.pop()
 
-    yield from rec(0, outer[0] if outer else 0)
+    yield from rec(0, goal, goal)
 
 
 def test_lattice_word_examples():
@@ -129,12 +135,12 @@ def test_empty_skew():
 
 
 def test_agrees_with_oracle_exhaustively_small():
-    for outer in partitions_up_to(6):
+    for outer in _partitions_up_to(6):
         if not outer:
             continue
-        for inner in sub_partitions(outer):
+        for inner in _sub_partitions(outer):
             rest = sum(outer) - sum(inner)
-            for weight in partitions_up_to(rest):
+            for weight in _partitions_up_to(rest):
                 if sum(weight) != rest:
                     continue
                 assert lr_coefficient(outer, inner, weight) == lr_oracle(
@@ -206,13 +212,33 @@ def test_multiplicity_rejects_malformed_delta():
 
 
 def test_pieri_rule_small():
-    for outer in partitions_up_to(6):
+    for outer in _partitions_up_to(6):
         if not outer:
             continue
-        for inner in sub_partitions(outer):
+        for inner in _sub_partitions(outer):
             rest = sum(outer) - sum(inner)
             got = lr_coefficient(outer, inner, (rest,) if rest else ())
             expected = 1 if tuple(outer) in {
                 tuple(x) for x in horizontal_strips_above(inner, rest)
             } else 0
             assert got == expected
+
+
+def test_grow_candidates_prunes_only_zero_coefficients():
+    by_size = {}
+    for p in _partitions_up_to(6 + 3 * 3):
+        by_size.setdefault(sum(p), []).append(p)
+    dropped = 0
+    for mu in _partitions_up_to(6):
+        for k in range(1, 4):
+            for d in range(1, 4):
+                for limit in by_size[sum(mu) + k * d]:
+                    if not contains(limit, mu):
+                        continue
+                    pruned = set(_grow_candidates(mu, k, d, limit))
+                    full = set(grow_candidates_unpruned(mu, k, d, limit))
+                    assert pruned <= full, (mu, k, d, limit)
+                    for nu in full - pruned:
+                        assert lr_coefficient(nu, mu, (k,) * d) == 0, (mu, k, d, nu)
+                    dropped += len(full - pruned)
+    assert dropped  # the pruning removes something, so the check is not vacuous

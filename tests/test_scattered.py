@@ -122,11 +122,12 @@ def test_brute_force_larger_entry_bound_finds_nothing_new():
 
 
 def test_interlacing_involution_equivalence_over_all_decompositions():
-    for n in range(2, 7):
+    for n in range(2, 8):
         for cs in all_chain_decompositions(n):
             s = extract_involution(cs)
             assert is_involution(s)
             assert is_interlaced(cs) == involves_all_simple_reflections(s)
+            assert verify_spin_identity(spin_lowest_k_type(cs)), cs.to_lists()
 
 
 def test_involutions_of_generated_sets_use_all_reflections():

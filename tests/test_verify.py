@@ -6,8 +6,6 @@ from spinchains.chains import ChainSet
 from spinchains.scattered import generate
 from spinchains.spin import spin_lowest_k_type
 from spinchains.verify import (
-    batch_multiplicities,
-    default_workers,
     dominant_ball,
     run_verification,
     spin_minimal_candidates,
@@ -42,24 +40,8 @@ def test_spin_minimal_candidates_rank_four():
         assert hits == [tau]
 
 
-def test_batch_multiplicities_serial_and_parallel_agree():
-    sets = generate(5)
-    serial = batch_multiplicities(sets, workers=1)
-    parallel = batch_multiplicities(sets, workers=2)
-    assert serial == parallel == [1] * len(sets)
-
-
-def test_default_workers_env_override(monkeypatch):
-    monkeypatch.setenv("SPIN_CHAINS_WORKERS", "3")
-    assert default_workers() == 3
-    monkeypatch.setenv("SPIN_CHAINS_WORKERS", "junk")
-    assert default_workers() >= 1
-    monkeypatch.delenv("SPIN_CHAINS_WORKERS")
-    assert default_workers() >= 1
-
-
 def test_run_verification_small():
-    lines, ok = run_verification(3, workers=1)
+    lines, ok = run_verification(3)
     assert ok
     assert any(line.startswith("count n=3: PASS") for line in lines)
 
