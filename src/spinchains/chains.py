@@ -42,7 +42,7 @@ class Chain:
         return self.top - (self.length - 1)
 
     def entries(self) -> tuple[int, ...]:
-        return tuple(self.top - 2 * i for i in range(self.length))
+        return tuple(range(self.top, self.top - 2 * self.length, -2))
 
     @classmethod
     def from_entries(cls, seq) -> "Chain":
@@ -118,24 +118,32 @@ def is_linked(c1: Chain, c2: Chain) -> bool:
 
     Writing c1 = {A, ..., a} and c2 = {B, ..., b}, linked means
     A > B > a or B > A > b.  Linked chains always have opposite parity.
+    Two step-2 chains share an entry exactly when they have the same parity
+    and their spans [a, A] and [b, B] meet; such a pair raises
+    OverlappingChainsError.
     """
-    if set(c1.entries()) & set(c2.entries()):
+    if (c1.top - c2.top) % 2 == 0 and c1.bottom <= c2.top and c2.bottom <= c1.top:
         raise OverlappingChainsError("linked is only defined for disjoint chains")
     return c1.top > c2.top > c1.bottom or c2.top > c1.top > c2.bottom
 
 
-def is_interlaced(cs: ChainSet) -> bool:
-    """Whether the linkage graph on the chains is connected.
+def _pairs_interlaced(pairs) -> bool:
+    """Whether the linkage graph on (top, length) pairs is connected.
 
-    A single chain counts as interlaced.
+    The pairs must describe disjoint chains: the straddle test below is
+    is_linked without its overlap check, and two chains of one parity
+    whose spans meet share an entry.  A single chain counts as interlaced.
     """
-    m = len(cs.chains)
+    m = len(pairs)
     if m == 1:
         return True
+    spans = [(top, top - 2 * (length - 1)) for top, length in pairs]
     adj = [[] for _ in range(m)]
     for i in range(m):
+        ti, bi = spans[i]
         for j in range(i + 1, m):
-            if is_linked(cs.chains[i], cs.chains[j]):
+            tj, bj = spans[j]
+            if ti > tj > bi or tj > ti > bj:
                 adj[i].append(j)
                 adj[j].append(i)
     seen = {0}
@@ -146,6 +154,15 @@ def is_interlaced(cs: ChainSet) -> bool:
                 seen.add(k)
                 stack.append(k)
     return len(seen) == m
+
+
+def is_interlaced(cs: ChainSet) -> bool:
+    """Whether the linkage graph on the chains is connected.
+
+    A single chain counts as interlaced.  The chains of a ChainSet are
+    disjoint by construction, so no overlap check is repeated here.
+    """
+    return _pairs_interlaced([(c.top, c.length) for c in cs.chains])
 
 
 def canonical_order(cs: ChainSet) -> ChainSet:

@@ -11,11 +11,12 @@ confirms the enumeration at desk scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 from .chains import (
     Chain,
     ChainSet,
+    _pairs_interlaced,
     extract_involution,
     is_interlaced,
     lambda_doubled,
@@ -131,9 +132,6 @@ def reduce(cs: ChainSet) -> ChainSet:
 
 def _run_cuttings(run: tuple[int, ...]):
     """All ways to cut one maximal step-2 run into contiguous chains."""
-    if len(run) == 1:
-        yield ((run[0], 1),)
-        return
     for mask in range(1 << (len(run) - 1)):
         chains = []
         start = 0
@@ -145,28 +143,25 @@ def _run_cuttings(run: tuple[int, ...]):
         yield tuple(chains)
 
 
-def _interlaced_spans(chains: tuple[tuple[int, int], ...]) -> bool:
-    """Connectivity of the straddle graph on (top, length) pairs."""
-    m = len(chains)
-    if m == 1:
-        return True
-    spans = [(top, top - 2 * (length - 1)) for top, length in chains]
-    adj = [[] for _ in range(m)]
-    for i in range(m):
-        ti, bi = spans[i]
-        for j in range(i + 1, m):
-            tj, bj = spans[j]
-            if ti > tj > bi or tj > ti > bj:
-                adj[i].append(j)
-                adj[j].append(i)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for k in adj[stack.pop()]:
-            if k not in seen:
-                seen.add(k)
-                stack.append(k)
-    return len(seen) == m
+def _decompositions(entries: tuple[int, ...]):
+    """Every split of a set of distinct entries into descending step-2 chains.
+
+    Each maximal step-2 run of one parity is cut independently; yields
+    tuples of (top, length) pairs, odd runs before even, tops descending.
+    """
+    runs = []
+    for parity in (1, 0):
+        members = sorted((e for e in entries if e % 2 == parity), reverse=True)
+        run: list[int] = []
+        for e in members:
+            if run and run[-1] - e != 2:
+                runs.append(tuple(run))
+                run = []
+            run.append(e)
+        if run:
+            runs.append(tuple(run))
+    for cuttings in product(*map(_run_cuttings, runs)):
+        yield sum(cuttings, ())
 
 
 def all_chain_decompositions(n: int, max_entry: int | None = None):
@@ -180,28 +175,8 @@ def all_chain_decompositions(n: int, max_entry: int | None = None):
     if max_entry is None:
         max_entry = 2 * n - 1
     for rest in combinations(range(2, max_entry + 1), n - 1):
-        entries = (1,) + rest
-        runs = []
-        for parity in (1, 0):
-            members = sorted((e for e in entries if e % 2 == parity), reverse=True)
-            run: list[int] = []
-            for e in members:
-                if run and run[-1] - e != 2:
-                    runs.append(tuple(run))
-                    run = []
-                run.append(e)
-            if run:
-                runs.append(tuple(run))
-        choices = [list(_run_cuttings(run)) for run in runs]
-
-        def assemble(idx: int, acc: tuple[tuple[int, int], ...]):
-            if idx == len(choices):
-                yield ChainSet(tuple(Chain(top, length) for top, length in acc))
-                return
-            for cutting in choices[idx]:
-                yield from assemble(idx + 1, acc + cutting)
-
-        yield from assemble(0, ())
+        for pairs in _decompositions((1,) + rest):
+            yield ChainSet(tuple(Chain(top, length) for top, length in pairs))
 
 
 def brute_force_enumerate(n: int, max_entry: int | None = None) -> list[ChainSet]:
@@ -211,6 +186,9 @@ def brute_force_enumerate(n: int, max_entry: int | None = None) -> list[ChainSet
     contains 1, every partition of it into descending step-2 chains, and
     keeps the interlaced ones.  Default bound 2n - 1 suffices because the
     branching construction raises the maximum entry by at most 2 per step.
+    Candidates stay (top, length) pairs until they pass the interlacing
+    test: building a ChainSet per candidate makes the oracle several times
+    slower.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -225,32 +203,8 @@ def brute_force_enumerate(n: int, max_entry: int | None = None) -> list[ChainSet
         top = entries[-1]
         if any(v not in present and v + 1 not in present for v in range(1, top - 1)):
             continue
-        runs = []
-        for parity in (1, 0):
-            members = sorted((e for e in entries if e % 2 == parity), reverse=True)
-            run: list[int] = []
-            for e in members:
-                if run and run[-1] - e != 2:
-                    runs.append(tuple(run))
-                    run = []
-                run.append(e)
-            if run:
-                runs.append(tuple(run))
-        choices = [list(_run_cuttings(run)) for run in runs]
-
-        def assemble(idx: int, acc: tuple[tuple[int, int], ...]):
-            if idx == len(choices):
-                if _interlaced_spans(acc):
-                    found.add(tuple(sorted(acc)))
-                return
-            for cutting in choices[idx]:
-                assemble(idx + 1, acc + cutting)
-
-        assemble(0, ())
-    return sorted(
-        (ChainSet(tuple(Chain(top, length) for top, length in form)) for form in found),
-        key=canonical_form,
-    )
+        found.update(tuple(sorted(pairs)) for pairs in _decompositions(entries) if _pairs_interlaced(pairs))
+    return [ChainSet(tuple(Chain(top, length) for top, length in form)) for form in sorted(found)]
 
 
 def is_u_small(tau: Weight) -> bool:

@@ -23,9 +23,9 @@ def chain_sets(draw):
     """Random disjoint chain sets, built greedily so no draw is rejected."""
     chains = []
     used: set[int] = set()
-    for _ in range(draw(st.integers(1, 4))):
-        top = draw(st.integers(-12, 14))
-        length = draw(st.integers(1, 5))
+    for _ in range(draw(st.integers(1, 7))):
+        top = draw(st.integers(-20, 24))
+        length = draw(st.integers(1, 7))
         c = Chain(top, length)
         entries = set(c.entries())
         if entries & used:
@@ -80,11 +80,53 @@ def test_is_linked_rejects_overlap():
         is_linked(Chain(5, 3), Chain(5, 1))
 
 
+arbitrary_chains = st.builds(Chain, st.integers(-20, 24), st.integers(1, 7))
+
+
+@given(arbitrary_chains, arbitrary_chains)
+def test_is_linked_raises_exactly_on_shared_entries(a, b):
+    if set(a.entries()) & set(b.entries()):
+        with pytest.raises(OverlappingChainsError):
+            is_linked(a, b)
+    else:
+        is_linked(a, b)
+
+
 @given(chain_sets())
 def test_is_linked_symmetric(cs):
     for i, a in enumerate(cs.chains):
         for b in cs.chains[i + 1 :]:
             assert is_linked(a, b) == is_linked(b, a)
+
+
+def is_interlaced_by_linked_pairs(cs):
+    """Connectivity of the graph whose edges are the is_linked pairs."""
+    m = len(cs.chains)
+    if m == 1:
+        return True
+    adj = [[] for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            if is_linked(cs.chains[i], cs.chains[j]):
+                adj[i].append(j)
+                adj[j].append(i)
+    seen = {0}
+    stack = [0]
+    while stack:
+        for k in adj[stack.pop()]:
+            if k not in seen:
+                seen.add(k)
+                stack.append(k)
+    return len(seen) == m
+
+
+@given(chain_sets())
+def test_is_interlaced_matches_linked_pair_graph(cs):
+    assert is_interlaced(cs) == is_interlaced_by_linked_pairs(cs)
+    # most random sets are disconnected; two chains are connected iff linked
+    for i, a in enumerate(cs.chains):
+        for b in cs.chains[i + 1 :]:
+            assert is_interlaced(ChainSet((a, b))) == is_linked(a, b)
 
 
 def test_is_interlaced_examples():
