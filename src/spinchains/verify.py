@@ -1,14 +1,16 @@
 """One-shot verification suite over all enumerated scattered parameters.
 
-Each check sweeps one invariant up to a rank bound and reports a single
-pass/fail line; heavyweight sub-suites carry their own caps (brute-force
-oracle at 10, multiplicity at 8, uniqueness at 6, interlacing/involution
-equivalence at 7).
+`CHECKS` is the registry, run in order: each check is a generator
+``check(ranks, n_max)`` of ``(label, ok, detail)`` lines, where ``ranks[n]``
+lists the rank-n parameters as `Param`s.  Per-parameter checks come from
+`_sweep`; the heavyweight checks carry the caps below.
 """
 
 from __future__ import annotations
 
+import re
 from math import isqrt
+from typing import NamedTuple
 
 from .chains import (
     ChainSet,
@@ -29,19 +31,15 @@ from .scattered import (
     reduce,
     spherical_family,
 )
-from .spin import lowest_k_type, spin_lowest_k_type, verify_spin_identity
-from .weights import norm_sq, rho_doubled, spin_norm_sq, to_fundamental
+from .spin import SpinResult, lowest_k_type, spin_lowest_k_type, verify_spin_identity
+from .weights import Weight, norm_sq, rho_doubled, spin_norm_sq, to_fundamental
 
 ORACLE_CAP = 10
+SPHERICAL_CAP = 9
 EQUIVALENCE_CAP = 7
 MULTIPLICITY_CAP = 8
 UNIQUENESS_CAP = 6
 LR_SANITY_CAP = 6
-
-
-def batch_multiplicities(chain_sets) -> list[int]:
-    """Multiplicity of tau for each parameter, preserving input order."""
-    return [multiplicity_in_induced(cs, spin_lowest_k_type(cs).tau) for cs in chain_sets]
 
 
 def dominant_ball(n: int, coord_sum: int, norm_bound: int):
@@ -114,162 +112,145 @@ def _is_horizontal_strip(outer, inner) -> bool:
     return all(padded[i] >= outer[i + 1] for i in range(len(outer) - 1))
 
 
-def run_verification(n_max: int):
-    """Run every invariant check up to rank n_max.
+class Param(NamedTuple):
+    """One scattered parameter with its tau and lowest K-type, each computed once."""
 
-    Returns (lines, ok): one human-readable line per check and the overall
-    verdict.  The first failing parameter is embedded in its line.
-    """
-    if n_max < 2:
-        raise ValueError("need n_max >= 2")
-    lines: list[str] = []
-    all_ok = True
+    cs: ChainSet
+    res: SpinResult
+    lowest: Weight
 
-    def report(name: str, passed: bool, detail: str = ""):
-        nonlocal all_ok
-        all_ok = all_ok and passed
-        suffix = f" ({detail})" if detail else ""
-        lines.append(f"{name}: {'PASS' if passed else 'FAIL'}{suffix}")
 
-    per_rank = {n: generate(n) for n in range(2, n_max + 1)}
+def build_ranks(n_max: int) -> dict[int, list[Param]]:
+    """Every scattered parameter of rank 2..n_max, as Params keyed by rank."""
+    return {n: [Param(cs, spin_lowest_k_type(cs), lowest_k_type(cs)) for cs in generate(n)] for n in range(2, n_max + 1)}
 
-    for n, sets in per_rank.items():
-        forms = {canonical_form(cs) for cs in sets}
-        ok = len(sets) == len(forms) == 2 ** (n - 2)
-        report(f"count n={n}", ok, f"{len(forms)} parameters")
+
+def _forms(params) -> set:
+    return {canonical_form(p.cs) for p in params}
+
+
+def _sweep(label: str, predicate, cap: int | None = None):
+    """A check that predicate(p) holds for every Param p up to rank min(n_max, cap)."""
+
+    def check(ranks, n_max):
+        top = min(n_max, cap) if cap else n_max
+        params = [p for n in range(2, top + 1) for p in ranks[n]]
+        bad = next((p for p in params if not predicate(p)), None)
+        yield f"{label}, n<={top}", bad is None, bad.cs.to_json() if bad else f"{len(params)} parameters"
+
+    check.__name__ = re.sub(r"\W+", "_", label).strip("_")
+    return check
+
+
+def check_count(ranks, n_max):
+    for n in range(2, n_max + 1):
+        forms = _forms(ranks[n])
+        ok = len(ranks[n]) == len(forms) == 2 ** (n - 2)
+        yield f"count n={n}", ok, f"{len(forms)} parameters"
         if not ok:
-            break
+            return
 
+
+def check_oracle(ranks, n_max):
     for n in range(2, min(n_max, ORACLE_CAP) + 1):
         oracle = {canonical_form(cs) for cs in brute_force_enumerate(n)}
-        ok = oracle == {canonical_form(cs) for cs in per_rank[n]}
-        report(f"brute-force oracle n={n}", ok)
+        yield f"brute-force oracle n={n}", oracle == _forms(ranks[n]), ""
 
-    bad = None
-    for n in range(2, min(n_max, EQUIVALENCE_CAP) + 1):
-        for cs in all_chain_decompositions(n):
-            if is_interlaced(cs) != involves_all_simple_reflections(extract_involution(cs)):
-                bad = cs
-                break
-        if bad:
-            break
-    report(
-        f"interlaced <=> involution uses all reflections, n<={min(n_max, EQUIVALENCE_CAP)}",
-        bad is None,
-        bad.to_json() if bad else "",
-    )
 
-    k_types = {n: [(spin_lowest_k_type(cs), lowest_k_type(cs)) for cs in sets] for n, sets in per_rank.items()}
+def check_equivalence(ranks, n_max):
+    top = min(n_max, EQUIVALENCE_CAP)
+    decompositions = (cs for n in range(2, top + 1) for cs in all_chain_decompositions(n))
+    bad = next((cs for cs in decompositions if is_interlaced(cs) != involves_all_simple_reflections(extract_involution(cs))), None)
+    yield f"interlaced <=> involution uses all reflections, n<={top}", bad is None, bad.to_json() if bad else ""
 
-    def sweep(name, predicate, cap=None):
-        top = min(n_max, cap) if cap else n_max
-        offender = None
-        for n in range(2, top + 1):
-            for cs, (res, lowest) in zip(per_rank[n], k_types[n]):
-                if not predicate(cs, res, lowest):
-                    offender = cs
-                    break
-            if offender:
-                break
-        report(f"{name}, n<={top}", offender is None, offender.to_json() if offender else "")
 
-    def involution_ok(cs, _res, _lowest):
-        s = extract_involution(cs)
-        return is_involution(s) and involves_all_simple_reflections(s)
-
-    sweep("involutions use all simple reflections", involution_ok)
-    sweep("spin identity {tau-rho} = 2lambda-rho", lambda cs, res, _: verify_spin_identity(res))
-    sweep(
-        "tau differs from lowest K-type on multi-chain parameters",
-        lambda cs, res, lowest: len(cs.chains) == 1 or res.tau != lowest,
-    )
-    sweep(
-        "spin norm of tau equals |2lambda|",
-        lambda cs, res, _: spin_norm_sq(res.tau) == norm_sq(res.lambda2),
-    )
-    sweep(
-        "rules preserve the coordinate sum",
-        lambda cs, res, lowest: sum(res.tau) == sum(lowest),
-    )
-    sweep("tau is u-small", lambda cs, res, _: is_u_small(res.tau))
-    sweep(
-        "lambda fundamental coefficients are 1/2 or 1",
-        lambda cs, res, _: set(to_fundamental(lambda_doubled(cs))) <= {1, 2},
-    )
-
-    offender = None
-    for n in range(3, n_max + 1):
-        for cs in per_rank[n]:
-            parent = reduce(cs)
-            kids = expand(parent)
-            if canonical_form(cs) not in {canonical_form(k) for k in kids}:
-                offender = cs
-                break
-        if offender:
-            break
-    report(f"reduce/expand round trip, n<={n_max}", offender is None, offender.to_json() if offender else "")
-
-    ok = True
-    detail = ""
-    for total in range(3, min(n_max, 9) + 1, 2):
+def check_spherical(ranks, n_max):
+    top = min(n_max, SPHERICAL_CAP)
+    label = f"spherical family pattern and membership, a+b<={top}"
+    for total in range(3, top + 1, 2):
+        forms = _forms(ranks[total])
         for b in range(1, total // 2 + 1):
             a = total - b
             cs = spherical_family(a, b)
-            lk = lowest_k_type(cs)
             side = (a - b - 1) // 2
             pattern = (2,) * side + (1,) * (2 * b) + (2,) * side
-            if len(set(lk)) != 1 or to_fundamental(lambda_doubled(cs)) != pattern:
-                ok, detail = False, f"a={a} b={b}"
-                break
-            if canonical_form(cs) not in {canonical_form(x) for x in per_rank[total]}:
-                ok, detail = False, f"a={a} b={b} not enumerated"
-                break
-    report(f"spherical family pattern and membership, a+b<={min(n_max, 9)}", ok, detail)
+            if len(set(lowest_k_type(cs))) != 1 or to_fundamental(lambda_doubled(cs)) != pattern:
+                yield label, False, f"a={a} b={b}"
+                return
+            if canonical_form(cs) not in forms:
+                yield label, False, f"a={a} b={b} not enumerated"
+                return
+    yield label, True, ""
 
-    ok = True
-    detail = ""
+
+def check_lr(ranks, n_max):
+    label = f"LR Pieri and symmetry, |shape|<={LR_SANITY_CAP}"
     for outer in _partitions_up_to(LR_SANITY_CAP):
         if not outer:
             continue
         for inner in _sub_partitions(outer):
             rest = sum(outer) - sum(inner)
             row = lr_coefficient(outer, inner, (rest,) if rest else ())
-            expected = 1 if _is_horizontal_strip(outer, inner) else 0
-            if row != expected:
-                ok, detail = False, f"Pieri {outer}/{inner}"
-                break
+            if row != (1 if _is_horizontal_strip(outer, inner) else 0):
+                yield label, False, f"Pieri {outer}/{inner}"
+                return
             for weight in _partitions_up_to(rest):
                 if sum(weight) != rest:
                     continue
                 c = lr_coefficient(outer, inner, weight)
                 swapped = lr_coefficient(outer, weight, inner) if contains(outer, weight) else 0
                 if c != swapped:
-                    ok, detail = False, f"symmetry {outer} {inner} {weight}"
-                    break
-        if not ok:
-            break
-    report(f"LR Pieri and symmetry, |shape|<={LR_SANITY_CAP}", ok, detail)
+                    yield label, False, f"symmetry {outer} {inner} {weight}"
+                    return
+    yield label, True, ""
 
-    mult_cap = min(n_max, MULTIPLICITY_CAP)
-    sets = [cs for n in range(2, mult_cap + 1) for cs in per_rank[n]]
-    mults = batch_multiplicities(sets)
-    bad_idx = next((i for i, m in enumerate(mults) if m != 1), None)
-    report(
-        f"tau has multiplicity one, n<={mult_cap}",
-        bad_idx is None,
-        sets[bad_idx].to_json() if bad_idx is not None else f"{len(sets)} parameters",
+
+def _involution_ok(p: Param) -> bool:
+    s = extract_involution(p.cs)
+    return is_involution(s) and involves_all_simple_reflections(s)
+
+
+def _round_trip_ok(p: Param) -> bool:
+    """reduce undoes both children of expand(p), and p is a child of reduce(p) from rank 3 on."""
+    form = canonical_form(p.cs)
+    return all(canonical_form(reduce(k)) == form for k in expand(p.cs)) and (
+        p.cs.n == 2 or form in {canonical_form(k) for k in expand(reduce(p.cs))}
     )
 
-    uniq_cap = min(n_max, UNIQUENESS_CAP)
-    offender = None
-    for n in range(2, uniq_cap + 1):
-        for cs in per_rank[n]:
-            tau, hits = spin_minimal_candidates(cs)
-            if hits != [tau]:
-                offender = cs
-                break
-        if offender:
-            break
-    report(f"tau is the unique spin-minimal K-type, n<={uniq_cap}", offender is None, offender.to_json() if offender else "")
 
+CHECKS = (
+    check_count,
+    check_oracle,
+    check_equivalence,
+    _sweep("involutions use all simple reflections", _involution_ok),
+    _sweep("spin identity {tau-rho} = 2lambda-rho", lambda p: verify_spin_identity(p.res)),
+    _sweep("tau differs from lowest K-type on multi-chain parameters", lambda p: len(p.cs.chains) == 1 or p.res.tau != p.lowest),
+    _sweep("spin norm of tau equals |2lambda|", lambda p: spin_norm_sq(p.res.tau) == norm_sq(p.res.lambda2)),
+    _sweep("rules preserve the coordinate sum", lambda p: sum(p.res.tau) == sum(p.lowest)),
+    _sweep("tau is u-small", lambda p: is_u_small(p.res.tau)),
+    _sweep("lambda fundamental coefficients are 1/2 or 1", lambda p: set(to_fundamental(lambda_doubled(p.cs))) <= {1, 2}),
+    _sweep("reduce/expand round trip", _round_trip_ok),
+    check_spherical,
+    check_lr,
+    _sweep("tau has multiplicity one", lambda p: multiplicity_in_induced(p.cs, p.res.tau) == 1, MULTIPLICITY_CAP),
+    _sweep("tau is the unique spin-minimal K-type", lambda p: spin_minimal_candidates(p.cs)[1] == [p.res.tau], UNIQUENESS_CAP),
+)
+
+
+def run_verification(n_max: int):
+    """Run every check of CHECKS up to rank n_max.
+
+    Returns (lines, ok): the human-readable lines of every check, each
+    failing one with its first offender, and the overall verdict.
+    """
+    if n_max < 2:
+        raise ValueError("need n_max >= 2")
+    ranks = build_ranks(n_max)
+    lines: list[str] = []
+    all_ok = True
+    for check in CHECKS:
+        for label, ok, detail in check(ranks, n_max):
+            all_ok = all_ok and ok
+            suffix = f" ({detail})" if detail else ""
+            lines.append(f"{label}: {'PASS' if ok else 'FAIL'}{suffix}")
     return lines, all_ok

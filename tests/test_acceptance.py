@@ -22,7 +22,6 @@ from spinchains.spin import lowest_k_type, spin_lowest_k_type, verify_spin_ident
 from spinchains.verify import (
     _partitions_up_to,
     _sub_partitions,
-    batch_multiplicities,
     spin_minimal_candidates,
 )
 from spinchains.weights import to_fundamental
@@ -125,7 +124,7 @@ def test_criterion_07_u_smallness_sweep():
 
 def test_criterion_08_multiplicity_one():
     sets = [cs for n in range(2, 9) for cs in generate(n)]
-    mults = batch_multiplicities(sets)
+    mults = [multiplicity_in_induced(cs, spin_lowest_k_type(cs).tau) for cs in sets]
     assert all(m == 1 for m in mults), [
         cs.to_lists() for cs, m in zip(sets, mults) if m != 1
     ]

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from spinchains import cli, verify
 from spinchains.chains import ChainSet
 from spinchains.scattered import build_record
 from spinchains.spin import spin_lowest_k_type, verify_spin_identity
@@ -137,6 +138,16 @@ def test_verify_small_rank_passes(run_cli):
     assert "RESULT: PASS" in result.stdout
     assert "count n=4: PASS" in result.stdout
     assert run_cli("verify", "-n", "13").returncode == 4
+    assert run_cli("verify", "-n", "1").returncode == 4
+
+
+def test_verify_failure_exits_1(monkeypatch, capsys):
+    def failing(ranks, n_max):
+        yield "always fails", False, ""
+
+    monkeypatch.setattr(verify, "CHECKS", (failing,))
+    assert cli.main(["verify", "-n", "3"]) == 1
+    assert capsys.readouterr().out.splitlines() == ["always fails: FAIL", "RESULT: FAIL"]
 
 
 def test_lr_command(run_cli):

@@ -211,19 +211,6 @@ def test_multiplicity_rejects_malformed_delta():
         multiplicity_in_induced(EX22, lowest_k_type(EX22), shift=-100)
 
 
-def test_pieri_rule_small():
-    for outer in _partitions_up_to(6):
-        if not outer:
-            continue
-        for inner in _sub_partitions(outer):
-            rest = sum(outer) - sum(inner)
-            got = lr_coefficient(outer, inner, (rest,) if rest else ())
-            expected = 1 if tuple(outer) in {
-                tuple(x) for x in horizontal_strips_above(inner, rest)
-            } else 0
-            assert got == expected
-
-
 def test_grow_candidates_prunes_only_zero_coefficients():
     by_size = {}
     for p in _partitions_up_to(6 + 3 * 3):

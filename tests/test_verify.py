@@ -1,7 +1,9 @@
+import dataclasses
 from itertools import product
 
 import pytest
 
+from spinchains import verify
 from spinchains.chains import ChainSet
 from spinchains.scattered import generate
 from spinchains.spin import spin_lowest_k_type
@@ -11,6 +13,28 @@ from spinchains.verify import (
     spin_minimal_candidates,
 )
 from spinchains.weights import norm_sq, rho_doubled
+
+
+def _with_tau(p, tau):
+    return p._replace(res=dataclasses.replace(p.res, tau=tau))
+
+
+def _bump_tau(p):
+    return _with_tau(p, (p.res.tau[0] + 4 * p.cs.n,) + p.res.tau[1:])
+
+
+# per-parameter check, by name -> a doctored copy of a multi-chain rank-4 parameter that it must reject
+DOCTORED = {
+    "involutions_use_all_simple_reflections": lambda p: p._replace(cs=ChainSet.from_lists([[7, 5], [3, 1]])),
+    "spin_identity_tau_rho_2lambda_rho": _bump_tau,
+    "tau_differs_from_lowest_K_type_on_multi_chain_parameters": lambda p: _with_tau(p, p.lowest),
+    "spin_norm_of_tau_equals_2lambda": _bump_tau,
+    "rules_preserve_the_coordinate_sum": _bump_tau,
+    "tau_is_u_small": _bump_tau,
+    "lambda_fundamental_coefficients_are_1_2_or_1": lambda p: p._replace(cs=ChainSet.from_lists([[9, 7], [3, 1]])),
+    "tau_has_multiplicity_one": _bump_tau,
+    "tau_is_the_unique_spin_minimal_K_type": _bump_tau,
+}
 
 
 def test_dominant_ball_matches_box_search():
@@ -34,12 +58,6 @@ def test_spin_minimal_candidates_base_parameter():
     assert hits == [(4, 4)]
 
 
-def test_spin_minimal_candidates_rank_four():
-    for cs in generate(4):
-        tau, hits = spin_minimal_candidates(cs)
-        assert hits == [tau]
-
-
 def test_run_verification_small():
     lines, ok = run_verification(3)
     assert ok
@@ -58,3 +76,15 @@ def test_tau_spin_norm_is_in_ball():
         tau_std = tuple(x // 2 for x in res.tau)
         total = sum(tau_std)
         assert tau_std in set(dominant_ball(cs.n, total, norm_sq(res.lambda2)))
+
+
+@pytest.mark.parametrize("name", DOCTORED)
+def test_sweep_fails_on_a_doctored_parameter(name, monkeypatch):
+    ranks = verify.build_ranks(4)
+    bad = DOCTORED[name](next(p for p in ranks[4] if len(p.cs.chains) > 1))
+    ranks[4].insert(0, bad)
+    monkeypatch.setattr(verify, "build_ranks", lambda n_max: ranks)
+    monkeypatch.setattr(verify, "CHECKS", [c for c in verify.CHECKS if c.__name__ == name])
+    [line], ok = run_verification(4)
+    assert not ok
+    assert line.endswith(f", n<=4: FAIL ({bad.cs.to_json()})")
