@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .weights import Weight, dominant
 
@@ -62,7 +63,12 @@ class Chain:
 
 @dataclass(frozen=True)
 class ChainSet:
-    """Ordered disjoint union of chains."""
+    """Disjoint union of chains, stored by descending top.
+
+    Disjoint chains have distinct tops, so the stored order is a normal
+    form: two ChainSets are equal, and hash alike, exactly when they hold
+    the same chains.
+    """
 
     chains: tuple[Chain, ...]
 
@@ -75,6 +81,7 @@ class ChainSet:
                 if e in seen:
                     raise OverlappingChainsError(f"entry {e} appears in two chains")
                 seen.add(e)
+        object.__setattr__(self, "chains", tuple(sorted(self.chains, key=attrgetter("top"), reverse=True)))
 
     @property
     def n(self) -> int:
@@ -165,13 +172,13 @@ def is_interlaced(cs: ChainSet) -> bool:
     return _pairs_interlaced([(c.top, c.length) for c in cs.chains])
 
 
-def canonical_order(cs: ChainSet) -> ChainSet:
-    """Reorder chains so averages strictly decrease, shorter first on ties.
+def canonical_order(cs: ChainSet) -> tuple[Chain, ...]:
+    """The chains with averages strictly decreasing, shorter first on ties.
 
     The order is total: equal average and equal length would force two
     identical chains, which disjointness already rules out.
     """
-    return ChainSet(tuple(sorted(cs.chains, key=lambda c: (-c.avg, c.length))))
+    return tuple(sorted(cs.chains, key=lambda c: (-c.avg, c.length)))
 
 
 def lambda_doubled(cs: ChainSet) -> Weight:

@@ -23,7 +23,7 @@ from .chains import (
     lambda_doubled,
 )
 from .lr import lr_coefficient
-from .scattered import build_record, count, display_order, generate, spherical_family
+from .scattered import build_record, count, generate, spherical_family
 from .spin import SpinResult, lowest_k_type, spin_lowest_k_type, verify_spin_identity
 from .verify import run_verification
 from .weights import to_fundamental
@@ -43,8 +43,8 @@ def _fmt_vec(v) -> str:
     return "(" + ", ".join(str(x) for x in v) + ")"
 
 
-def _fmt_chains(cs: ChainSet) -> str:
-    return " ".join("{" + ",".join(str(e) for e in c.entries()) + "}" for c in cs.chains)
+def _fmt_chains(chains) -> str:
+    return " ".join("{" + ",".join(str(e) for e in c.entries()) + "}" for c in chains)
 
 
 def _fmt_trace(res: SpinResult) -> str:
@@ -102,18 +102,12 @@ def _cmd_perm(args) -> int:
     return EXIT_OK
 
 
-def _records(n: int, with_multiplicity: bool):
-    sets = [display_order(cs) for cs in generate(n)]
-    sets.sort(key=lambda cs: cs.to_lists())
-    return [build_record(cs, with_multiplicity) for cs in sets]
-
-
 def _cmd_enumerate(args) -> int:
     cap = ENUM_MULT_CAP if args.with_multiplicity else ENUM_CAP
     if not 2 <= args.n <= cap:
         print(f"error: n must satisfy 2 <= n <= {cap}", file=sys.stderr)
         return EXIT_BOUND
-    records = _records(args.n, args.with_multiplicity)
+    records = [build_record(cs, args.with_multiplicity) for cs in generate(args.n)]
     if args.json:
         for rec in records:
             print(json.dumps(rec.as_dict()))
@@ -123,7 +117,7 @@ def _cmd_enumerate(args) -> int:
     for rec in records:
         mult = "-" if rec.multiplicity is None else str(rec.multiplicity)
         print(
-            f"{rec.n} | {_fmt_chains(rec.chains)} | {list(rec.lambda2_fund)} | "
+            f"{rec.n} | {_fmt_chains(rec.chains.chains)} | {list(rec.lambda2_fund)} | "
             f"{_fmt_vec(rec.s)} | {list(rec.tau_fund)} | {_fmt_vec(rec.gamma)} | "
             f"{'yes' if rec.u_small else 'no'} | {mult}"
         )
@@ -179,7 +173,7 @@ def _cmd_spherical(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     res = spin_lowest_k_type(cs)
-    print(f"chains: {_fmt_chains(display_order(cs))}")
+    print(f"chains: {_fmt_chains(cs.chains)}")
     print(f"2*lambda = {_fmt_vec(lambda_doubled(cs))}")
     print(f"2lambda' fundamental = {list(to_fundamental(lambda_doubled(cs)))}")
     print(f"lowest K-type = {_fmt_vec(x // 2 for x in lowest_k_type(cs))}")

@@ -166,7 +166,7 @@ def multiplicity_in_induced(cs: ChainSet, delta: Weight, shift: int | None = Non
         if a < b:
             raise ValueError("delta must be dominant")
     delta_std = tuple(x // 2 for x in delta)
-    ordered = canonical_order(cs).chains
+    ordered = canonical_order(cs)
     if sum(delta_std) != sum(c.avg * c.length for c in ordered):
         return 0
     min_needed = max(0, -min(c.avg for c in ordered), -delta_std[-1])

@@ -31,16 +31,6 @@ from .weights import (
 )
 
 
-def canonical_form(cs: ChainSet) -> tuple[tuple[int, int], ...]:
-    """Hashable identity of a chain set: (top, length) pairs, sorted."""
-    return tuple(sorted((c.top, c.length) for c in cs.chains))
-
-
-def display_order(cs: ChainSet) -> ChainSet:
-    """Chains sorted by descending top entry, the order used for output."""
-    return ChainSet(tuple(sorted(cs.chains, key=lambda c: -c.top)))
-
-
 def _prepend(cs: ChainSet, target: Chain) -> ChainSet:
     grown = Chain(target.top + 2, target.length + 1)
     return ChainSet(tuple(grown if c == target else c for c in cs.chains))
@@ -69,11 +59,11 @@ def expand(cs: ChainSet) -> tuple[ChainSet, ChainSet]:
     even = [c for c in cs.chains if c.top % 2 == 0]
     if not odd:
         raise AssertionError("entry 1 always lies in an odd chain")
-    co = max(odd, key=lambda c: c.top)
+    co = odd[0]  # chains are stored by descending top
     if not even:
         children = (_prepend(cs, co), _add_singleton(cs, co.top - 1))
     else:
-        ce = max(even, key=lambda c: c.top)
+        ce = even[0]
         mo, me = co.top, ce.top
         if mo > me + 1:
             children = (_prepend(cs, co), _add_singleton(cs, mo - 1))
@@ -90,19 +80,20 @@ def expand(cs: ChainSet) -> tuple[ChainSet, ChainSet]:
 def generate(n: int) -> list[ChainSet]:
     """All interlaced chain sets with n entries and smallest entry 1.
 
-    Leaves of the branching tree at depth n - 2, sorted by canonical form.
+    Leaves of the branching tree at depth n - 2, in ascending to_lists
+    order: the record order of `spinchains enumerate`.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     level = [ChainSet((Chain(3, 2),))]
     for _ in range(n - 2):
         level = [child for cs in level for child in expand(cs)]
-    return sorted(level, key=canonical_form)
+    return sorted(level, key=ChainSet.to_lists)
 
 
 def count(n: int) -> int:
     """Number of distinct scattered parameters of SL(n)."""
-    return len({canonical_form(cs) for cs in generate(n)})
+    return len(set(generate(n)))
 
 
 def reduce(cs: ChainSet) -> ChainSet:
@@ -115,14 +106,14 @@ def reduce(cs: ChainSet) -> ChainSet:
         raise ValueError("reduce needs an interlaced set with smallest entry 1")
     if cs.n <= 2:
         raise ValueError("the base parameter {3, 1} cannot be reduced")
-    m = max(c.top for c in cs.chains)
-    singleton = next((c for c in cs.chains if c.length == 1 and c.top == m - 1), None)
-    if singleton is not None:
+    holder = cs.chains[0]  # the chain holding the largest entry M
+    m = holder.top
+    singleton = Chain(m - 1, 1)
+    if singleton in cs.chains:
         out = ChainSet(tuple(c for c in cs.chains if c != singleton))
+    elif holder.length == 1:
+        raise AssertionError("an interlaced set cannot top out in an unlinked singleton")
     else:
-        holder = next(c for c in cs.chains if c.top == m)
-        if holder.length == 1:
-            raise AssertionError("an interlaced set cannot top out in an unlinked singleton")
         shrunk = Chain(m - 2, holder.length - 1)
         out = ChainSet(tuple(shrunk if c == holder else c for c in cs.chains))
     if not is_interlaced(out) or out.min_entry() != 1:
@@ -188,13 +179,13 @@ def brute_force_enumerate(n: int, max_entry: int | None = None) -> list[ChainSet
     branching construction raises the maximum entry by at most 2 per step.
     Candidates stay (top, length) pairs until they pass the interlacing
     test: building a ChainSet per candidate makes the oracle several times
-    slower.
+    slower.  Returns them in the order of generate.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     if max_entry is None:
         max_entry = 2 * n - 1
-    found = set()
+    found = []
     for rest in combinations(range(2, max_entry + 1), n - 1):
         entries = (1,) + rest
         # two consecutive missing values split the entries into blocks no
@@ -203,8 +194,12 @@ def brute_force_enumerate(n: int, max_entry: int | None = None) -> list[ChainSet
         top = entries[-1]
         if any(v not in present and v + 1 not in present for v in range(1, top - 1)):
             continue
-        found.update(tuple(sorted(pairs)) for pairs in _decompositions(entries) if _pairs_interlaced(pairs))
-    return [ChainSet(tuple(Chain(top, length) for top, length in form)) for form in sorted(found)]
+        found.extend(
+            ChainSet(tuple(Chain(top, length) for top, length in pairs))
+            for pairs in _decompositions(entries)
+            if _pairs_interlaced(pairs)
+        )
+    return sorted(found, key=ChainSet.to_lists)
 
 
 def is_u_small(tau: Weight) -> bool:
@@ -221,7 +216,7 @@ class ScatteredRecord:
     """Full report for one scattered representation."""
 
     n: int
-    chains: ChainSet  # in display order (descending tops)
+    chains: ChainSet
     lambda2_fund: tuple[int, ...]  # fundamental coefficients of 2*lambda
     s: tuple[int, ...]  # involution, one-line notation
     tau_fund: tuple[int, ...]  # fundamental coefficients of tau (integral)
@@ -251,7 +246,7 @@ def build_record(cs: ChainSet, with_multiplicity: bool = False) -> ScatteredReco
     mult = multiplicity_in_induced(cs, res.tau) if with_multiplicity else None
     return ScatteredRecord(
         n=cs.n,
-        chains=display_order(cs),
+        chains=cs,
         lambda2_fund=to_fundamental(lambda_doubled(cs)),
         s=extract_involution(cs),
         tau_fund=to_fundamental(tau_std),

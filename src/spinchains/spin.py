@@ -120,7 +120,7 @@ def apply_rule(layout: TauLayout, i: int, j: int, rule: Rule) -> TauLayout:
 class SpinResult:
     """Outcome of one run: everything is in doubled coordinates except rows."""
 
-    chains: ChainSet  # in canonical order
+    chains: tuple[Chain, ...]  # in canonical order
     tau: Weight  # doubled
     lambda2: Weight  # 2*lambda, doubled
     gamma: Weight  # {tau - rho}, doubled
@@ -143,12 +143,12 @@ def spin_lowest_k_type(cs: ChainSet) -> SpinResult:
     resolved against every earlier chain linked with it.
     """
     ordered = canonical_order(cs)
-    layout = TauLayout(ordered.chains)
+    layout = TauLayout(ordered)
     trace = []
-    for m in range(1, len(ordered.chains)):
+    for m in range(1, len(ordered)):
         for i in range(m):
-            if is_linked(ordered.chains[i], ordered.chains[m]):
-                rule = classify_link(ordered.chains[i], ordered.chains[m])
+            if is_linked(ordered[i], ordered[m]):
+                rule = classify_link(ordered[i], ordered[m])
                 apply_rule(layout, i, m, rule)
                 trace.append(AppliedRule(rule.kind, i, m, rule.param))
     tau = dominant(2 * x for x in layout.flatten())

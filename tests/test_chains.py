@@ -37,6 +37,13 @@ def chain_sets(draw):
     return ChainSet(tuple(chains))
 
 
+@st.composite
+def reordered_chain_sets(draw):
+    """A chain set, and a ChainSet built from the same chains in a shuffled order."""
+    cs = draw(chain_sets())
+    return cs, ChainSet(tuple(draw(st.permutations(cs.chains))))
+
+
 def test_entries():
     assert Chain(top=9, length=5).entries() == (9, 7, 5, 3, 1)
     assert Chain(top=4, length=1).entries() == (4,)
@@ -56,6 +63,14 @@ def test_from_entries_validates():
         Chain.from_entries([])
     with pytest.raises(ValueError):
         Chain.from_entries([3.5, 1.5])
+
+
+@given(reordered_chain_sets())
+def test_chain_set_is_a_normal_form(pair):
+    cs, shuffled = pair
+    assert shuffled == cs and hash(shuffled) == hash(cs)
+    tops = [c.top for c in shuffled.chains]
+    assert all(a > b for a, b in zip(tops, tops[1:]))
 
 
 def test_chain_set_rejects_overlap():
@@ -136,8 +151,7 @@ def test_is_interlaced_examples():
 
 
 def test_canonical_order_worked_example():
-    ordered = canonical_order(EX22)
-    assert [c.entries() for c in ordered.chains] == [
+    assert [c.entries() for c in canonical_order(EX22)] == [
         (10, 8),
         (6,),
         (9, 7, 5, 3, 1),
@@ -147,20 +161,20 @@ def test_canonical_order_worked_example():
 
 @given(chain_sets())
 def test_canonical_order_is_strictly_ordered(cs):
-    ordered = canonical_order(cs).chains
+    ordered = canonical_order(cs)
     for a, b in zip(ordered, ordered[1:]):
         assert a.avg > b.avg or (a.avg == b.avg and a.length < b.length)
 
 
 def test_canonical_order_idempotent_and_ties():
     ordered = canonical_order(EX22)
-    assert canonical_order(ordered) == ordered
+    assert canonical_order(ChainSet(ordered)) == ordered
     # average 4 beats average 3 regardless of length
     cs = ChainSet.from_lists([[4, 2], [7, 5, 3, 1]])
-    assert canonical_order(cs).chains[0] == Chain(7, 4)
+    assert canonical_order(cs)[0] == Chain(7, 4)
     # equal averages: the shorter chain comes first
     cs = ChainSet.from_lists([[5, 3, 1], [4, 2]])
-    assert canonical_order(cs).chains[0] == Chain(4, 2)
+    assert canonical_order(cs)[0] == Chain(4, 2)
 
 
 def test_lambda_doubled():

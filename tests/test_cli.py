@@ -20,6 +20,7 @@ def ex22_file(tmp_path):
 def test_tau_worked_example(run_cli, ex22_file):
     result = run_cli("tau", "-f", ex22_file)
     assert result.returncode == 0
+    assert "chains (canonical order): {10,8} {6} {9,7,5,3,1} {4}" in result.stdout.splitlines()
     assert "tau = (10, 9, 8, 7, 5, 5, 4, 3, 2)" in result.stdout
     assert "rules: (a) T2,T3 p=2; (b) T0,T2 p=1; (c) T1,T2 q=2" in result.stdout
     assert "identity {tau-rho} = 2*lambda - rho: PASS" in result.stdout
@@ -113,10 +114,16 @@ def test_enumerate_with_multiplicity(run_cli):
 
 
 def test_enumerate_deterministic(run_cli):
+    """Two runs print the same records, in ascending `chains` list order, each with its tops descending."""
     a = run_cli("enumerate", "-n", "6", "--json")
     b = run_cli("enumerate", "-n", "6", "--json")
     assert a.stdout == b.stdout
     assert a.returncode == b.returncode == 0
+    chains = [json.loads(line)["chains"] for line in a.stdout.splitlines()]
+    assert len(chains) == 16 and chains == sorted(chains)
+    for lists in chains:
+        tops = [c[0] for c in lists]
+        assert all(x > y for x, y in zip(tops, tops[1:]))
 
 
 def test_enumerate_bound_exceeded_exits_4(run_cli):
