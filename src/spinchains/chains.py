@@ -137,30 +137,28 @@ def is_linked(c1: Chain, c2: Chain) -> bool:
 def _pairs_interlaced(pairs) -> bool:
     """Whether the linkage graph on (top, length) pairs is connected.
 
-    The pairs must describe disjoint chains: the straddle test below is
-    is_linked without its overlap check, and two chains of one parity
-    whose spans meet share an entry.  A single chain counts as interlaced.
+    The pairs must describe disjoint chains, in any order; a single chain
+    counts as interlaced.  One sweep by descending top decides it: the set
+    is interlaced iff each next top lies strictly above the lowest bottom
+    seen so far.
+
+    Proof.  Take chain i before chain j in that order, so T_i > T_j.  They
+    are linked iff T_j > b_i, since T_j > T_i is impossible.  If
+    T_{k+1} <= min_{i<=k} b_i, every later top is lower still, so no later
+    chain links any of the first k chains and the graph is disconnected.
+    Otherwise each chain links an earlier one, and the graph is connected
+    by induction.
     """
-    m = len(pairs)
-    if m == 1:
-        return True
-    spans = [(top, top - 2 * (length - 1)) for top, length in pairs]
-    adj = [[] for _ in range(m)]
-    for i in range(m):
-        ti, bi = spans[i]
-        for j in range(i + 1, m):
-            tj, bj = spans[j]
-            if ti > tj > bi or tj > ti > bj:
-                adj[i].append(j)
-                adj[j].append(i)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for k in adj[stack.pop()]:
-            if k not in seen:
-                seen.add(k)
-                stack.append(k)
-    return len(seen) == m
+    spans = iter(sorted(pairs, reverse=True))
+    top, length = next(spans)
+    low = top - 2 * (length - 1)
+    for top, length in spans:
+        if top <= low:
+            return False
+        bottom = top - 2 * (length - 1)
+        if bottom < low:
+            low = bottom
+    return True
 
 
 def is_interlaced(cs: ChainSet) -> bool:

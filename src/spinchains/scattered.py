@@ -3,15 +3,18 @@
 The scattered parameters of SL(n) are exactly the interlaced chain sets
 with n entries whose smallest entry is 1.  They are generated from the
 base parameter {3, 1} by a two-way branching on the largest odd entry M_o
-and largest even entry M_e, giving 2^(n-2) parameters at rank n; an
-independent brute-force search over all disjoint chain decompositions
-confirms the enumeration at desk scale.
+and largest even entry M_e, giving 2^(n-2) parameters at rank n.  An
+independent brute-force search confirms the enumeration at desk scale: two
+consecutive values missing below the top split a set into blocks that no
+chain or link crosses, so the entries of an interlaced set climb from 1 in
+steps of 1 or 2, and the search walks those 2^(n-1) entry sets and every
+chain decomposition of each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 
 from .chains import (
     Chain,
@@ -77,23 +80,28 @@ def expand(cs: ChainSet) -> tuple[ChainSet, ChainSet]:
     return children
 
 
+def _leaves(n: int) -> list[ChainSet]:
+    """Leaves of the branching tree at depth n - 2, in branching order."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    level = [ChainSet((Chain(3, 2),))]
+    for _ in range(n - 2):
+        level = [child for cs in level for child in expand(cs)]
+    return level
+
+
 def generate(n: int) -> list[ChainSet]:
     """All interlaced chain sets with n entries and smallest entry 1.
 
     Leaves of the branching tree at depth n - 2, in ascending to_lists
     order: the record order of `spinchains enumerate`.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    level = [ChainSet((Chain(3, 2),))]
-    for _ in range(n - 2):
-        level = [child for cs in level for child in expand(cs)]
-    return sorted(level, key=ChainSet.to_lists)
+    return sorted(_leaves(n), key=ChainSet.to_lists)
 
 
 def count(n: int) -> int:
     """Number of distinct scattered parameters of SL(n)."""
-    return len(set(generate(n)))
+    return len(set(_leaves(n)))
 
 
 def reduce(cs: ChainSet) -> ChainSet:
@@ -170,33 +178,26 @@ def all_chain_decompositions(n: int, max_entry: int | None = None):
             yield ChainSet(tuple(Chain(top, length) for top, length in pairs))
 
 
-def brute_force_enumerate(n: int, max_entry: int | None = None) -> list[ChainSet]:
-    """Independent oracle: exhaust all disjoint chain decompositions.
+def brute_force_enumerate(n: int) -> list[ChainSet]:
+    """Independent oracle: exhaust the chain decompositions of gap-free entry sets.
 
-    Searches every n-element entry set inside {1, ..., max_entry} that
-    contains 1, every partition of it into descending step-2 chains, and
-    keeps the interlaced ones.  Default bound 2n - 1 suffices because the
-    branching construction raises the maximum entry by at most 2 per step.
-    Candidates stay (top, length) pairs until they pass the interlacing
-    test: building a ChainSet per candidate makes the oracle several times
-    slower.  Returns them in the order of generate.
+    Two consecutive values missing below the top split the entries into
+    blocks that no chain (step 2) or link (straddling spans) can cross, so
+    the entries of an interlaced set with smallest entry 1 climb in steps
+    of 1 or 2.  The search walks all 2^(n-1) such step sequences, splits
+    each entry set into descending step-2 chains in every way, and keeps
+    the interlaced ones; it never calls expand or reduce.  Candidates stay
+    (top, length) pairs until they pass the interlacing test: building a
+    ChainSet per candidate makes the oracle several times slower.  Returns
+    them in the order of generate.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    if max_entry is None:
-        max_entry = 2 * n - 1
     found = []
-    for rest in combinations(range(2, max_entry + 1), n - 1):
-        entries = (1,) + rest
-        # two consecutive missing values split the entries into blocks no
-        # chain or link can cross, so such sets are never interlaced
-        present = set(entries)
-        top = entries[-1]
-        if any(v not in present and v + 1 not in present for v in range(1, top - 1)):
-            continue
+    for steps in product((1, 2), repeat=n - 1):
         found.extend(
             ChainSet(tuple(Chain(top, length) for top, length in pairs))
-            for pairs in _decompositions(entries)
+            for pairs in _decompositions(tuple(accumulate(steps, initial=1)))
             if _pairs_interlaced(pairs)
         )
     return sorted(found, key=ChainSet.to_lists)

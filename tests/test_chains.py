@@ -6,6 +6,7 @@ from spinchains.chains import (
     Chain,
     ChainSet,
     OverlappingChainsError,
+    _pairs_interlaced,
     canonical_order,
     extract_involution,
     involves_all_simple_reflections,
@@ -20,11 +21,20 @@ EX22 = ChainSet.from_lists([[10, 8], [9, 7, 5, 3, 1], [6], [4]])
 
 @st.composite
 def chain_sets(draw):
-    """Random disjoint chain sets, built greedily so no draw is rejected."""
+    """Random disjoint chain sets, built greedily so no draw is rejected.
+
+    A chain may take its top inside the span of an earlier chain, which
+    links the two whenever they are disjoint; otherwise almost every draw
+    of three or more chains would be disconnected.
+    """
     chains = []
     used: set[int] = set()
     for _ in range(draw(st.integers(1, 7))):
-        top = draw(st.integers(-20, 24))
+        if chains and draw(st.booleans()):
+            host = draw(st.sampled_from(chains))
+            top = draw(st.integers(host.bottom, host.top))
+        else:
+            top = draw(st.integers(-20, 24))
         length = draw(st.integers(1, 7))
         c = Chain(top, length)
         entries = set(c.entries())
@@ -138,10 +148,25 @@ def is_interlaced_by_linked_pairs(cs):
 @given(chain_sets())
 def test_is_interlaced_matches_linked_pair_graph(cs):
     assert is_interlaced(cs) == is_interlaced_by_linked_pairs(cs)
-    # most random sets are disconnected; two chains are connected iff linked
+    # two chains are connected iff linked
     for i, a in enumerate(cs.chains):
         for b in cs.chains[i + 1 :]:
             assert is_interlaced(ChainSet((a, b))) == is_linked(a, b)
+
+
+@given(st.data())
+def test_pairs_interlaced_ignores_input_order(data):
+    cs = data.draw(chain_sets())
+    pairs = data.draw(st.permutations([(c.top, c.length) for c in cs.chains]))
+    assert _pairs_interlaced(pairs) == is_interlaced_by_linked_pairs(cs)
+
+
+@given(chain_sets())
+def test_interlaced_sets_have_no_double_gap(cs):
+    entries = set(cs.all_entries())
+    low, top = min(entries), max(entries)
+    if any(v not in entries and v + 1 not in entries for v in range(low, top - 1)):
+        assert not is_interlaced(cs)
 
 
 def test_is_interlaced_examples():

@@ -86,9 +86,11 @@ def test_brute_force_rank_four():
     assert set(brute_force_enumerate(4)) == set(generate(4))
 
 
-def test_brute_force_larger_entry_bound_finds_nothing_new():
-    for n in range(2, 9):
-        assert set(brute_force_enumerate(n, max_entry=2 * n + 1)) == set(generate(n))
+def test_interlaced_decompositions_with_larger_entries_are_generated():
+    # neither the oracle's step walk nor a gap filter: every decomposition
+    # with entries up to 2n + 1, kept when interlaced
+    for n in range(2, 8):
+        assert {cs for cs in all_chain_decompositions(n, 2 * n + 1) if is_interlaced(cs)} == set(generate(n))
 
 
 def test_interlacing_involution_equivalence_over_all_decompositions():
