@@ -167,6 +167,9 @@ def _cmd_lr(args) -> int:
 
 
 def _cmd_spherical(args) -> int:
+    if args.a + args.b > ENUM_CAP:
+        print(f"error: a + b must be at most {ENUM_CAP}", file=sys.stderr)
+        return EXIT_BOUND
     try:
         cs = spherical_family(args.a, args.b)
     except ValueError as exc:

@@ -6,6 +6,13 @@ word (rows right to left, top to bottom) is a lattice word.  The counter
 fills cells in exactly that reading order, so semistandardness, content
 and the lattice-prefix condition all prune the search as it goes.
 
+The coefficient is symmetric, c(outer; inner, weight) = c(outer; weight,
+inner), and it is 0 unless weight fits inside outer (Fulton, *Young
+Tableaux*, section 5).  `lr_coefficient` therefore returns 0 at once when
+weight does not fit, and otherwise fills whichever of outer/inner and
+outer/weight has fewer cells; the search depth is min(|inner|, |weight|)
+instead of |weight|.
+
 On top of the counter sits the multiplicity of a dominant weight in a
 module induced from unitary characters of a product of GL factors: an
 iterated LR product of rectangles k_i^(d_i), one per chain.
@@ -54,7 +61,16 @@ def is_lattice_word(word) -> bool:
 
 
 def lr_coefficient(outer, inner, weight) -> int:
-    """Number of LR skew tableaux of shape outer/inner and content weight."""
+    """Number of LR skew tableaux of shape outer/inner and content weight.
+
+    Raises ValueError when inner does not fit inside outer, or when the
+    skew shape outer/inner and weight differ in size; both checks come
+    before anything else, so a bad triple never returns 0.  A weight that
+    does not fit inside outer gives 0.  By the symmetry c(outer; inner,
+    weight) = c(outer; weight, inner) the count runs on outer/weight with
+    content inner when |inner| < |outer| - |inner|, that is, when
+    outer/weight has fewer cells; on a tie the given orientation is kept.
+    """
     outer = normalize_partition(outer)
     inner = normalize_partition(inner)
     weight = normalize_partition(weight)
@@ -63,9 +79,20 @@ def lr_coefficient(outer, inner, weight) -> int:
     ncells = sum(outer) - sum(inner)
     if ncells != sum(weight):
         raise ValueError(f"skew shape has {ncells} cells but content has size {sum(weight)}")
-    if ncells == 0:
-        return 1
+    if not contains(outer, weight):
+        return 0
+    if sum(inner) < ncells:
+        inner, weight = weight, inner
+    return _count_tableaux(outer, inner, weight)
 
+
+def _count_tableaux(outer: Partition, inner: Partition, weight: Partition) -> int:
+    """LR tableaux of shape outer/inner and content weight, in that orientation.
+
+    The raw counter behind `lr_coefficient`: it takes normalized partitions
+    with inner inside outer and |outer| - |inner| = |weight|, checks none
+    of this, and never swaps inner and weight.
+    """
     # Cells in reverse reading order: row by row, right to left.  For each
     # cell record the index of its right neighbour in the fill order (always
     # the previous cell when in the same row) and of the cell directly above

@@ -20,7 +20,7 @@ from .chains import (
     is_involution,
     lambda_doubled,
 )
-from .lr import contains, lr_coefficient, multiplicity_in_induced
+from .lr import _count_tableaux, contains, lr_coefficient, multiplicity_in_induced
 from .scattered import (
     all_chain_decompositions,
     brute_force_enumerate,
@@ -191,8 +191,10 @@ def check_lr(ranks, n_max):
             for weight in _partitions_up_to(rest):
                 if sum(weight) != rest:
                     continue
-                c = lr_coefficient(outer, inner, weight)
-                swapped = lr_coefficient(outer, weight, inner) if contains(outer, weight) else 0
+                # the raw counter on both orientations: two lr_coefficient
+                # calls would both fill the smaller skew shape
+                c = _count_tableaux(outer, inner, weight)
+                swapped = _count_tableaux(outer, weight, inner) if contains(outer, weight) else 0
                 if c != swapped:
                     yield label, False, f"symmetry {outer} {inner} {weight}"
                     return

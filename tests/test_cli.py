@@ -166,6 +166,11 @@ def test_lr_command(run_cli):
 def test_lr_malformed_exits_2(run_cli):
     assert run_cli("lr", "--outer", "x", "--weight", "1").returncode == 2
     assert run_cli("lr", "--outer", "1,2", "--weight", "3").returncode == 2
+    # inner and weight both outside outer: an error, not 0
+    assert cli.main(["lr", "--outer", "4", "--inner", "1,1", "--weight", "1,1"]) == 2
+    # wrong size, in both orientations
+    assert cli.main(["lr", "--outer", "3,2", "--inner", "1", "--weight", "2,1"]) == 2
+    assert cli.main(["lr", "--outer", "3,2", "--inner", "2,1", "--weight", "1"]) == 2
 
 
 def test_spherical_command(run_cli):
@@ -176,3 +181,10 @@ def test_spherical_command(run_cli):
     assert "lowest K-type = (5, 5, 5, 5, 5, 5, 5)" in result.stdout
     assert run_cli("spherical", "-a", "2", "-b", "2").returncode == 2
 
+
+def test_spherical_bound_exceeded_exits_4(capsys):
+    assert cli.main(["spherical", "-a", "300001", "-b", "2"]) == 4
+    assert cli.main(["spherical", "-a", "9", "-b", "8"]) == 4  # rank 17
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: a + b must be at most 16\n" * 2
+    assert cli.main(["spherical", "-a", "9", "-b", "6"]) == 0  # rank 15, the largest odd a + b allowed

@@ -10,8 +10,10 @@ from itertools import permutations
 
 import pytest
 
+from spinchains import lr
 from spinchains.chains import ChainSet
 from spinchains.lr import (
+    _count_tableaux,
     _grow_candidates,
     contains,
     is_lattice_word,
@@ -100,6 +102,17 @@ def grow_candidates_unpruned(mu, k, d, limit):
     yield from rec(0, goal, goal)
 
 
+def lr_triples(max_size):
+    """Every (outer, inner, weight) with |outer| <= max_size, inner inside
+    outer and |weight| = |outer| - |inner|, whether weight fits in outer or not."""
+    for outer in _partitions_up_to(max_size):
+        for inner in _sub_partitions(outer):
+            rest = sum(outer) - sum(inner)
+            for weight in _partitions_up_to(rest):
+                if sum(weight) == rest:
+                    yield outer, inner, weight
+
+
 def test_lattice_word_examples():
     assert is_lattice_word((1, 1, 2, 1, 2, 3))
     assert not is_lattice_word((2, 1, 1))
@@ -128,24 +141,51 @@ def test_lr_validates_inputs():
         lr_coefficient((2, 1), (1,), (1,))
     with pytest.raises(ValueError):
         lr_coefficient((2, 1), (1,), (1, 2))
+    # both checks come before the early 0 for a weight outside outer
+    with pytest.raises(ValueError, match="not contained"):
+        lr_coefficient((4,), (1, 1), (1, 1))
+    for inner, weight in [((1,), (2, 1)), ((2, 1), (1,)), ((2,), (4,))]:
+        with pytest.raises(ValueError, match="cells but content has size"):
+            lr_coefficient((3, 2), inner, weight)
 
 
 def test_empty_skew():
     assert lr_coefficient((2, 1), (2, 1), ()) == 1
 
 
+def test_lr_coefficient_is_the_raw_counter_on_the_smaller_shape(monkeypatch):
+    """The same answer as the raw counter called as given; no call when
+    weight does not fit (the raw counter checks nothing), otherwise one
+    call on the skew shape with fewer cells, ties as given."""
+    calls = []
+
+    def recording(outer, inner, weight):
+        calls.append((outer, inner, weight))
+        return _count_tableaux(outer, inner, weight)
+
+    monkeypatch.setattr(lr, "_count_tableaux", recording)
+    for outer, inner, weight in lr_triples(6):
+        calls.clear()
+        got = lr_coefficient(outer, inner, weight)
+        assert got == _count_tableaux(outer, inner, weight), (outer, inner, weight)
+        if not contains(outer, weight):
+            assert got == 0 and calls == [], (outer, inner, weight)
+        elif sum(inner) < sum(outer) - sum(inner):
+            assert calls == [(outer, weight, inner)]
+        else:
+            assert calls == [(outer, inner, weight)]
+
+
+def test_raw_counter_is_symmetric_in_inner_and_weight():
+    """Two independent counts per triple, one on each skew shape."""
+    for outer, inner, weight in lr_triples(8):
+        swapped = _count_tableaux(outer, weight, inner) if contains(outer, weight) else 0
+        assert _count_tableaux(outer, inner, weight) == swapped, (outer, inner, weight)
+
+
 def test_agrees_with_oracle_exhaustively_small():
-    for outer in _partitions_up_to(6):
-        if not outer:
-            continue
-        for inner in _sub_partitions(outer):
-            rest = sum(outer) - sum(inner)
-            for weight in _partitions_up_to(rest):
-                if sum(weight) != rest:
-                    continue
-                assert lr_coefficient(outer, inner, weight) == lr_oracle(
-                    outer, inner, weight
-                ), (outer, inner, weight)
+    for outer, inner, weight in lr_triples(6):
+        assert lr_coefficient(outer, inner, weight) == lr_oracle(outer, inner, weight), (outer, inner, weight)
 
 
 def test_agrees_with_oracle_on_larger_spot_checks():
