@@ -48,6 +48,32 @@ def contains(outer: Partition, inner: Partition) -> bool:
     return all(inner[i] <= outer[i] for i in range(len(inner)))
 
 
+def partitions_up_to(size: int):
+    """Every partition of every size 0..size, each once, the empty one first."""
+
+    def rec(remaining, cap):
+        yield ()
+        for first in range(min(remaining, cap), 0, -1):
+            for rest in rec(remaining - first, first):
+                yield (first,) + rest
+
+    yield from rec(size, size)
+
+
+def sub_partitions(outer: Partition):
+    """Every partition contained in outer, the empty one included, each once."""
+
+    def rec(i, prev):
+        if i == len(outer):
+            yield ()
+            return
+        for part in range(min(outer[i], prev), -1, -1):
+            for rest in rec(i + 1, part):
+                yield ((part,) + rest) if part else ()
+
+    yield from rec(0, outer[0] if outer else 0)
+
+
 def is_lattice_word(word) -> bool:
     """Every prefix holds at least as many i's as (i+1)'s, for every i."""
     counts: dict[int, int] = {}

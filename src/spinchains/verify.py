@@ -20,7 +20,14 @@ from .chains import (
     is_involution,
     lambda_doubled,
 )
-from .lr import _count_tableaux, contains, lr_coefficient, multiplicity_in_induced
+from .lr import (
+    _count_tableaux,
+    contains,
+    lr_coefficient,
+    multiplicity_in_induced,
+    partitions_up_to,
+    sub_partitions,
+)
 from .scattered import (
     all_chain_decompositions,
     brute_force_enumerate,
@@ -80,28 +87,6 @@ def spin_minimal_candidates(cs: ChainSet) -> tuple[tuple[int, ...], list[tuple[i
         if multiplicity_in_induced(cs, dv) > 0:
             hits.append(dv)
     return res.tau, hits
-
-
-def _partitions_up_to(size: int):
-    def rec(remaining, cap):
-        yield ()
-        for first in range(min(remaining, cap), 0, -1):
-            for rest in rec(remaining - first, first):
-                yield (first,) + rest
-
-    yield from rec(size, size)
-
-
-def _sub_partitions(outer):
-    def rec(i, prev):
-        if i == len(outer):
-            yield ()
-            return
-        for part in range(min(outer[i], prev), -1, -1):
-            for rest in rec(i + 1, part):
-                yield ((part,) + rest) if part else ()
-
-    yield from rec(0, outer[0] if outer else 0)
 
 
 def _is_horizontal_strip(outer, inner) -> bool:
@@ -179,16 +164,16 @@ def check_spherical(ranks, n_max):
 
 def check_lr(ranks, n_max):
     label = f"LR Pieri and symmetry, |shape|<={LR_SANITY_CAP}"
-    for outer in _partitions_up_to(LR_SANITY_CAP):
+    for outer in partitions_up_to(LR_SANITY_CAP):
         if not outer:
             continue
-        for inner in _sub_partitions(outer):
+        for inner in sub_partitions(outer):
             rest = sum(outer) - sum(inner)
             row = lr_coefficient(outer, inner, (rest,) if rest else ())
             if row != (1 if _is_horizontal_strip(outer, inner) else 0):
                 yield label, False, f"Pieri {outer}/{inner}"
                 return
-            for weight in _partitions_up_to(rest):
+            for weight in partitions_up_to(rest):
                 if sum(weight) != rest:
                     continue
                 # the raw counter on both orientations: two lr_coefficient

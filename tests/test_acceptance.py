@@ -8,7 +8,14 @@ criteria assert the documented sub-millisecond budget on a warm call.
 import time
 
 from spinchains.chains import ChainSet, extract_involution, lambda_doubled
-from spinchains.lr import contains, lr_coefficient, multiplicity_in_induced
+from spinchains.lr import (
+    _count_tableaux,
+    contains,
+    lr_coefficient,
+    multiplicity_in_induced,
+    partitions_up_to,
+    sub_partitions,
+)
 from spinchains.scattered import (
     brute_force_enumerate,
     build_record,
@@ -18,11 +25,7 @@ from spinchains.scattered import (
     spherical_family,
 )
 from spinchains.spin import lowest_k_type, spin_lowest_k_type, verify_spin_identity
-from spinchains.verify import (
-    _partitions_up_to,
-    _sub_partitions,
-    spin_minimal_candidates,
-)
+from spinchains.verify import spin_minimal_candidates
 from spinchains.weights import to_fundamental
 
 from test_lr import horizontal_strips_above
@@ -158,20 +161,22 @@ def test_criterion_10_spherical_family():
 
 def test_criterion_11_lr_engine_sanity():
     pieri_checked = symmetry_checked = 0
-    for outer in _partitions_up_to(8):
+    for outer in partitions_up_to(8):
         if not outer:
             continue
-        for inner in _sub_partitions(outer):
+        for inner in sub_partitions(outer):
             rest = sum(outer) - sum(inner)
             strip = tuple(outer) in {tuple(x) for x in horizontal_strips_above(inner, rest)}
             got = lr_coefficient(outer, inner, (rest,) if rest else ())
             assert got == (1 if strip else 0), (outer, inner)
             pieri_checked += 1
-            for weight in _partitions_up_to(rest):
+            for weight in partitions_up_to(rest):
                 if sum(weight) != rest:
                     continue
-                c = lr_coefficient(outer, inner, weight)
-                swapped = lr_coefficient(outer, weight, inner) if contains(outer, weight) else 0
+                # the raw counter on both orientations: two lr_coefficient
+                # calls would both fill the smaller skew shape
+                c = _count_tableaux(outer, inner, weight)
+                swapped = _count_tableaux(outer, weight, inner) if contains(outer, weight) else 0
                 assert c == swapped, (outer, inner, weight)
                 symmetry_checked += 1
     print(

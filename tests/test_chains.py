@@ -214,10 +214,6 @@ def test_lambda_doubled_strictly_decreasing(cs):
     assert all(a > b for a, b in zip(lam, lam[1:]))
 
 
-def test_extract_involution_worked_example():
-    assert extract_involution(EX22) == (3, 9, 1, 8, 5, 6, 7, 4, 2)
-
-
 def test_extract_involution_single_chain_is_longest_element():
     assert extract_involution(ChainSet.from_lists([[5, 3, 1]])) == (3, 2, 1)
 

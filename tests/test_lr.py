@@ -20,9 +20,10 @@ from spinchains.lr import (
     lr_coefficient,
     multiplicity_in_induced,
     normalize_partition,
+    partitions_up_to,
+    sub_partitions,
 )
 from spinchains.spin import lowest_k_type, spin_lowest_k_type
-from spinchains.verify import _partitions_up_to, _sub_partitions
 
 from test_chains import EX22
 
@@ -105,10 +106,10 @@ def grow_candidates_unpruned(mu, k, d, limit):
 def lr_triples(max_size):
     """Every (outer, inner, weight) with |outer| <= max_size, inner inside
     outer and |weight| = |outer| - |inner|, whether weight fits in outer or not."""
-    for outer in _partitions_up_to(max_size):
-        for inner in _sub_partitions(outer):
+    for outer in partitions_up_to(max_size):
+        for inner in sub_partitions(outer):
             rest = sum(outer) - sum(inner)
-            for weight in _partitions_up_to(rest):
+            for weight in partitions_up_to(rest):
                 if sum(weight) == rest:
                     yield outer, inner, weight
 
@@ -174,13 +175,6 @@ def test_lr_coefficient_is_the_raw_counter_on_the_smaller_shape(monkeypatch):
             assert calls == [(outer, weight, inner)]
         else:
             assert calls == [(outer, inner, weight)]
-
-
-def test_raw_counter_is_symmetric_in_inner_and_weight():
-    """Two independent counts per triple, one on each skew shape."""
-    for outer, inner, weight in lr_triples(8):
-        swapped = _count_tableaux(outer, weight, inner) if contains(outer, weight) else 0
-        assert _count_tableaux(outer, inner, weight) == swapped, (outer, inner, weight)
 
 
 def test_agrees_with_oracle_exhaustively_small():
@@ -253,10 +247,10 @@ def test_multiplicity_rejects_malformed_delta():
 
 def test_grow_candidates_prunes_only_zero_coefficients():
     by_size = {}
-    for p in _partitions_up_to(6 + 3 * 3):
+    for p in partitions_up_to(6 + 3 * 3):
         by_size.setdefault(sum(p), []).append(p)
     dropped = 0
-    for mu in _partitions_up_to(6):
+    for mu in partitions_up_to(6):
         for k in range(1, 4):
             for d in range(1, 4):
                 for limit in by_size[sum(mu) + k * d]:

@@ -78,26 +78,6 @@ def test_worked_example_full_run():
     }
 
 
-def test_worked_example_dirac_weight():
-    res = spin_lowest_k_type(EX22)
-    assert res.gamma == tuple(2 * x for x in (6, 6, 6, 6, 6, 6, 6, 6, 5))
-    assert verify_spin_identity(res)
-
-
-def test_rank_four_taus_match_table():
-    from spinchains.weights import to_fundamental
-
-    cases = {
-        ((7, 5, 3, 1),): (0, 0, 0),
-        ((5, 3, 1), (4,)): (2, 0, 1),
-        ((5, 3, 1), (2,)): (1, 0, 2),
-        ((3, 1), (4, 2)): (1, 1, 1),
-    }
-    for lists, expected in cases.items():
-        res = spin_lowest_k_type(ChainSet.from_lists([list(x) for x in lists]))
-        assert to_fundamental(tuple(x // 2 for x in res.tau)) == expected
-
-
 def test_identity_on_rank_two():
     res = spin_lowest_k_type(ChainSet.from_lists([[3, 1]]))
     assert res.tau == (4, 4)

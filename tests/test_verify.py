@@ -7,11 +7,7 @@ from spinchains import verify
 from spinchains.chains import ChainSet
 from spinchains.scattered import generate
 from spinchains.spin import spin_lowest_k_type
-from spinchains.verify import (
-    dominant_ball,
-    run_verification,
-    spin_minimal_candidates,
-)
+from spinchains.verify import dominant_ball, run_verification
 from spinchains.weights import norm_sq, rho_doubled
 
 
@@ -49,13 +45,6 @@ def test_dominant_ball_matches_box_search():
     }
     assert set(dominant_ball(n, coord_sum, bound)) == expected
     assert expected  # the bound is wide enough for the check to mean something
-
-
-def test_spin_minimal_candidates_base_parameter():
-    cs = ChainSet.from_lists([[3, 1]])
-    tau, hits = spin_minimal_candidates(cs)
-    assert tau == (4, 4)
-    assert hits == [(4, 4)]
 
 
 def test_run_verification_small():
