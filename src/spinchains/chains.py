@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .weights import Weight, dominant
+from .weights import Weight
 
 
 class OverlappingChainsError(ValueError):
@@ -183,9 +183,10 @@ def lambda_doubled(cs: ChainSet) -> Weight:
     """The infinitesimal character lambda in doubled coordinates.
 
     The entries of the chains are exactly the doubled coordinates of lambda;
-    collecting and sorting them gives the dominant representative.
+    `ChainSet.all_entries` already sorts them into the dominant
+    representative.
     """
-    return dominant(cs.all_entries())
+    return cs.all_entries()
 
 
 def extract_involution(cs: ChainSet) -> tuple[int, ...]:

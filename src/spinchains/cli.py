@@ -107,7 +107,8 @@ def _cmd_enumerate(args) -> int:
     if not 2 <= args.n <= cap:
         print(f"error: n must satisfy 2 <= n <= {cap}", file=sys.stderr)
         return EXIT_BOUND
-    records = [build_record(cs, args.with_multiplicity) for cs in generate(args.n)]
+    # built lazily, so each line is written as soon as its record exists
+    records = (build_record(cs, args.with_multiplicity) for cs in generate(args.n))
     if args.json:
         for rec in records:
             print(json.dumps(rec.as_dict()))

@@ -22,7 +22,6 @@ from .chains import (
     _pairs_interlaced,
     extract_involution,
     is_interlaced,
-    lambda_doubled,
 )
 from .lr import multiplicity_in_induced
 from .spin import spin_lowest_k_type
@@ -90,13 +89,24 @@ def _leaves(n: int) -> list[ChainSet]:
     return level
 
 
+def _record_key(cs: ChainSet) -> list[tuple[int, int]]:
+    return [(c.top, c.length) for c in cs.chains]
+
+
 def generate(n: int) -> list[ChainSet]:
     """All interlaced chain sets with n entries and smallest entry 1.
 
     Leaves of the branching tree at depth n - 2, in ascending to_lists
-    order: the record order of `spinchains enumerate`.
+    order: the record order of `spinchains enumerate`.  They are sorted on
+    the chains' (top, length) pairs, which gives the same order without
+    building the entry lists.  Proof: the chains are stored by descending
+    top in both keys, so it suffices that two chains' entry lists compare
+    as their pairs do.  Lists with different tops compare by their tops.
+    Lists with equal tops agree as far as the shorter one goes, so the
+    shorter is a prefix of the longer and sorts first, as its pair does.
+    Equal pairs mean equal chains.
     """
-    return sorted(_leaves(n), key=ChainSet.to_lists)
+    return sorted(_leaves(n), key=_record_key)
 
 
 def count(n: int) -> int:
@@ -200,15 +210,13 @@ def brute_force_enumerate(n: int) -> list[ChainSet]:
             for pairs in _decompositions(tuple(accumulate(steps, initial=1)))
             if _pairs_interlaced(pairs)
         )
-    return sorted(found, key=ChainSet.to_lists)
+    return sorted(found, key=_record_key)
 
 
 def is_u_small(tau: Weight) -> bool:
     """Unitarily small test: tau - 2*rho pairs non-positively with every
     fundamental coweight."""
-    n = len(tau)
-    two_rho = tuple(2 * r for r in rho_doubled(n))
-    diff = tuple(t - r for t, r in zip(tau, two_rho))
+    diff = tuple(t - 2 * r for t, r in zip(tau, rho_doubled(len(tau))))
     return all(x <= 0 for x in fundamental_pairing_signs(diff))
 
 
@@ -248,7 +256,7 @@ def build_record(cs: ChainSet, with_multiplicity: bool = False) -> ScatteredReco
     return ScatteredRecord(
         n=cs.n,
         chains=cs,
-        lambda2_fund=to_fundamental(lambda_doubled(cs)),
+        lambda2_fund=tuple(x // 2 for x in to_fundamental(res.lambda2)),
         s=extract_involution(cs),
         tau_fund=to_fundamental(tau_std),
         gamma=res.gamma,

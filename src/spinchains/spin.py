@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .chains import Chain, ChainSet, canonical_order, is_interlaced, is_linked, lambda_doubled
+from .chains import Chain, ChainSet, OverlappingChainsError, canonical_order, is_interlaced, is_linked
 from .weights import Weight, dominant, rho_doubled
 
 
@@ -88,9 +88,6 @@ class TauLayout:
         self._written[row][pos] = True
         self.rows[row][pos] = value
 
-    def flatten(self) -> tuple[int, ...]:
-        return tuple(x for row in self.rows for x in row)
-
 
 def apply_rule(layout: TauLayout, i: int, j: int, rule: Rule) -> TauLayout:
     """Rewrite rows i and j of the layout in place according to the rule."""
@@ -140,21 +137,28 @@ def spin_lowest_k_type(cs: ChainSet) -> SpinResult:
     """Run the rewriting rules over all linked pairs and assemble tau.
 
     Chains are added one at a time in canonical order; each new chain is
-    resolved against every earlier chain linked with it.
+    resolved against every earlier chain linked with it.  The pairs are
+    tested for straddling on their (top, bottom) spans, as `is_linked`
+    does, and only linked pairs reach `classify_link`.
     """
     ordered = canonical_order(cs)
     layout = TauLayout(ordered)
+    spans = [(c.top, c.bottom) for c in ordered]
     trace = []
     for m in range(1, len(ordered)):
+        tm, bm = spans[m]
         for i in range(m):
-            if is_linked(ordered[i], ordered[m]):
+            ti, bi = spans[i]
+            if (ti - tm) % 2 == 0 and bi <= tm and bm <= ti:
+                raise OverlappingChainsError("linked is only defined for disjoint chains")
+            if ti > tm > bi or tm > ti > bm:
                 rule = classify_link(ordered[i], ordered[m])
                 apply_rule(layout, i, m, rule)
                 trace.append(AppliedRule(rule.kind, i, m, rule.param))
-    tau = dominant(2 * x for x in layout.flatten())
-    lambda2 = tuple(2 * e for e in lambda_doubled(cs))
-    rho = rho_doubled(cs.n)
-    gamma = dominant(t - r for t, r in zip(tau, rho))
+    tau = dominant([2 * x for row in layout.rows for x in row])
+    lambda2 = tuple(2 * e for e in cs.all_entries())
+    rho = rho_doubled(len(tau))
+    gamma = dominant([t - r for t, r in zip(tau, rho)])
     return SpinResult(
         chains=ordered,
         tau=tau,

@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -129,6 +132,39 @@ def test_enumerate_deterministic(capsys):
     for lists in chains:
         tops = [c[0] for c in lists]
         assert all(x > y for x, y in zip(tops, tops[1:]))
+
+
+@pytest.mark.parametrize(
+    "argv, lines, sha256",
+    [
+        (["enumerate", "-n", "12", "--json"], 1024, "f35f09876cc9d4eae22d99de46f41451fe937494f785a641c15dca418348b472"),
+        (
+            ["enumerate", "-n", "7", "--table", "--with-multiplicity"],
+            2 + 32,
+            "ad812d884d4476baa3c7aa2fd6f0ba91ff3ff4643a2dd582048a0de6e45024d6",
+        ),
+    ],
+)
+def test_enumerate_output_is_pinned(argv, lines, sha256, capsys):
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("fmt, header_lines", [("--json", 0), ("--table", 2)])
+def test_enumerate_writes_each_record_before_building_the_next(monkeypatch, fmt, header_lines):
+    out = io.StringIO()
+    lines_at_build = []
+
+    def counting_build_record(*args):
+        lines_at_build.append(out.getvalue().count("\n"))
+        return build_record(*args)
+
+    monkeypatch.setattr(cli, "build_record", counting_build_record)
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["enumerate", "-n", "6", fmt]) == 0
+    assert lines_at_build == [header_lines + k for k in range(16)]
 
 
 def test_enumerate_bound_exceeded_exits_4():

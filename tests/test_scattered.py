@@ -11,6 +11,7 @@ from spinchains.chains import (
 )
 from spinchains.cli import VERIFY_CAP
 from spinchains.scattered import (
+    _leaves,
     all_chain_decompositions,
     brute_force_enumerate,
     build_record,
@@ -65,6 +66,16 @@ def test_reduce_rejects_base_parameter():
 
 def test_brute_force_base_case():
     assert brute_force_enumerate(2) == [ChainSet.from_lists([[3, 1]])]
+
+
+def test_record_order_is_the_to_lists_order():
+    # sorting on the entry lists defines the record order; it is the oracle
+    # of the (top, length) pair key that generate and brute_force_enumerate use
+    for n in range(2, 13):
+        assert generate(n) == sorted(_leaves(n), key=ChainSet.to_lists)
+    for n in range(2, 10):
+        found = brute_force_enumerate(n)
+        assert found == sorted(found, key=ChainSet.to_lists)
 
 
 def test_interlaced_decompositions_with_larger_entries_are_generated():

@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 from hypothesis import given
 
-from spinchains.chains import Chain, ChainSet
+from spinchains.chains import Chain, ChainSet, is_linked
 from spinchains.spin import (
     AlgorithmViolation,
     Rule,
@@ -127,6 +127,15 @@ def test_rules_only_redistribute(cs):
 def test_spin_norm_of_tau_is_norm_of_doubled_lambda(cs):
     res = spin_lowest_k_type(cs)
     assert spin_norm_sq(res.tau) == norm_sq(res.lambda2)
+
+
+@given(chain_sets())
+def test_rules_run_on_exactly_the_linked_pairs(cs):
+    # is_linked is the oracle of the straddling test inlined in the loop
+    res = spin_lowest_k_type(cs)
+    ordered = res.chains
+    linked = [(i, m) for m in range(len(ordered)) for i in range(m) if is_linked(ordered[i], ordered[m])]
+    assert [(app.i, app.j) for app in res.trace] == linked
 
 
 @given(reordered_chain_sets())
