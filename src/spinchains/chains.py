@@ -110,7 +110,7 @@ class ChainSet:
     def from_json(cls, text: str) -> "ChainSet":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # nesting too deep to parse
             raise ValueError(f"invalid JSON: {exc}") from exc
         if not isinstance(data, dict) or "chains" not in data:
             raise ValueError('expected an object of the form {"chains": [[...], ...]}')

@@ -2,9 +2,12 @@
 
 Subcommands: tau, perm, enumerate, count, verify, lr, spherical.
 Exit codes: 0 success, 1 verification failure, 2 parse error, 3 invalid
-chain set, 4 rank bound exceeded.  Weights are printed in doubled
-coordinates wherever the standard value could be half-integral; halve to
-recover the standard scale.
+chain set, 4 size bound exceeded.  The bounds: 2 <= n <= 16 for enumerate
+(n <= 8 with --with-multiplicity) and count, 2 <= n <= 12 for verify,
+a + b <= 16 for spherical, and at most 22 filled cells, min(|inner|,
+|outer| - |inner|), for lr.  Weights are printed in doubled coordinates
+wherever the standard value could be half-integral; halve to recover the
+standard scale.
 """
 
 from __future__ import annotations
@@ -37,6 +40,9 @@ EXIT_BOUND = 4
 ENUM_CAP = 16
 ENUM_MULT_CAP = 8
 VERIFY_CAP = 12
+# lr fills min(|inner|, |outer| - |inner|) cells, and its cost grows steeply
+# with that number: about 1-2 s at 21-22 cells, up to 11 s at 24
+LR_CELL_CAP = 22
 
 
 def _fmt_vec(v) -> str:
@@ -61,7 +67,7 @@ def _load_chain_set(path: str) -> ChainSet | int:
     try:
         with open(path) as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
@@ -159,6 +165,14 @@ def _cmd_lr(args) -> int:
         outer = _parse_partition(args.outer)
         inner = _parse_partition(args.inner)
         weight = _parse_partition(args.weight)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    cells = min(sum(inner), sum(outer) - sum(inner))
+    if cells > LR_CELL_CAP:
+        print(f"error: lr would fill {cells} cells, at most {LR_CELL_CAP} allowed", file=sys.stderr)
+        return EXIT_BOUND
+    try:
         value = lr_coefficient(outer, inner, weight)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

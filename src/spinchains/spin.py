@@ -4,8 +4,9 @@ The lowest K-type of the module attached to a disjoint union of chains is
 the multiset of chain averages, each average k_i repeated d_i = length
 times.  The spin-lowest K-type tau is obtained from that layout by a local
 rewriting rule for every linked pair of chains C_i, C_j with i < j in
-canonical order.  With p := (C_{j,1} - C_{i,d_i} + 1)/2 and
-q := (C_{j,1} - C_{i,d_i} + 1)/2 the three configurations are:
+canonical order.  All three rules use the one quantity
+p := (C_{j,1} - C_{i,d_i} + 1)/2, which rule (c) calls q; the three
+configurations are:
 
   (a) C_j nested strictly inside the span of C_i (d_j <= p):
       row i gets k_i+p, k_i+p-1, ..., k_i+p-d_j+1 starting at slot d_i-p+1,

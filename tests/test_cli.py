@@ -69,6 +69,25 @@ def test_tau_non_list_chain_exits_2(tmp_path):
     assert cli.main(["tau", "-f", str(path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "command, content",
+    [
+        ("tau", b"\xff\xfe{}"),  # not UTF-8
+        ("tau", b'{"chains": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"),  # nested past the parser's depth
+        ("perm", b'{"chains": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"),
+    ],
+    ids=["not-utf8-tau", "deep-tau", "deep-perm"],
+)
+def test_unparseable_chain_file_exits_2(tmp_path, capsys, command, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert cli.main([command, "-f", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    [line] = out.err.splitlines()
+    assert line.startswith("error: ")
+
+
 def test_tau_overlapping_chains_exits_3(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"chains": [[5, 3], [3, 1]]}')
@@ -214,6 +233,12 @@ def test_lr_malformed_exits_2():
     # wrong size, in both orientations
     assert cli.main(["lr", "--outer", "3,2", "--inner", "1", "--weight", "2,1"]) == 2
     assert cli.main(["lr", "--outer", "3,2", "--inner", "2,1", "--weight", "1"]) == 2
+
+
+def test_lr_cell_bound_exceeded_exits_4(capsys):
+    assert cli.main(["lr", "--outer", "1200,1200", "--inner", "1200", "--weight", "1200"]) == 4
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: lr would fill 1200 cells, at most {cli.LR_CELL_CAP} allowed\n"
 
 
 def test_spherical_command(capsys):
