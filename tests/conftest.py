@@ -1,7 +1,9 @@
 import pytest
 
 from spinchains.cli import VERIFY_CAP
-from spinchains.verify import build_ranks
+from spinchains.verify import CHECKS, build_ranks
+
+_BY_NAME = {check.__name__: check for check in CHECKS}
 
 
 @pytest.fixture(scope="session")
@@ -9,3 +11,19 @@ def ranks():
     """Every scattered parameter up to rank VERIFY_CAP, as `spinchains verify`
     builds them; built once and shared by every registry check."""
     return build_ranks(VERIFY_CAP)
+
+
+@pytest.fixture(scope="session")
+def check_lines(ranks):
+    """`check_lines(name)`: the (label, ok, detail) lines of the registry check
+    `name` at VERIFY_CAP, exactly as `spinchains verify -n VERIFY_CAP` prints
+    them.  Each check runs at most once per test session, however many tests
+    read its lines; an unknown name raises KeyError."""
+    cache = {}
+
+    def lines_of(name):
+        if name not in cache:
+            cache[name] = list(_BY_NAME[name](ranks, VERIFY_CAP))
+        return cache[name]
+
+    return lines_of

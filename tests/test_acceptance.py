@@ -5,8 +5,10 @@ pass lines.  All comparisons are exact integer comparisons; the two timed
 criteria assert the documented sub-millisecond budget on a warm call.
 
 Criteria 4 (its oracle half) and 6-10 state claims that `verify.CHECKS`
-already certifies, so they run those registry checks, exactly as
-`spinchains verify -n VERIFY_CAP` does, and assert that every line passes.
+already certifies, so they read those registry checks' lines from the
+session's `check_lines` fixture, run exactly as `spinchains verify -n
+VERIFY_CAP` runs them, and assert that every line passes; each check runs
+once per test session, shared with `test_verify_check_passes`.
 A criterion's bound is a floor on what the check's lines report, so
 raising a cap in `verify` needs no edit here, and lowering one below a
 criterion's bound fails that criterion.
@@ -15,31 +17,12 @@ criterion's bound fails that criterion.
 import time
 
 from spinchains.chains import ChainSet, extract_involution
-from spinchains.cli import VERIFY_CAP
 from spinchains.lr import _count_tableaux, contains, lr_coefficient, partitions_up_to, sub_partitions
 from spinchains.scattered import build_record, count, generate
 from spinchains.spin import spin_lowest_k_type, verify_spin_identity
-from spinchains.verify import CHECKS
 from spinchains.weights import to_fundamental
 
 from test_lr import horizontal_strips_above
-
-_BY_NAME = {check.__name__: check for check in CHECKS}
-
-# the registry checks that criteria 4 and 6-10 run; `test_verify_check_passes`
-# runs every other check, so each runs once per test session
-CRITERION_CHECKS = {
-    name: _BY_NAME[name]
-    for name in (
-        "check_oracle",
-        "spin_identity_tau_rho_2lambda_rho",
-        "tau_is_u_small",
-        "lambda_fundamental_coefficients_are_1_2_or_1",
-        "tau_has_multiplicity_one",
-        "tau_is_the_unique_spin_minimal_K_type",
-        "check_spherical",
-    )
-}
 
 EX22 = ChainSet.from_lists([[10, 8], [9, 7, 5, 3, 1], [6], [4]])
 
@@ -53,17 +36,17 @@ def _min_runtime(fn, repeats=7):
     return best
 
 
-def _run_check(name, ranks):
+def _run_check(name, check_lines):
     """The (label, ok, detail) lines of a registry check, which must all pass."""
-    lines = list(CRITERION_CHECKS[name](ranks, VERIFY_CAP))
+    lines = check_lines(name)
     assert lines and all(ok for _, ok, _ in lines), lines
     return lines
 
 
-def _swept(name, ranks, floor):
+def _swept(name, check_lines, floor):
     """(K, top) of a per-parameter check whose one line reads
     `<label>, n<=top: PASS (K parameters)`, with K at least floor."""
-    [(label, _, detail)] = _run_check(name, ranks)
+    [(label, _, detail)] = _run_check(name, check_lines)
     checked = int(detail.removesuffix(" parameters"))
     assert checked >= floor, (name, checked, floor)
     return checked, int(label.rsplit("n<=", 1)[1])
@@ -102,10 +85,10 @@ def test_criterion_03_permutation_extraction():
     print("PASS criterion 3: s = (3,9,1,8,5,6,7,4,2), tau = [1,1,1,2,0,1,1,1]")
 
 
-def test_criterion_04_counting_and_oracle(ranks):
+def test_criterion_04_counting_and_oracle(check_lines):
     for n in range(2, 17):
         assert count(n) == 2 ** (n - 2), n
-    oracle_ranks = {int(label.rsplit("n=", 1)[1]) for label, _, _ in _run_check("check_oracle", ranks)}
+    oracle_ranks = {int(label.rsplit("n=", 1)[1]) for label, _, _ in _run_check("check_oracle", check_lines)}
     assert oracle_ranks >= set(range(2, 11)), oracle_ranks
     print("PASS criterion 4: count = 2^(n-2) for n<=16, oracle set-equality for n<=10")
 
@@ -133,31 +116,31 @@ def test_criterion_05_small_rank_table():
     print("PASS criterion 5: ranks 2-4 match the published lambda, s, tau values")
 
 
-def test_criterion_06_spin_identity_sweep(ranks):
-    total, top = _swept("spin_identity_tau_rho_2lambda_rho", ranks, _parameters_up_to(12))
+def test_criterion_06_spin_identity_sweep(check_lines):
+    total, top = _swept("spin_identity_tau_rho_2lambda_rho", check_lines, _parameters_up_to(12))
     print(f"PASS criterion 6: spin identity on all {total} parameters up to rank {top}")
 
 
-def test_criterion_07_u_smallness_sweep(ranks):
+def test_criterion_07_u_smallness_sweep(check_lines):
     floor = _parameters_up_to(12)
-    u_small, _ = _swept("tau_is_u_small", ranks, floor)
-    half_or_one, _ = _swept("lambda_fundamental_coefficients_are_1_2_or_1", ranks, floor)
+    u_small, _ = _swept("tau_is_u_small", check_lines, floor)
+    half_or_one, _ = _swept("lambda_fundamental_coefficients_are_1_2_or_1", check_lines, floor)
     total = min(u_small, half_or_one)
     print(f"PASS criterion 7: u-smallness and half-or-one coefficients on {total} parameters")
 
 
-def test_criterion_08_multiplicity_one(ranks):
-    total, top = _swept("tau_has_multiplicity_one", ranks, _parameters_up_to(8))
+def test_criterion_08_multiplicity_one(check_lines):
+    total, top = _swept("tau_has_multiplicity_one", check_lines, _parameters_up_to(8))
     print(f"PASS criterion 8: multiplicity of tau is 1 on all {total} parameters up to rank {top}")
 
 
-def test_criterion_09_uniqueness_at_desk_scale(ranks):
-    total, top = _swept("tau_is_the_unique_spin_minimal_K_type", ranks, _parameters_up_to(6))
+def test_criterion_09_uniqueness_at_desk_scale(check_lines):
+    total, top = _swept("tau_is_the_unique_spin_minimal_K_type", check_lines, _parameters_up_to(6))
     print(f"PASS criterion 9: tau unique spin-minimal K-type for all {total} parameters up to rank {top}")
 
 
-def test_criterion_10_spherical_family(ranks):
-    [(label, _, _)] = _run_check("check_spherical", ranks)
+def test_criterion_10_spherical_family(check_lines):
+    [(label, _, _)] = _run_check("check_spherical", check_lines)
     top = int(label.rsplit("a+b<=", 1)[1])
     assert top >= 9, label
     # the check's pairs: a > b > 0 with a + b odd and at most top
