@@ -4,10 +4,12 @@ Subcommands: tau, perm, enumerate, count, verify, lr, spherical.
 Exit codes: 0 success, 1 verification failure, 2 parse error, 3 invalid
 chain set, 4 size bound exceeded.  The bounds: 2 <= n <= 16 for enumerate
 (n <= 8 with --with-multiplicity) and count, 2 <= n <= 12 for verify,
-a + b <= 16 for spherical, and at most 22 filled cells, min(|inner|,
-|outer| - |inner|), for lr.  Weights are printed in doubled coordinates
-wherever the standard value could be half-integral; halve to recover the
-standard scale.
+a + b <= 16 for spherical, at most 22 filled cells, min(|inner|,
+|outer| - |inner|), for lr, and at most 5,000 entries for tau.  Every
+failure (exit 2, 3 or 4) prints exactly one `error:` line on stderr and
+nothing on stdout.  Weights are printed in doubled coordinates wherever
+the standard value could be half-integral; halve to recover the standard
+scale.
 """
 
 from __future__ import annotations
@@ -43,6 +45,16 @@ VERIFY_CAP = 12
 # lr fills min(|inner|, |outer| - |inner|) cells, and its cost grows steeply
 # with that number: about 1-2 s at 21-22 cells, up to 11 s at 24
 LR_CELL_CAP = 22
+# tau tests every pair of chains, and a chain holds at least one entry:
+# 5,000 singleton chains take about 1 s
+TAU_ENTRY_CAP = 5000
+
+
+class _CliError(Exception):
+    """_CliError(code, message): `main` prints `error: <message>` and returns code.
+
+    Not a ValueError, so a library ValueError is never mistaken for one.
+    """
 
 
 def _fmt_vec(v) -> str:
@@ -63,27 +75,29 @@ def _fmt_trace(res: SpinResult) -> str:
     return "; ".join(parts)
 
 
-def _load_chain_set(path: str) -> ChainSet | int:
+def _load_chain_set(path: str) -> ChainSet:
     try:
         with open(path) as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        raise _CliError(EXIT_PARSE, f"cannot read {path}: {exc}") from exc
     try:
         return ChainSet.from_json(text)
     except OverlappingChainsError as exc:
-        print(f"error: invalid chain set: {exc}", file=sys.stderr)
-        return EXIT_INVALID_CHAINS
+        raise _CliError(EXIT_INVALID_CHAINS, f"invalid chain set: {exc}") from exc
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        raise _CliError(EXIT_PARSE, str(exc)) from exc
+
+
+def _check_rank(n: int, cap: int) -> None:
+    if not 2 <= n <= cap:
+        raise _CliError(EXIT_BOUND, f"n must satisfy 2 <= n <= {cap}")
 
 
 def _cmd_tau(args) -> int:
     cs = _load_chain_set(args.file)
-    if isinstance(cs, int):
-        return cs
+    if cs.n > TAU_ENTRY_CAP:
+        raise _CliError(EXIT_BOUND, f"tau would run on {cs.n} entries, at most {TAU_ENTRY_CAP} allowed")
     res = spin_lowest_k_type(cs)
     print(f"chains (canonical order): {_fmt_chains(res.chains)}")
     print(f"2*lambda = {_fmt_vec(lambda_doubled(cs))}")
@@ -98,8 +112,6 @@ def _cmd_tau(args) -> int:
 
 def _cmd_perm(args) -> int:
     cs = _load_chain_set(args.file)
-    if isinstance(cs, int):
-        return cs
     s = extract_involution(cs)
     print(f"s = {_fmt_vec(s)}")
     print(f"involution: {'yes' if is_involution(s) else 'no'}")
@@ -109,10 +121,7 @@ def _cmd_perm(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    cap = ENUM_MULT_CAP if args.with_multiplicity else ENUM_CAP
-    if not 2 <= args.n <= cap:
-        print(f"error: n must satisfy 2 <= n <= {cap}", file=sys.stderr)
-        return EXIT_BOUND
+    _check_rank(args.n, ENUM_MULT_CAP if args.with_multiplicity else ENUM_CAP)
     # built lazily, so each line is written as soon as its record exists
     records = (build_record(cs, args.with_multiplicity) for cs in generate(args.n))
     if args.json:
@@ -132,17 +141,13 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    if not 2 <= args.n <= ENUM_CAP:
-        print(f"error: n must satisfy 2 <= n <= {ENUM_CAP}", file=sys.stderr)
-        return EXIT_BOUND
+    _check_rank(args.n, ENUM_CAP)
     print(count(args.n))
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    if not 2 <= args.n <= VERIFY_CAP:
-        print(f"error: n must satisfy 2 <= n <= {VERIFY_CAP}", file=sys.stderr)
-        return EXIT_BOUND
+    _check_rank(args.n, VERIFY_CAP)
     lines, ok = run_verification(args.n)
     for line in lines:
         print(line)
@@ -157,39 +162,31 @@ def _parse_partition(text: str):
     try:
         return tuple(int(p) for p in text.split(","))
     except ValueError as exc:
-        raise ValueError(f"malformed partition {text!r}") from exc
+        raise _CliError(EXIT_PARSE, f"malformed partition {text!r}") from exc
 
 
 def _cmd_lr(args) -> int:
-    try:
-        outer = _parse_partition(args.outer)
-        inner = _parse_partition(args.inner)
-        weight = _parse_partition(args.weight)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    outer = _parse_partition(args.outer)
+    inner = _parse_partition(args.inner)
+    weight = _parse_partition(args.weight)
     cells = min(sum(inner), sum(outer) - sum(inner))
     if cells > LR_CELL_CAP:
-        print(f"error: lr would fill {cells} cells, at most {LR_CELL_CAP} allowed", file=sys.stderr)
-        return EXIT_BOUND
+        raise _CliError(EXIT_BOUND, f"lr would fill {cells} cells, at most {LR_CELL_CAP} allowed")
     try:
         value = lr_coefficient(outer, inner, weight)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        raise _CliError(EXIT_PARSE, str(exc)) from exc
     print(value)
     return EXIT_OK
 
 
 def _cmd_spherical(args) -> int:
     if args.a + args.b > ENUM_CAP:
-        print(f"error: a + b must be at most {ENUM_CAP}", file=sys.stderr)
-        return EXIT_BOUND
+        raise _CliError(EXIT_BOUND, f"a + b must be at most {ENUM_CAP}")
     try:
         cs = spherical_family(args.a, args.b)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        raise _CliError(EXIT_PARSE, str(exc)) from exc
     res = spin_lowest_k_type(cs)
     print(f"chains: {_fmt_chains(cs.chains)}")
     print(f"2*lambda = {_fmt_vec(lambda_doubled(cs))}")
@@ -244,7 +241,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _CliError as exc:
+        code, message = exc.args
+        print(f"error: {message}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .chains import Chain, ChainSet, OverlappingChainsError, canonical_order, is_interlaced, is_linked
+from .chains import Chain, ChainSet, canonical_order, is_interlaced, is_linked
 from .weights import Weight, dominant, rho_doubled
 
 
@@ -140,7 +140,8 @@ def spin_lowest_k_type(cs: ChainSet) -> SpinResult:
     Chains are added one at a time in canonical order; each new chain is
     resolved against every earlier chain linked with it.  The pairs are
     tested for straddling on their (top, bottom) spans, as `is_linked`
-    does, and only linked pairs reach `classify_link`.
+    does, and only linked pairs reach `classify_link`.  A ChainSet's chains
+    share no entry, so `is_linked`'s overlap check is not repeated here.
     """
     ordered = canonical_order(cs)
     layout = TauLayout(ordered)
@@ -150,8 +151,6 @@ def spin_lowest_k_type(cs: ChainSet) -> SpinResult:
         tm, bm = spans[m]
         for i in range(m):
             ti, bi = spans[i]
-            if (ti - tm) % 2 == 0 and bi <= tm and bm <= ti:
-                raise OverlappingChainsError("linked is only defined for disjoint chains")
             if ti > tm > bi or tm > ti > bm:
                 rule = classify_link(ordered[i], ordered[m])
                 apply_rule(layout, i, m, rule)

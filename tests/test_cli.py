@@ -51,49 +51,6 @@ def test_tau_two_chain_family(tmp_path, capsys):
     assert "PASS" in out
 
 
-def test_tau_malformed_json_exits_2(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text("{nope")
-    assert cli.main(["tau", "-f", str(path)]) == 2
-
-
-def test_tau_bad_chain_sequence_exits_2(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text('{"chains": [[5, 2]]}')
-    assert cli.main(["tau", "-f", str(path)]) == 2
-
-
-def test_tau_non_list_chain_exits_2(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text('{"chains": [5]}')
-    assert cli.main(["tau", "-f", str(path)]) == 2
-
-
-@pytest.mark.parametrize(
-    "command, content",
-    [
-        ("tau", b"\xff\xfe{}"),  # not UTF-8
-        ("tau", b'{"chains": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"),  # nested past the parser's depth
-        ("perm", b'{"chains": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"),
-    ],
-    ids=["not-utf8-tau", "deep-tau", "deep-perm"],
-)
-def test_unparseable_chain_file_exits_2(tmp_path, capsys, command, content):
-    path = tmp_path / "bad.json"
-    path.write_bytes(content)
-    assert cli.main([command, "-f", str(path)]) == 2
-    out = capsys.readouterr()
-    assert out.out == ""
-    [line] = out.err.splitlines()
-    assert line.startswith("error: ")
-
-
-def test_tau_overlapping_chains_exits_3(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text('{"chains": [[5, 3], [3, 1]]}')
-    assert cli.main(["tau", "-f", str(path)]) == 3
-
-
 def test_perm_worked_example(ex22_file, capsys):
     assert cli.main(["perm", "-f", ex22_file]) == 0
     out = capsys.readouterr().out
@@ -186,16 +143,9 @@ def test_enumerate_writes_each_record_before_building_the_next(monkeypatch, fmt,
     assert lines_at_build == [header_lines + k for k in range(16)]
 
 
-def test_enumerate_bound_exceeded_exits_4():
-    assert cli.main(["enumerate", "-n", "17"]) == 4
-    assert cli.main(["enumerate", "-n", "9", "--with-multiplicity"]) == 4
-    assert cli.main(["enumerate", "-n", "1"]) == 4
-
-
 def test_count_command(capsys):
     assert cli.main(["count", "-n", "10"]) == 0
     assert capsys.readouterr().out.strip() == "256"
-    assert cli.main(["count", "-n", "17"]) == 4
 
 
 def test_verify_small_rank_passes(capsys):
@@ -203,8 +153,6 @@ def test_verify_small_rank_passes(capsys):
     out = capsys.readouterr().out
     assert "RESULT: PASS" in out
     assert "count n=4: PASS" in out
-    assert cli.main(["verify", "-n", "13"]) == 4
-    assert cli.main(["verify", "-n", "1"]) == 4
 
 
 def test_verify_failure_exits_1(monkeypatch, capsys):
@@ -225,34 +173,68 @@ def test_lr_command(capsys):
     assert capsys.readouterr().out.strip() == "1"
 
 
-def test_lr_malformed_exits_2():
-    assert cli.main(["lr", "--outer", "x", "--weight", "1"]) == 2
-    assert cli.main(["lr", "--outer", "1,2", "--weight", "3"]) == 2
-    # inner and weight both outside outer: an error, not 0
-    assert cli.main(["lr", "--outer", "4", "--inner", "1,1", "--weight", "1,1"]) == 2
-    # wrong size, in both orientations
-    assert cli.main(["lr", "--outer", "3,2", "--inner", "1", "--weight", "2,1"]) == 2
-    assert cli.main(["lr", "--outer", "3,2", "--inner", "2,1", "--weight", "1"]) == 2
-
-
-def test_lr_cell_bound_exceeded_exits_4(capsys):
-    assert cli.main(["lr", "--outer", "1200,1200", "--inner", "1200", "--weight", "1200"]) == 4
-    out = capsys.readouterr()
-    assert out.out == "" and out.err == f"error: lr would fill 1200 cells, at most {cli.LR_CELL_CAP} allowed\n"
-
-
 def test_spherical_command(capsys):
     assert cli.main(["spherical", "-a", "5", "-b", "2"]) == 0
     out = capsys.readouterr().out
     assert "chains: {9,7,5,3,1} {6,4}" in out
     assert "2lambda' fundamental = [2, 1, 1, 1, 1, 2]" in out
     assert "lowest K-type = (5, 5, 5, 5, 5, 5, 5)" in out
-    assert cli.main(["spherical", "-a", "2", "-b", "2"]) == 2
-
-
-def test_spherical_bound_exceeded_exits_4(capsys):
-    assert cli.main(["spherical", "-a", "300001", "-b", "2"]) == 4
-    assert cli.main(["spherical", "-a", "9", "-b", "8"]) == 4  # rank 17
-    out = capsys.readouterr()
-    assert out.out == "" and out.err == "error: a + b must be at most 16\n" * 2
     assert cli.main(["spherical", "-a", "9", "-b", "6"]) == 0  # rank 15, the largest odd a + b allowed
+
+
+DEEP_JSON = b'{"chains": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"  # nested past the parser's depth
+TOO_MANY_ENTRIES = json.dumps({"chains": [[2 * k + 1] for k in range(cli.TAU_ENTRY_CAP + 1)]}).encode()
+
+
+@pytest.mark.parametrize(
+    "argv, content, code, err",
+    [
+        pytest.param("tau -f {file}", b"{nope", 2, None, id="tau-malformed-json"),
+        pytest.param("tau -f {file}", b'{"chains": [[5, 2]]}', 2, None, id="tau-bad-chain-sequence"),
+        pytest.param("tau -f {file}", b'{"chains": [5]}', 2, None, id="tau-non-list-chain"),
+        pytest.param("tau -f {file}", b"\xff\xfe{}", 2, None, id="tau-not-utf8"),
+        pytest.param("tau -f {file}", DEEP_JSON, 2, None, id="tau-deep"),
+        pytest.param("perm -f {file}", DEEP_JSON, 2, None, id="perm-deep"),
+        pytest.param("tau -f {file}", b'{"chains": [[5, 3], [3, 1]]}', 3, None, id="tau-overlapping-chains"),
+        pytest.param(
+            "tau -f {file}",
+            TOO_MANY_ENTRIES,
+            4,
+            f"error: tau would run on {cli.TAU_ENTRY_CAP + 1} entries, at most {cli.TAU_ENTRY_CAP} allowed",
+            id="tau-entries",
+        ),
+        pytest.param("enumerate -n 17", None, 4, "error: n must satisfy 2 <= n <= 16", id="enumerate-17"),
+        pytest.param("enumerate -n 9 --with-multiplicity", None, 4, None, id="enumerate-9-multiplicity"),
+        pytest.param("enumerate -n 1", None, 4, None, id="enumerate-1"),
+        pytest.param("count -n 17", None, 4, None, id="count-17"),
+        pytest.param("verify -n 13", None, 4, None, id="verify-13"),
+        pytest.param("verify -n 1", None, 4, None, id="verify-1"),
+        pytest.param("lr --outer x --weight 1", None, 2, "error: malformed partition 'x'", id="lr-malformed"),
+        pytest.param("lr --outer 1,2 --weight 3", None, 2, None, id="lr-not-a-partition"),
+        # inner and weight both outside outer: an error, not 0
+        pytest.param("lr --outer 4 --inner 1,1 --weight 1,1", None, 2, None, id="lr-outside-outer"),
+        # wrong size, in both orientations
+        pytest.param("lr --outer 3,2 --inner 1 --weight 2,1", None, 2, None, id="lr-wrong-size-small-inner"),
+        pytest.param("lr --outer 3,2 --inner 2,1 --weight 1", None, 2, None, id="lr-wrong-size-large-inner"),
+        pytest.param(
+            "lr --outer 1200,1200 --inner 1200 --weight 1200",
+            None,
+            4,
+            f"error: lr would fill 1200 cells, at most {cli.LR_CELL_CAP} allowed",
+            id="lr-cells",
+        ),
+        pytest.param("spherical -a 2 -b 2", None, 2, None, id="spherical-invalid"),
+        pytest.param("spherical -a 300001 -b 2", None, 4, "error: a + b must be at most 16", id="spherical-huge"),
+        pytest.param("spherical -a 9 -b 8", None, 4, "error: a + b must be at most 16", id="spherical-rank-17"),
+    ],
+)
+def test_failure_prints_one_error_line(tmp_path, capsys, argv, content, code, err):
+    path = tmp_path / "chains.json"
+    if content is not None:
+        path.write_bytes(content)
+    assert cli.main([arg.format(file=path) for arg in argv.split()]) == code
+    out = capsys.readouterr()
+    assert out.out == ""
+    [line] = out.err.splitlines()
+    assert line.startswith("error: ")
+    assert err is None or out.err == f"{err}\n"

@@ -91,13 +91,6 @@ def test_is_u_small_examples():
     assert not is_u_small(bumped)
 
 
-def test_build_record_multiplicity_flag():
-    rec = build_record(ChainSet.from_lists([[5, 3, 1], [4]]), with_multiplicity=True)
-    assert rec.multiplicity == 1
-    assert rec.u_small
-    assert rec.gamma == (7, 7, 7, 5)
-
-
 def test_build_record_rejects_non_scattered():
     with pytest.raises(ValueError):
         build_record(ChainSet.from_lists([[5, 3]]))
