@@ -28,7 +28,7 @@ from .chains import (
     lambda_doubled,
 )
 from .lr import lr_coefficient
-from .scattered import build_record, count, generate, spherical_family
+from .scattered import _records, count, spherical_family
 from .spin import SpinResult, lowest_k_type, spin_lowest_k_type, verify_spin_identity
 from .verify import run_verification
 from .weights import to_fundamental
@@ -62,7 +62,8 @@ def _fmt_vec(v) -> str:
 
 
 def _fmt_chains(chains) -> str:
-    return " ".join("{" + ",".join(str(e) for e in c.entries()) + "}" for c in chains)
+    """Each chain's entry sequence as {a,b,...}, space-separated."""
+    return " ".join("{" + ",".join(str(e) for e in entries) + "}" for entries in chains)
 
 
 def _fmt_trace(res: SpinResult) -> str:
@@ -99,7 +100,7 @@ def _cmd_tau(args) -> int:
     if cs.n > TAU_ENTRY_CAP:
         raise _CliError(EXIT_BOUND, f"tau would run on {cs.n} entries, at most {TAU_ENTRY_CAP} allowed")
     res = spin_lowest_k_type(cs)
-    print(f"chains (canonical order): {_fmt_chains(res.chains)}")
+    print(f"chains (canonical order): {_fmt_chains(c.entries() for c in res.chains)}")
     print(f"2*lambda = {_fmt_vec(lambda_doubled(cs))}")
     print(f"lowest K-type = {_fmt_vec(x // 2 for x in lowest_k_type(cs))}")
     print(f"rules: {_fmt_trace(res)}")
@@ -123,19 +124,19 @@ def _cmd_perm(args) -> int:
 def _cmd_enumerate(args) -> int:
     _check_rank(args.n, ENUM_MULT_CAP if args.with_multiplicity else ENUM_CAP)
     # built lazily, so each line is written as soon as its record exists
-    records = (build_record(cs, args.with_multiplicity) for cs in generate(args.n))
+    records = _records(args.n, args.with_multiplicity)
     if args.json:
         for rec in records:
-            print(json.dumps(rec.as_dict()))
+            print(json.dumps(rec))
         return EXIT_OK
     print("n | chains | 2lambda' | s | tau | 2gamma | u-small | mult")
     print("(fundamental coefficients of 2lambda' and the vector 2gamma are doubled; halve for standard scale)")
     for rec in records:
-        mult = "-" if rec.multiplicity is None else str(rec.multiplicity)
+        mult = "-" if rec["multiplicity"] is None else str(rec["multiplicity"])
         print(
-            f"{rec.n} | {_fmt_chains(rec.chains.chains)} | {list(rec.lambda2_fund)} | "
-            f"{_fmt_vec(rec.s)} | {list(rec.tau_fund)} | {_fmt_vec(rec.gamma)} | "
-            f"{'yes' if rec.u_small else 'no'} | {mult}"
+            f"{rec['n']} | {_fmt_chains(rec['chains'])} | {rec['lambda2_fund']} | "
+            f"{_fmt_vec(rec['s'])} | {rec['tau_fund']} | {_fmt_vec(rec['gamma'])} | "
+            f"{'yes' if rec['u_small'] else 'no'} | {mult}"
         )
     return EXIT_OK
 
@@ -188,7 +189,7 @@ def _cmd_spherical(args) -> int:
     except ValueError as exc:
         raise _CliError(EXIT_PARSE, str(exc)) from exc
     res = spin_lowest_k_type(cs)
-    print(f"chains: {_fmt_chains(cs.chains)}")
+    print(f"chains: {_fmt_chains(cs.to_lists())}")
     print(f"2*lambda = {_fmt_vec(lambda_doubled(cs))}")
     print(f"2lambda' fundamental = {list(to_fundamental(lambda_doubled(cs)))}")
     print(f"lowest K-type = {_fmt_vec(x // 2 for x in lowest_k_type(cs))}")

@@ -19,12 +19,13 @@ from itertools import accumulate, combinations, product
 from .chains import (
     Chain,
     ChainSet,
+    OverlappingChainsError,
     _pairs_interlaced,
     extract_involution,
     is_interlaced,
 )
 from .lr import multiplicity_in_induced
-from .spin import spin_lowest_k_type
+from .spin import _pairs_tau, spin_lowest_k_type
 from .weights import (
     Weight,
     fundamental_pairing_signs,
@@ -33,17 +34,19 @@ from .weights import (
 )
 
 
-def _prepend(cs: ChainSet, target: Chain) -> ChainSet:
-    grown = Chain(target.top + 2, target.length + 1)
-    return ChainSet(tuple(grown if c == target else c for c in cs.chains))
+Pairs = tuple[tuple[int, int], ...]  # (top, length) of each chain, tops descending
 
 
-def _add_singleton(cs: ChainSet, entry: int) -> ChainSet:
-    return ChainSet(cs.chains + (Chain(entry, 1),))
+def _pairs(cs: ChainSet) -> Pairs:
+    return tuple((c.top, c.length) for c in cs.chains)
 
 
-def expand(cs: ChainSet) -> tuple[ChainSet, ChainSet]:
-    """The two interlaced children with one extra entry.
+def _chain_set(pairs) -> ChainSet:
+    return ChainSet(tuple(Chain(top, length) for top, length in pairs))
+
+
+def _branch(pairs: Pairs) -> tuple[Pairs, Pairs]:
+    """The two interlaced children with one extra entry, on (top, length) pairs.
 
     The branch is decided by comparing the largest odd entry M_o (the entry
     1 guarantees an odd chain exists) against the largest even entry M_e:
@@ -55,58 +58,77 @@ def expand(cs: ChainSet) -> tuple[ChainSet, ChainSet]:
       IV  M_o < M_e - 1: add the new singleton {M_e - 1}, or grow the
           M_e chain.
     """
-    if cs.min_entry() != 1:
-        raise ValueError("expand needs smallest entry 1")
-    odd = [c for c in cs.chains if c.top % 2 == 1]
-    even = [c for c in cs.chains if c.top % 2 == 0]
-    if not odd:
+    odd = next((i for i, (top, _) in enumerate(pairs) if top % 2), None)
+    if odd is None:
         raise AssertionError("entry 1 always lies in an odd chain")
-    co = odd[0]  # chains are stored by descending top
-    if not even:
-        children = (_prepend(cs, co), _add_singleton(cs, co.top - 1))
+    even = next((i for i, (top, _) in enumerate(pairs) if top % 2 == 0), None)
+
+    def grow(i: int) -> Pairs:
+        top, length = pairs[i]
+        return tuple(sorted(pairs[:i] + ((top + 2, length + 1),) + pairs[i + 1:], reverse=True))
+
+    def add_singleton(entry: int) -> Pairs:
+        return tuple(sorted(pairs + ((entry, 1),), reverse=True))
+
+    mo = pairs[odd][0]
+    if even is None:
+        children = (grow(odd), add_singleton(mo - 1))
     else:
-        ce = even[0]
-        mo, me = co.top, ce.top
+        me = pairs[even][0]
         if mo > me + 1:
-            children = (_prepend(cs, co), _add_singleton(cs, mo - 1))
+            children = (grow(odd), add_singleton(mo - 1))
         elif mo == me + 1 or mo == me - 1:
-            children = (_prepend(cs, co), _prepend(cs, ce))
+            children = (grow(odd), grow(even))
         else:
-            children = (_add_singleton(cs, me - 1), _prepend(cs, ce))
+            children = (add_singleton(me - 1), grow(even))
     for child in children:
-        if not is_interlaced(child):
-            raise AssertionError(f"expansion produced a non-interlaced set: {child.to_lists()}")
+        if not _pairs_interlaced(child):
+            raise AssertionError(f"expansion produced a non-interlaced set: {child}")
     return children
 
 
-def _leaves(n: int) -> list[ChainSet]:
-    """Leaves of the branching tree at depth n - 2, in branching order."""
+def expand(cs: ChainSet) -> tuple[ChainSet, ChainSet]:
+    """The two interlaced children with one extra entry; the rule is `_branch`'s."""
+    if cs.min_entry() != 1:
+        raise ValueError("expand needs smallest entry 1")
+    # a child shares all but one chain with cs; reusing those Chains keeps
+    # generate as fast as building each child from cs directly
+    kept = {(c.top, c.length): c for c in cs.chains}
+    return tuple(ChainSet(tuple(kept.get(pair) or Chain(*pair) for pair in child)) for child in _branch(_pairs(cs)))
+
+
+_BASE: Pairs = ((3, 2),)  # the parameter {3, 1}, the root of the branching tree
+
+
+def _walk(n: int, root, branch) -> list:
+    """The nodes at depth n - 2 below root, in branching order."""
     if n < 2:
         raise ValueError("need n >= 2")
-    level = [ChainSet((Chain(3, 2),))]
+    level = [root]
     for _ in range(n - 2):
-        level = [child for cs in level for child in expand(cs)]
+        level = [child for node in level for child in branch(node)]
     return level
 
 
-def _record_key(cs: ChainSet) -> list[tuple[int, int]]:
-    return [(c.top, c.length) for c in cs.chains]
+def _leaves(n: int) -> list[Pairs]:
+    """Leaves of the branching tree at depth n - 2, as pairs, in branching order."""
+    return _walk(n, _BASE, _branch)
 
 
 def generate(n: int) -> list[ChainSet]:
     """All interlaced chain sets with n entries and smallest entry 1.
 
-    Leaves of the branching tree at depth n - 2, in ascending to_lists
-    order: the record order of `spinchains enumerate`.  They are sorted on
-    the chains' (top, length) pairs, which gives the same order without
-    building the entry lists.  Proof: the chains are stored by descending
-    top in both keys, so it suffices that two chains' entry lists compare
-    as their pairs do.  Lists with different tops compare by their tops.
-    Lists with equal tops agree as far as the shorter one goes, so the
-    shorter is a prefix of the longer and sorts first, as its pair does.
-    Equal pairs mean equal chains.
+    Leaves of the branching tree at depth n - 2, walked with expand, in
+    ascending to_lists order: the record order of `spinchains enumerate`.
+    They are sorted on their tuples of (top, length) pairs, which gives the
+    same order without building the entry lists.  Proof: the pairs and the
+    entry lists both hold the chains by descending top, so it suffices that
+    two chains' entry lists compare as their pairs do.  Lists with
+    different tops compare by their tops.  Lists with equal tops agree as
+    far as the shorter one goes, so the shorter is a prefix of the longer
+    and sorts first, as its pair does.  Equal pairs mean equal chains.
     """
-    return sorted(_leaves(n), key=_record_key)
+    return sorted(_walk(n, _chain_set(_BASE), expand), key=_pairs)
 
 
 def count(n: int) -> int:
@@ -185,7 +207,7 @@ def all_chain_decompositions(n: int, max_entry: int | None = None):
         max_entry = 2 * n - 1
     for rest in combinations(range(2, max_entry + 1), n - 1):
         for pairs in _decompositions((1,) + rest):
-            yield ChainSet(tuple(Chain(top, length) for top, length in pairs))
+            yield _chain_set(pairs)
 
 
 def brute_force_enumerate(n: int) -> list[ChainSet]:
@@ -206,11 +228,11 @@ def brute_force_enumerate(n: int) -> list[ChainSet]:
     found = []
     for steps in product((1, 2), repeat=n - 1):
         found.extend(
-            ChainSet(tuple(Chain(top, length) for top, length in pairs))
+            _chain_set(pairs)
             for pairs in _decompositions(tuple(accumulate(steps, initial=1)))
             if _pairs_interlaced(pairs)
         )
-    return sorted(found, key=_record_key)
+    return sorted(found, key=_pairs)
 
 
 def is_u_small(tau: Weight) -> bool:
@@ -263,6 +285,49 @@ def build_record(cs: ChainSet, with_multiplicity: bool = False) -> ScatteredReco
         u_small=is_u_small(res.tau),
         multiplicity=mult,
     )
+
+
+def _record(pairs: Pairs, rho: Weight, with_multiplicity: bool = False) -> dict:
+    """build_record(cs, with_multiplicity).as_dict() for cs given as its pairs.
+
+    rho is rho_doubled(n), made once per rank by the caller.  The entries
+    are listed and sorted once; their ranks give the involution and show
+    that the chains are disjoint.  A ChainSet is built only for
+    multiplicity_in_induced.
+    """
+    chains = [list(range(top, top - 2 * length, -2)) for top, length in pairs]
+    entries = sorted((e for chain in chains for e in chain), reverse=True)
+    rank = {e: i for i, e in enumerate(entries)}
+    if len(rank) < len(entries):
+        raise OverlappingChainsError(f"two chains share an entry: {chains}")
+    if entries[-1] != 1 or not _pairs_interlaced(pairs):
+        raise ValueError("not a scattered parameter: need interlaced chains with smallest entry 1")
+    s = [0] * len(entries)
+    for chain in chains:
+        for e, flipped in zip(chain, reversed(chain)):
+            s[rank[e]] = rank[flipped] + 1
+    tau = _pairs_tau(pairs)
+    u_small = all(x <= 0 for x in fundamental_pairing_signs([t - 2 * r for t, r in zip(tau, rho)]))
+    mult = multiplicity_in_induced(_chain_set(pairs), tuple(tau)) if with_multiplicity else None
+    return {
+        "n": len(entries),
+        "chains": chains,
+        "lambda2_fund": [a - b for a, b in zip(entries, entries[1:])],
+        "s": s,
+        "tau_fund": [(a - b) // 2 for a, b in zip(tau, tau[1:])],
+        "gamma": sorted((t - r for t, r in zip(tau, rho)), reverse=True),
+        "u_small": u_small,
+        "multiplicity": mult,
+    }
+
+
+def _records(n: int, with_multiplicity: bool = False):
+    """The pair path: build_record(cs, with_multiplicity).as_dict() for each
+    cs of generate(n), in that order, one at a time.  build_record is its
+    test oracle."""
+    rho = rho_doubled(n)
+    for pairs in sorted(_leaves(n)):
+        yield _record(pairs, rho, with_multiplicity)
 
 
 def spherical_family(a: int, b: int) -> ChainSet:

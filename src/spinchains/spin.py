@@ -169,6 +169,55 @@ def spin_lowest_k_type(cs: ChainSet) -> SpinResult:
     )
 
 
+def _pairs_tau(pairs) -> list[int]:
+    """spin_lowest_k_type(cs).tau for cs given as disjoint (top, length) pairs.
+
+    The same rules on plain rows, for callers that hold pairs and no
+    ChainSet; the pairs may come in any order and need not be interlaced.
+    The caller checks disjointness.  Kept apart from spin_lowest_k_type,
+    which the tests hold it equal to on every chain decomposition.
+    """
+    ordered = sorted(pairs, key=lambda p: (p[1] - 1 - p[0], p[1]))  # canonical: -avg, then length
+    avgs = [top - length + 1 for top, length in ordered]
+    rows = [[k] * length for k, (_, length) in zip(avgs, ordered)]
+    written = [[False] * length for _, length in ordered]
+
+    def write(row: int, pos: int, value: int) -> None:
+        if not 0 <= pos < len(rows[row]):
+            raise AlgorithmViolation(f"slot {pos} outside row {row}")
+        if written[row][pos]:
+            raise AlgorithmViolation(f"slot {pos} of row {row} written twice")
+        written[row][pos] = True
+        rows[row][pos] = value
+
+    for j, (tj, dj) in enumerate(ordered):
+        bj = tj - 2 * (dj - 1)
+        kj = avgs[j]
+        for i in range(j):
+            ti, di = ordered[i]
+            bi = ti - 2 * (di - 1)
+            if not (ti > tj > bi or tj > ti > bj):
+                continue
+            span = tj - bi
+            if span % 2 == 0:
+                raise AssertionError("linked chains must have opposite parity")
+            p = (span + 1) // 2
+            ki = avgs[i]
+            if ti > tj and dj <= p:  # (a)
+                for t in range(dj):
+                    write(i, di - p + t, ki + p - t)
+                    write(j, t, kj - p + t)
+            elif ti > tj:  # (b)
+                for t in range(p):
+                    write(i, di - p + t, ki + 1 + t)
+                    write(j, t, kj - 1 - t)
+            else:  # (c), with q = p
+                for t in range(di):
+                    write(i, t, ki + (p - di + 1) + t)
+                    write(j, p - di + t, kj - (p - di + 1) - t)
+    return sorted((2 * x for row in rows for x in row), reverse=True)
+
+
 def verify_spin_identity(res: SpinResult) -> bool:
     """Check {tau - rho} = 2*lambda - rho exactly, in doubled arithmetic.
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from spinchains import cli, verify
+from spinchains import cli, scattered, verify
 from spinchains.chains import ChainSet
 from spinchains.scattered import build_record
 from spinchains.spin import spin_lowest_k_type, verify_spin_identity
@@ -133,11 +133,13 @@ def test_enumerate_writes_each_record_before_building_the_next(monkeypatch, fmt,
     out = io.StringIO()
     lines_at_build = []
 
-    def counting_build_record(*args):
-        lines_at_build.append(out.getvalue().count("\n"))
-        return build_record(*args)
+    record = scattered._record
 
-    monkeypatch.setattr(cli, "build_record", counting_build_record)
+    def counting_record(*args):
+        lines_at_build.append(out.getvalue().count("\n"))
+        return record(*args)
+
+    monkeypatch.setattr(scattered, "_record", counting_record)
     with contextlib.redirect_stdout(out):
         assert cli.main(["enumerate", "-n", "6", fmt]) == 0
     assert lines_at_build == [header_lines + k for k in range(16)]

@@ -4,13 +4,18 @@ import pytest
 
 from spinchains.chains import (
     ChainSet,
+    OverlappingChainsError,
     extract_involution,
     is_interlaced,
     is_involution,
     lambda_doubled,
 )
 from spinchains.scattered import (
+    _chain_set,
     _leaves,
+    _pairs,
+    _record,
+    _records,
     all_chain_decompositions,
     brute_force_enumerate,
     build_record,
@@ -20,7 +25,7 @@ from spinchains.scattered import (
     reduce,
     spherical_family,
 )
-from spinchains.spin import spin_lowest_k_type, verify_spin_identity
+from spinchains.spin import _pairs_tau, spin_lowest_k_type, verify_spin_identity
 from spinchains.verify import CHECKS
 from spinchains.weights import rho_doubled, to_fundamental
 
@@ -60,7 +65,7 @@ def test_record_order_is_the_to_lists_order():
     # sorting on the entry lists defines the record order; it is the oracle
     # of the (top, length) pair key that generate and brute_force_enumerate use
     for n in range(2, 13):
-        assert generate(n) == sorted(_leaves(n), key=ChainSet.to_lists)
+        assert generate(n) == sorted(map(_chain_set, _leaves(n)), key=ChainSet.to_lists)
     for n in range(2, 10):
         found = brute_force_enumerate(n)
         assert found == sorted(found, key=ChainSet.to_lists)
@@ -75,11 +80,22 @@ def test_interlaced_decompositions_with_larger_entries_are_generated():
 
 def test_every_decomposition_gives_an_involution_and_the_spin_identity():
     # interlaced or not; whether the involution uses every simple reflection
-    # is the registry's check_equivalence
+    # is the registry's check_equivalence.  The pair path's tau core meets
+    # here the rule paths that only non-interlaced sets take.
     for n in range(2, 8):
         for cs in all_chain_decompositions(n):
             assert is_involution(extract_involution(cs)), cs.to_lists()
-            assert verify_spin_identity(spin_lowest_k_type(cs)), cs.to_lists()
+            res = spin_lowest_k_type(cs)
+            assert verify_spin_identity(res), cs.to_lists()
+            assert tuple(_pairs_tau(_pairs(cs)[::-1])) == res.tau, cs.to_lists()
+
+
+def test_pair_path_records_equal_build_record():
+    # build_record is the oracle of the records `enumerate` prints
+    for n in range(2, 13):
+        assert list(_records(n)) == [build_record(cs).as_dict() for cs in generate(n)], n
+    for n in range(2, 8):
+        assert list(_records(n, True)) == [build_record(cs, True).as_dict() for cs in generate(n)], n
 
 
 def test_is_u_small_examples():
@@ -92,10 +108,14 @@ def test_is_u_small_examples():
 
 
 def test_build_record_rejects_non_scattered():
-    with pytest.raises(ValueError):
-        build_record(ChainSet.from_lists([[5, 3]]))
-    with pytest.raises(ValueError):
-        build_record(ChainSet.from_lists([[10, 8], [9, 7], [6, 4], [5, 3, 1]]))
+    for lists in ([[5, 3]], [[10, 8], [9, 7], [6, 4], [5, 3, 1]]):
+        cs = ChainSet.from_lists(lists)
+        with pytest.raises(ValueError):
+            build_record(cs)
+        with pytest.raises(ValueError):
+            _record(_pairs(cs), rho_doubled(cs.n))
+    with pytest.raises(OverlappingChainsError):
+        _record(((5, 3), (3, 1)), rho_doubled(4))
 
 
 def test_record_json_shape():
