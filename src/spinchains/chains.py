@@ -189,20 +189,26 @@ def lambda_doubled(cs: ChainSet) -> Weight:
     return cs.all_entries()
 
 
-def extract_involution(cs: ChainSet) -> tuple[int, ...]:
-    """One-line notation of the involution s encoded by the chain set.
+def _pairs_involution(pairs) -> tuple[int, ...]:
+    """One-line notation of the involution s encoded by disjoint (top, length) pairs.
 
     Label the entries 1..n in descending order, flip each chain front to
-    back, and read the labels now sitting in the original slots.
+    back, and read the labels now sitting in the original slots.  The pairs
+    may come in any order.
     """
-    entries = cs.all_entries()
-    rank = {e: i + 1 for i, e in enumerate(entries)}
-    s = [0] * len(entries)
-    for c in cs.chains:
-        es = c.entries()
-        for e, flipped in zip(es, reversed(es)):
-            s[rank[e] - 1] = rank[flipped]
+    chains = [range(top, top - 2 * length, -2) for top, length in pairs]
+    rank = {e: i for i, e in enumerate(sorted((e for chain in chains for e in chain), reverse=True))}
+    s = [0] * len(rank)
+    for chain in chains:
+        for e, flipped in zip(chain, reversed(chain)):
+            s[rank[e]] = rank[flipped] + 1
     return tuple(s)
+
+
+def extract_involution(cs: ChainSet) -> tuple[int, ...]:
+    """One-line notation of the involution s encoded by the chain set; see
+    `_pairs_involution`."""
+    return _pairs_involution([(c.top, c.length) for c in cs.chains])
 
 
 def is_involution(perm: tuple[int, ...]) -> bool:

@@ -136,29 +136,32 @@ def count(n: int) -> int:
     return len(set(_leaves(n)))
 
 
-def reduce(cs: ChainSet) -> ChainSet:
-    """The unique parent of an interlaced chain set, inverse of expand.
+def _unbranch(pairs: Pairs) -> Pairs:
+    """The parent of an interlaced set, on (top, length) pairs: the inverse of `_branch`.
 
     Remove the largest entry M from its chain, unless a singleton chain
     {M - 1} exists, in which case remove that whole chain.
     """
+    m, length = pairs[0]  # the chain holding the largest entry M
+    if (m - 1, 1) in pairs:
+        out = tuple(pair for pair in pairs if pair != (m - 1, 1))
+    elif length == 1:
+        raise AssertionError("an interlaced set cannot top out in an unlinked singleton")
+    else:
+        out = tuple(sorted(((m - 2, length - 1),) + pairs[1:], reverse=True))
+    if not _pairs_interlaced(out) or min(top - 2 * (length - 1) for top, length in out) != 1:
+        raise AssertionError(f"reduction broke interlacing: {out}")
+    return out
+
+
+def reduce(cs: ChainSet) -> ChainSet:
+    """The unique parent of an interlaced chain set, inverse of expand; the
+    rule is `_unbranch`'s."""
     if cs.min_entry() != 1 or not is_interlaced(cs):
         raise ValueError("reduce needs an interlaced set with smallest entry 1")
     if cs.n <= 2:
         raise ValueError("the base parameter {3, 1} cannot be reduced")
-    holder = cs.chains[0]  # the chain holding the largest entry M
-    m = holder.top
-    singleton = Chain(m - 1, 1)
-    if singleton in cs.chains:
-        out = ChainSet(tuple(c for c in cs.chains if c != singleton))
-    elif holder.length == 1:
-        raise AssertionError("an interlaced set cannot top out in an unlinked singleton")
-    else:
-        shrunk = Chain(m - 2, holder.length - 1)
-        out = ChainSet(tuple(shrunk if c == holder else c for c in cs.chains))
-    if not is_interlaced(out) or out.min_entry() != 1:
-        raise AssertionError(f"reduction broke interlacing: {out.to_lists()}")
-    return out
+    return _chain_set(_unbranch(_pairs(cs)))
 
 
 def _run_cuttings(run: tuple[int, ...]):
@@ -195,19 +198,23 @@ def _decompositions(entries: tuple[int, ...]):
         yield sum(cuttings, ())
 
 
+def _pair_decompositions(n: int, max_entry: int | None = None):
+    """`all_chain_decompositions(n, max_entry)`, each as its (top, length) pairs."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    if max_entry is None:
+        max_entry = 2 * n - 1
+    for rest in combinations(range(2, max_entry + 1), n - 1):
+        yield from _decompositions((1,) + rest)
+
+
 def all_chain_decompositions(n: int, max_entry: int | None = None):
     """Every disjoint chain decomposition with n entries and smallest entry 1.
 
     No interlacing requirement; used to probe both directions of the
     correspondence between interlacing and the extracted involution.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if max_entry is None:
-        max_entry = 2 * n - 1
-    for rest in combinations(range(2, max_entry + 1), n - 1):
-        for pairs in _decompositions((1,) + rest):
-            yield _chain_set(pairs)
+    yield from map(_chain_set, _pair_decompositions(n, max_entry))
 
 
 def brute_force_enumerate(n: int) -> list[ChainSet]:

@@ -9,14 +9,16 @@ lists the rank-n parameters as `Param`s.  Per-parameter checks come from
 from __future__ import annotations
 
 import re
+from collections import Counter
 from math import isqrt
 from typing import NamedTuple
 
 from .chains import (
     ChainSet,
+    _pairs_interlaced,
+    _pairs_involution,
     extract_involution,
     involves_all_simple_reflections,
-    is_interlaced,
     is_involution,
     lambda_doubled,
 )
@@ -29,12 +31,14 @@ from .lr import (
     sub_partitions,
 )
 from .scattered import (
-    all_chain_decompositions,
+    _branch,
+    _chain_set,
+    _pair_decompositions,
+    _pairs,
+    _unbranch,
     brute_force_enumerate,
-    expand,
     generate,
     is_u_small,
-    reduce,
     spherical_family,
 )
 from .spin import SpinResult, lowest_k_type, spin_lowest_k_type, verify_spin_identity
@@ -48,45 +52,80 @@ UNIQUENESS_CAP = 6
 LR_SANITY_CAP = 6
 
 
-def dominant_ball(n: int, coord_sum: int, norm_bound: int):
-    """Weakly decreasing integer vectors v of length n with sum(v) = coord_sum
-    and norm_sq(2v - rho_doubled(n)) <= norm_bound."""
-    rho = rho_doubled(n)
+def _strictly_decreasing(n: int, coord_sum: int, norm: int):
+    """Strictly decreasing integer vectors of length n with the given sum and
+    squared norm.
+
+    Each coordinate is cut by Cauchy-Schwarz on the k coordinates left,
+    (sum left)^2 <= k * (norm left), and from below by the sum left: the
+    k - 1 coordinates after x are at most x - 1, ..., x - k + 1.
+    """
     vec = [0] * n
 
-    def rec(i: int, prev: int, rem: int, used: int):
-        if i == n:
-            if rem == 0:
+    def rec(i: int, prev: int, rem: int, left: int):
+        k = n - i
+        if k == 1:
+            if rem * rem == left and rem < prev:
+                vec[i] = rem
                 yield tuple(vec)
             return
-        left = norm_bound - used
-        if left < 0:
-            return
-        r = isqrt(left)
-        hi = min(prev, (rho[i] + r) // 2)
-        lo = max(-((r - rho[i]) // 2), -(-rem // (n - i)))
-        for v in range(hi, lo - 1, -1):
-            vec[i] = v
-            yield from rec(i + 1, v, rem - v, used + (2 * v - rho[i]) ** 2)
+        lo = -(-(rem + k * (k - 1) // 2) // k)
+        for x in range(min(isqrt(left), prev - 1), lo - 1, -1):
+            rest, rest_left = rem - x, left - x * x
+            if rest * rest <= (k - 1) * rest_left:
+                vec[i] = x
+                yield from rec(i + 1, x, rest, rest_left)
 
-    big = coord_sum + norm_bound + 1
-    yield from rec(0, big, coord_sum, 0)
+    yield from rec(0, isqrt(norm) + 1, coord_sum, norm)
+
+
+def _rearrangements(gamma: list[int], rho: Weight):
+    """Every distinct rearrangement sigma of gamma with sigma + rho weakly
+    decreasing, that is sigma[i + 1] <= sigma[i] + 2; yields sigma + rho."""
+    left = Counter(gamma)
+    vec = [0] * len(gamma)
+
+    def rec(i: int, cap: int):
+        if i == len(vec):
+            yield tuple(vec)
+            return
+        for value in [v for v, k in left.items() if k and v <= cap]:
+            left[value] -= 1
+            vec[i] = value + rho[i]
+            yield from rec(i + 1, value + 2)
+            left[value] += 1
+
+    yield from rec(0, max(gamma))
+
+
+def spin_norm_shell(n: int, coord_sum: int, norm: int):
+    """Weakly decreasing integer vectors v of length n with sum(v) = coord_sum
+    and spin_norm_sq(2v) = norm.
+
+    With delta = 2v and gamma = {delta - rho}, u = gamma + rho is strictly
+    decreasing with even coordinates, sum 2 * coord_sum and |u|^2 = norm.
+    So the shell is: every such u' = u / 2, then every delta = sigma + rho
+    with sigma a rearrangement of gamma = 2u' - rho that keeps delta
+    dominant.  Distinct sigma give distinct delta.
+    """
+    if norm % 4:
+        return
+    rho = rho_doubled(n)
+    for half in _strictly_decreasing(n, coord_sum, norm // 4):
+        for delta in _rearrangements([2 * x - r for x, r in zip(half, rho)], rho):
+            yield tuple(x // 2 for x in delta)
 
 
 def spin_minimal_candidates(cs: ChainSet) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
-    """All dominant weights in the Dirac-inequality ball achieving the
-    minimal spin norm with positive multiplicity; returns (tau, hits)."""
+    """All dominant weights achieving the minimal spin norm |2lambda| with
+    positive multiplicity, in descending order; returns (tau, hits)."""
     res = spin_lowest_k_type(cs)
-    bound = norm_sq(res.lambda2)
-    total = sum(lambda_doubled(cs))
     hits = []
-    for v in dominant_ball(cs.n, total, bound):
+    for v in spin_norm_shell(cs.n, sum(lambda_doubled(cs)), norm_sq(res.lambda2)):
         dv = tuple(2 * x for x in v)
-        if spin_norm_sq(dv) != bound:
-            continue
         if multiplicity_in_induced(cs, dv) > 0:
             hits.append(dv)
-    return res.tau, hits
+    return res.tau, sorted(hits, reverse=True)
 
 
 def _is_horizontal_strip(outer, inner) -> bool:
@@ -138,9 +177,9 @@ def check_oracle(ranks, n_max):
 
 def check_equivalence(ranks, n_max):
     top = min(n_max, EQUIVALENCE_CAP)
-    decompositions = (cs for n in range(2, top + 1) for cs in all_chain_decompositions(n))
-    bad = next((cs for cs in decompositions if is_interlaced(cs) != involves_all_simple_reflections(extract_involution(cs))), None)
-    yield f"interlaced <=> involution uses all reflections, n<={top}", bad is None, bad.to_json() if bad else ""
+    decompositions = (pairs for n in range(2, top + 1) for pairs in _pair_decompositions(n))
+    bad = next((pairs for pairs in decompositions if _pairs_interlaced(pairs) != involves_all_simple_reflections(_pairs_involution(pairs))), None)
+    yield f"interlaced <=> involution uses all reflections, n<={top}", bad is None, _chain_set(bad).to_json() if bad else ""
 
 
 def check_spherical(ranks, n_max):
@@ -192,8 +231,10 @@ def _involution_ok(p: Param) -> bool:
 
 
 def _round_trip_ok(p: Param) -> bool:
-    """reduce undoes both children of expand(p), and p is a child of reduce(p) from rank 3 on."""
-    return all(reduce(k) == p.cs for k in expand(p.cs)) and (p.cs.n == 2 or p.cs in expand(reduce(p.cs)))
+    """_unbranch undoes both children of _branch(p), and p is a child of
+    _unbranch(p) from rank 3 on: the rules of reduce and expand, on pairs."""
+    pairs = _pairs(p.cs)
+    return all(_unbranch(k) == pairs for k in _branch(pairs)) and (p.cs.n == 2 or pairs in _branch(_unbranch(pairs)))
 
 
 CHECKS = (

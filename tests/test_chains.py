@@ -7,6 +7,7 @@ from spinchains.chains import (
     ChainSet,
     OverlappingChainsError,
     _pairs_interlaced,
+    _pairs_involution,
     canonical_order,
     extract_involution,
     involves_all_simple_reflections,
@@ -226,6 +227,13 @@ def test_extract_involution_rank_four_examples():
 @given(chain_sets())
 def test_extracted_permutation_is_always_an_involution(cs):
     assert is_involution(extract_involution(cs))
+
+
+@given(chain_sets(), st.randoms())
+def test_pairs_involution_ignores_the_order_of_the_pairs(cs, rng):
+    pairs = [(c.top, c.length) for c in cs.chains]
+    rng.shuffle(pairs)
+    assert _pairs_involution(pairs) == extract_involution(cs)
 
 
 def test_involves_all_simple_reflections():

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from spinchains.chains import (
+    Chain,
     ChainSet,
     OverlappingChainsError,
     extract_involution,
@@ -12,6 +13,7 @@ from spinchains.chains import (
 )
 from spinchains.scattered import (
     _chain_set,
+    _unbranch,
     _leaves,
     _pairs,
     _record,
@@ -55,6 +57,48 @@ def test_reduce_worked_examples():
 def test_reduce_rejects_base_parameter():
     with pytest.raises(ValueError):
         reduce(ChainSet.from_lists([[3, 1]]))
+
+
+def reduce_on_chain_sets(cs: ChainSet) -> ChainSet:
+    """reduce as it was written on ChainSets, before `_unbranch`: its oracle."""
+    if cs.min_entry() != 1 or not is_interlaced(cs):
+        raise ValueError("reduce needs an interlaced set with smallest entry 1")
+    if cs.n <= 2:
+        raise ValueError("the base parameter {3, 1} cannot be reduced")
+    holder = cs.chains[0]  # the chain holding the largest entry M
+    m = holder.top
+    singleton = Chain(m - 1, 1)
+    if singleton in cs.chains:
+        out = ChainSet(tuple(c for c in cs.chains if c != singleton))
+    elif holder.length == 1:
+        raise AssertionError("an interlaced set cannot top out in an unlinked singleton")
+    else:
+        shrunk = Chain(m - 2, holder.length - 1)
+        out = ChainSet(tuple(shrunk if c == holder else c for c in cs.chains))
+    if not is_interlaced(out) or out.min_entry() != 1:
+        raise AssertionError(f"reduction broke interlacing: {out.to_lists()}")
+    return out
+
+
+def test_unbranch_equals_reduce_on_chain_sets(ranks):
+    for n, params in ranks.items():
+        for p in params if n > 2 else ():
+            assert _unbranch(_pairs(p.cs)) == _pairs(reduce_on_chain_sets(p.cs)), p.cs.to_lists()
+
+
+def test_reduce_rejects_what_it_rejected_on_chain_sets():
+    # every decomposition to rank 5, interlaced or not, and shifted copies
+    # whose smallest entry is not 1
+    sets = [cs for n in range(2, 6) for cs in all_chain_decompositions(n)]
+    sets += [ChainSet(tuple(Chain(c.top + 2, c.length) for c in cs.chains)) for cs in sets]
+    for cs in sets:
+        try:
+            expected = reduce_on_chain_sets(cs)
+        except ValueError:
+            with pytest.raises(ValueError):
+                reduce(cs)
+        else:
+            assert reduce(cs) == expected, cs.to_lists()
 
 
 def test_brute_force_base_case():

@@ -1,12 +1,18 @@
 import dataclasses
 from itertools import product
+from math import isqrt
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spinchains import verify
-from spinchains.chains import ChainSet
-from spinchains.verify import dominant_ball, run_verification
-from spinchains.weights import norm_sq, rho_doubled
+from spinchains.chains import ChainSet, involves_all_simple_reflections, is_interlaced, lambda_doubled
+from spinchains.lr import multiplicity_in_induced
+from spinchains.scattered import all_chain_decompositions, generate
+from spinchains.spin import spin_lowest_k_type
+from spinchains.verify import _strictly_decreasing, run_verification, spin_minimal_candidates, spin_norm_shell
+from spinchains.weights import norm_sq, rho_doubled, spin_norm_sq
 
 
 def _with_tau(p, tau):
@@ -31,6 +37,41 @@ DOCTORED = {
 }
 
 
+def dominant_ball(n: int, coord_sum: int, norm_bound: int):
+    """Weakly decreasing integer vectors v of length n with sum(v) = coord_sum
+    and norm_sq(2v - rho_doubled(n)) <= norm_bound.
+
+    The search the uniqueness check used before the spin-norm shell, kept as
+    its oracle: the ball holds the shell, since |{x}|^2 <= |{x} + rho|^2
+    whenever <{x}, rho> >= 0, which holds for every dominant {x}.
+    """
+    rho = rho_doubled(n)
+    vec = [0] * n
+
+    def rec(i: int, prev: int, rem: int, used: int):
+        if i == n:
+            if rem == 0:
+                yield tuple(vec)
+            return
+        left = norm_bound - used
+        if left < 0:
+            return
+        r = isqrt(left)
+        hi = min(prev, (rho[i] + r) // 2)
+        lo = max(-((r - rho[i]) // 2), -(-rem // (n - i)))
+        for v in range(hi, lo - 1, -1):
+            vec[i] = v
+            yield from rec(i + 1, v, rem - v, used + (2 * v - rho[i]) ** 2)
+
+    big = coord_sum + norm_bound + 1
+    yield from rec(0, big, coord_sum, 0)
+
+
+def ball_shell(n: int, coord_sum: int, norm: int) -> list:
+    """The ball's points with spin norm exactly norm, in the ball's (descending) order."""
+    return [v for v in dominant_ball(n, coord_sum, norm) if spin_norm_sq(tuple(2 * x for x in v)) == norm]
+
+
 def test_dominant_ball_matches_box_search():
     n, coord_sum, bound = 3, 4, 60
     rho = rho_doubled(n)
@@ -43,6 +84,56 @@ def test_dominant_ball_matches_box_search():
     }
     assert set(dominant_ball(n, coord_sum, bound)) == expected
     assert expected  # the bound is wide enough for the check to mean something
+
+
+BOX = 5  # coordinates in -BOX..BOX: every vector of squared norm <= BOX^2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_strictly_decreasing_matches_box_search(n):
+    expected = {}
+    for v in product(range(-BOX, BOX + 1), repeat=n):
+        if all(a > b for a, b in zip(v, v[1:])):
+            expected.setdefault((sum(v), norm_sq(v)), set()).add(v)
+    for coord_sum, norm in product(range(-2 * BOX, 2 * BOX + 1), range(BOX * BOX + 1)):
+        found = list(_strictly_decreasing(n, coord_sum, norm))
+        assert len(found) == len(set(found))
+        assert set(found) == expected.get((coord_sum, norm), set()), (coord_sum, norm)
+
+
+@given(st.lists(st.integers(-BOX, BOX), min_size=1, max_size=4, unique=True))
+def test_strictly_decreasing_finds_every_vector_and_nothing_else(coords):
+    v = tuple(sorted(coords, reverse=True))
+    found = list(_strictly_decreasing(len(v), sum(v), norm_sq(v)))
+    assert v in found
+    for w in found:
+        assert all(a > b for a, b in zip(w, w[1:])) and sum(w) == sum(v) and norm_sq(w) == norm_sq(v)
+
+
+def test_shell_equals_ball_on_small_ranges():
+    # beyond the bounds of any parameter, and norms that no even vector has
+    for n, coord_sum, norm in product(range(1, 5), range(-3, 4), range(81)):
+        shell = list(spin_norm_shell(n, coord_sum, norm))
+        assert len(shell) == len(set(shell))
+        assert set(shell) == set(ball_shell(n, coord_sum, norm)), (n, coord_sum, norm)
+
+
+def _ball_candidates(cs):
+    """spin_minimal_candidates(cs) as it was before the shell: the ball's
+    points on the shell, kept when their multiplicity is positive."""
+    res = spin_lowest_k_type(cs)
+    points = ball_shell(cs.n, sum(lambda_doubled(cs)), norm_sq(res.lambda2))
+    return points, [dv for dv in (tuple(2 * x for x in v) for v in points) if multiplicity_in_induced(cs, dv) > 0]
+
+
+def test_shell_lifts_and_hits_equal_the_ball():
+    # every chain decomposition to rank 5, interlaced or not (the scattered
+    # parameters among them), and every scattered parameter of rank 6
+    for cs in [*(cs for n in range(2, 6) for cs in all_chain_decompositions(n)), *generate(6)]:
+        points, hits = _ball_candidates(cs)
+        lifts = list(spin_norm_shell(cs.n, sum(lambda_doubled(cs)), norm_sq(spin_lowest_k_type(cs).lambda2)))
+        assert len(lifts) == len(set(lifts)) and set(lifts) == set(points), cs.to_lists()
+        assert spin_minimal_candidates(cs)[1] == hits, cs.to_lists()
 
 
 def test_run_verification_rejects_tiny_rank():
@@ -60,3 +151,26 @@ def test_sweep_fails_on_a_doctored_parameter(name, monkeypatch):
     [line], ok = run_verification(4)
     assert not ok
     assert line.endswith(f", n<=4: FAIL ({bad.cs.to_json()})")
+
+
+def test_equivalence_failure_names_the_first_offender(monkeypatch):
+    # an involution that is the identity on every multi-chain set breaks the
+    # equivalence on the first interlaced one; the offender is found on
+    # ChainSets, as the check found it before it ran on pairs
+    real = verify._pairs_involution
+
+    def fake(pairs):
+        return real(pairs) if len(pairs) == 1 else tuple(range(1, 1 + sum(length for _, length in pairs)))
+
+    monkeypatch.setattr(verify, "_pairs_involution", fake)
+    monkeypatch.setattr(verify, "CHECKS", [verify.check_equivalence])
+    bad = next(
+        cs
+        for n in range(2, 8)
+        for cs in all_chain_decompositions(n)
+        if is_interlaced(cs) != involves_all_simple_reflections(fake([(c.top, c.length) for c in cs.chains]))
+    )
+    [line], ok = run_verification(7)
+    assert not ok
+    assert line == f"interlaced <=> involution uses all reflections, n<=7: FAIL ({bad.to_json()})"
+    assert bad.to_json() == '{"chains": [[3, 1], [2]]}'
