@@ -48,7 +48,7 @@ ORACLE_CAP = 10
 SPHERICAL_CAP = 9
 EQUIVALENCE_CAP = 7
 MULTIPLICITY_CAP = 8
-UNIQUENESS_CAP = 6
+UNIQUENESS_CAP = 7
 LR_SANITY_CAP = 6
 
 
