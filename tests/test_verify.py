@@ -118,21 +118,16 @@ def test_shell_equals_ball_on_small_ranges():
         assert set(shell) == set(ball_shell(n, coord_sum, norm)), (n, coord_sum, norm)
 
 
-def _ball_candidates(cs):
-    """spin_minimal_candidates(cs) as it was before the shell: the ball's
-    points on the shell, kept when their multiplicity is positive."""
-    res = spin_lowest_k_type(cs)
-    points = ball_shell(cs.n, sum(lambda_doubled(cs)), norm_sq(res.lambda2))
-    return points, [dv for dv in (tuple(2 * x for x in v) for v in points) if multiplicity_in_induced(cs, dv) > 0]
-
-
 def test_shell_lifts_and_hits_equal_the_ball():
     # every chain decomposition to rank 5, interlaced or not (the scattered
     # parameters among them), and every scattered parameter of rank 6
     for cs in [*(cs for n in range(2, 6) for cs in all_chain_decompositions(n)), *generate(6)]:
-        points, hits = _ball_candidates(cs)
-        lifts = list(spin_norm_shell(cs.n, sum(lambda_doubled(cs)), norm_sq(spin_lowest_k_type(cs).lambda2)))
+        coord_sum, norm = sum(lambda_doubled(cs)), norm_sq(spin_lowest_k_type(cs).lambda2)
+        points = ball_shell(cs.n, coord_sum, norm)
+        lifts = list(spin_norm_shell(cs.n, coord_sum, norm))
         assert len(lifts) == len(set(lifts)) and set(lifts) == set(points), cs.to_lists()
+        # the hits as spin_minimal_candidates found them in the ball
+        hits = [dv for dv in (tuple(2 * x for x in v) for v in points) if multiplicity_in_induced(cs, dv) > 0]
         assert spin_minimal_candidates(cs)[1] == hits, cs.to_lists()
 
 
