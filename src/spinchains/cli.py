@@ -3,7 +3,7 @@
 Subcommands: tau, perm, enumerate, count, verify, lr, spherical.
 Exit codes: 0 success, 1 verification failure, 2 parse error, 3 invalid
 chain set, 4 size bound exceeded.  The bounds: 2 <= n <= 16 for enumerate
-(n <= 8 with --with-multiplicity) and count, 2 <= n <= 12 for verify,
+(n <= 12 with --with-multiplicity) and count, 2 <= n <= 12 for verify,
 a + b <= 16 for spherical, at most 22 filled cells, min(|inner|,
 |outer| - |inner|), for lr, and at most 5,000 entries for tau.  Every
 failure (exit 2, 3 or 4) prints exactly one `error:` line on stderr and
@@ -40,7 +40,9 @@ EXIT_INVALID_CHAINS = 3
 EXIT_BOUND = 4
 
 ENUM_CAP = 16
-ENUM_MULT_CAP = 8
+# enumerate --with-multiplicity -n 12 makes 1,024 multiplicity_in_induced
+# calls and takes about 0.7 s
+ENUM_MULT_CAP = 12
 VERIFY_CAP = 12
 # lr fills min(|inner|, |outer| - |inner|) cells, and its cost grows steeply
 # with that number: about 1-2 s at 21-22 cells, up to 11 s at 24

@@ -167,15 +167,30 @@ def _count_tableaux(outer: Partition, inner: Partition, weight: Partition) -> in
 def _grow_candidates(mu: Partition, k: int, d: int, limit: Partition):
     """Partitions nu with mu <= nu <= limit reachable by adding a k^d rectangle.
 
-    Necessary conditions used to bound the search: |nu| = |mu| + k*d, and
-    Weyl's inequality nu[i+j-1] <= mu[i] + lambda[j] for lambda = k^d, which
-    holds whenever c(nu; mu, lambda) != 0.  Its case j = 1 lets every row
-    grow by at most k, nu[i] <= mu[i] + k; its case j = d + 1 says no column
-    of nu/mu exceeds d cells, nu[i] <= mu[i-d].  A branch also stops as soon
-    as the rows left cannot hold the cells left.
+    Each nu has |nu| = |mu| + k*d and comes once.  The search keeps only
+    nu that pass these necessary conditions for c(nu; mu, k^d) != 0
+    (Fulton, *Young Tableaux*, section 5):
+    - Weyl, j = 1: nu[i] <= mu[i] + k, since nu[i+j-1] <= mu[i] + lambda[j]
+      for lambda = k^d.
+    - Weyl, j = d + 1: nu[i] <= mu[i-d], since lambda[d+1] = 0; no column
+      of nu/mu holds more than d cells.
+    - Rectangle floor: nu[i] >= k for i < d, since c(nu; mu, k^d) =
+      c(nu; k^d, mu) is 0 unless k^d fits inside nu.
+    - Room: row i takes at least the cells that rows i+1.. cannot hold,
+      each row on its own caps above (limit and both Weyl cases).
     """
     goal = sum(mu) + k * d
     maxlen = min(len(limit), len(mu) + d)
+    caps, floors = [], []  # the bounds on row i that do not depend on the rows above
+    for i in range(maxlen):
+        row = mu[i] if i < len(mu) else 0
+        cap = min(limit[i], row + k)
+        # i < maxlen <= len(mu) + d, so mu[i - d] is in range whenever i >= d
+        caps.append(min(cap, mu[i - d]) if i >= d else cap)
+        floors.append(max(row, k) if i < d else max(row, 1))
+    room = [0] * (maxlen + 1)  # room[i]: the most cells rows i.. can hold
+    for i in range(maxlen - 1, -1, -1):
+        room[i] = room[i + 1] + caps[i]
     acc: list[int] = []
 
     def rec(i: int, prev: int, remaining: int):
@@ -185,14 +200,8 @@ def _grow_candidates(mu: Partition, k: int, d: int, limit: Partition):
             return
         if i >= maxlen:
             return
-        lo = mu[i] if i < len(mu) else 0
-        hi = min(prev, limit[i], lo + k, remaining)
-        # i < maxlen <= len(mu) + d, so mu[i - d] is in range whenever i >= d
-        if i >= d:
-            hi = min(hi, mu[i - d])
-        if hi * (maxlen - i) < remaining:
-            return
-        for part in range(hi, max(lo, 1) - 1, -1):
+        lo = max(floors[i], remaining - room[i + 1])
+        for part in range(min(prev, caps[i], remaining), lo - 1, -1):
             acc.append(part)
             yield from rec(i + 1, part, remaining - part)
             acc.pop()

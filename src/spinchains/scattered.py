@@ -20,6 +20,7 @@ from .chains import (
     Chain,
     ChainSet,
     OverlappingChainsError,
+    _flip,
     _pairs_interlaced,
     extract_involution,
     is_interlaced,
@@ -298,8 +299,9 @@ def _record(pairs: Pairs, rho: Weight, with_multiplicity: bool = False) -> dict:
     """build_record(cs, with_multiplicity).as_dict() for cs given as its pairs.
 
     rho is rho_doubled(n), made once per rank by the caller.  The entries
-    are listed and sorted once; their ranks give the involution and show
-    that the chains are disjoint.  A ChainSet is built only for
+    are listed and sorted once; their ranks give the involution (through
+    chains._flip, the rule behind _pairs_involution) and show that the
+    chains are disjoint.  A ChainSet is built only for
     multiplicity_in_induced.
     """
     chains = [list(range(top, top - 2 * length, -2)) for top, length in pairs]
@@ -309,10 +311,6 @@ def _record(pairs: Pairs, rho: Weight, with_multiplicity: bool = False) -> dict:
         raise OverlappingChainsError(f"two chains share an entry: {chains}")
     if entries[-1] != 1 or not _pairs_interlaced(pairs):
         raise ValueError("not a scattered parameter: need interlaced chains with smallest entry 1")
-    s = [0] * len(entries)
-    for chain in chains:
-        for e, flipped in zip(chain, reversed(chain)):
-            s[rank[e]] = rank[flipped] + 1
     tau = _pairs_tau(pairs)
     u_small = all(x <= 0 for x in fundamental_pairing_signs([t - 2 * r for t, r in zip(tau, rho)]))
     mult = multiplicity_in_induced(_chain_set(pairs), tuple(tau)) if with_multiplicity else None
@@ -320,7 +318,7 @@ def _record(pairs: Pairs, rho: Weight, with_multiplicity: bool = False) -> dict:
         "n": len(entries),
         "chains": chains,
         "lambda2_fund": [a - b for a, b in zip(entries, entries[1:])],
-        "s": s,
+        "s": _flip(chains, rank),
         "tau_fund": [(a - b) // 2 for a, b in zip(tau, tau[1:])],
         "gamma": sorted((t - r for t, r in zip(tau, rho)), reverse=True),
         "u_small": u_small,

@@ -206,7 +206,9 @@ TOO_MANY_ENTRIES = json.dumps({"chains": [[2 * k + 1] for k in range(cli.TAU_ENT
             id="tau-entries",
         ),
         pytest.param("enumerate -n 17", None, 4, "error: n must satisfy 2 <= n <= 16", id="enumerate-17"),
-        pytest.param("enumerate -n 9 --with-multiplicity", None, 4, None, id="enumerate-9-multiplicity"),
+        pytest.param(
+            f"enumerate -n {cli.ENUM_MULT_CAP + 1} --with-multiplicity", None, 4, None, id="enumerate-past-multiplicity-cap"
+        ),
         pytest.param("enumerate -n 1", None, 4, None, id="enumerate-1"),
         pytest.param("count -n 17", None, 4, None, id="count-17"),
         pytest.param("verify -n 13", None, 4, None, id="verify-13"),

@@ -9,6 +9,8 @@ per factor, with the determinant providing the signs.
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinchains import lr
 from spinchains.chains import ChainSet
@@ -78,9 +80,13 @@ def lr_oracle(outer, inner, weight):
 
 
 def grow_candidates_unpruned(mu, k, d, limit):
-    """The candidate generator without the row bound nu[i] <= mu[i] + k or
-    the cut-off on rows too few for the cells left: the reference for the
-    pruned _grow_candidates."""
+    """The reference for the pruned _grow_candidates: the same walk over
+    mu <= nu <= limit with |nu| = |mu| + k*d, kept to weakly decreasing rows
+    and to the column cap nu[i] <= mu[i-d] (Weyl, j = d + 1), and to
+    mu[0] + k in the first d rows.  It omits every other bound of
+    _grow_candidates: the row bound nu[i] <= mu[i] + k (Weyl, j = 1), the
+    rectangle floor nu[i] >= k for i < d, and room (rows too few for the
+    cells left)."""
     goal = sum(mu) + k * d
     maxlen = min(len(limit), len(mu) + d)
     acc = []
@@ -263,3 +269,37 @@ def test_grow_candidates_prunes_only_zero_coefficients():
                         assert lr_coefficient(nu, mu, (k,) * d) == 0, (mu, k, d, nu)
                     dropped += len(full - pruned)
     assert dropped  # the pruning removes something, so the check is not vacuous
+
+
+SMALL_PARTITIONS = list(partitions_up_to(12))
+
+
+@st.composite
+def grow_cases(draw):
+    """(mu, k, d, limit): |mu| <= 12, 1 <= k, d <= 5, and limit grown from mu
+    one addable cell at a time to size |mu| + k*d."""
+    mu = draw(st.sampled_from(SMALL_PARTITIONS))
+    k = draw(st.integers(1, 5))
+    d = draw(st.integers(1, 5))
+    limit = list(mu)
+    for _ in range(k * d):
+        padded = limit + [0]
+        i = draw(st.sampled_from([i for i in range(len(padded)) if i == 0 or padded[i - 1] > padded[i]]))
+        if i == len(limit):
+            limit.append(1)
+        else:
+            limit[i] += 1
+    return mu, k, d, tuple(limit)
+
+
+@settings(deadline=None)
+@given(grow_cases())
+def test_grow_candidates_keeps_every_nonzero_coefficient(case):
+    mu, k, d, limit = case
+    rect = (k,) * d
+    got = list(_grow_candidates(mu, k, d, limit))
+    assert len(got) == len(set(got))
+    for nu in got:
+        assert sum(nu) == sum(limit) and contains(nu, mu) and contains(limit, nu) and contains(nu, rect), nu
+    nonzero = {nu for nu in got if lr_coefficient(nu, mu, rect)}
+    assert nonzero == {nu for nu in grow_candidates_unpruned(mu, k, d, limit) if lr_coefficient(nu, mu, rect)}
