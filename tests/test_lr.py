@@ -281,15 +281,12 @@ def grow_cases(draw):
     mu = draw(st.sampled_from(SMALL_PARTITIONS))
     k = draw(st.integers(1, 5))
     d = draw(st.integers(1, 5))
-    limit = list(mu)
+    limit = list(mu) + [0]  # one empty row to grow into
     for _ in range(k * d):
-        padded = limit + [0]
-        i = draw(st.sampled_from([i for i in range(len(padded)) if i == 0 or padded[i - 1] > padded[i]]))
-        if i == len(limit):
-            limit.append(1)
-        else:
-            limit[i] += 1
-    return mu, k, d, tuple(limit)
+        limit[draw(st.sampled_from([i for i in range(len(limit)) if i == 0 or limit[i - 1] > limit[i]]))] += 1
+        if limit[-1]:
+            limit.append(0)
+    return mu, k, d, normalize_partition(limit)
 
 
 @settings(deadline=None)
