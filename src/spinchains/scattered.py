@@ -3,18 +3,14 @@
 The scattered parameters of SL(n) are exactly the interlaced chain sets
 with n entries whose smallest entry is 1.  They are generated from the
 base parameter {3, 1} by a two-way branching on the largest odd entry M_o
-and largest even entry M_e, giving 2^(n-2) parameters at rank n.  An
-independent brute-force search confirms the enumeration at desk scale: two
-consecutive values missing below the top split a set into blocks that no
-chain or link crosses, so the entries of an interlaced set climb from 1 in
-steps of 1 or 2, and the search walks those 2^(n-1) entry sets and every
-chain decomposition of each.
+and largest even entry M_e, giving 2^(n-2) parameters at rank n.  A
+top-down search of that definition confirms them independently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, combinations, product
+from itertools import islice
 
 from .chains import (
     Chain,
@@ -101,14 +97,19 @@ def expand(cs: ChainSet) -> tuple[ChainSet, ChainSet]:
 _BASE: Pairs = ((3, 2),)  # the parameter {3, 1}, the root of the branching tree
 
 
+def _levels(root, branch):
+    """The levels of the tree below root, depth 0 first, each in branching order."""
+    level = [root]
+    while True:
+        yield level
+        level = [child for node in level for child in branch(node)]
+
+
 def _walk(n: int, root, branch) -> list:
     """The nodes at depth n - 2 below root, in branching order."""
     if n < 2:
         raise ValueError("need n >= 2")
-    level = [root]
-    for _ in range(n - 2):
-        level = [child for node in level for child in branch(node)]
-    return level
+    return next(islice(_levels(root, branch), n - 2, None))
 
 
 def _leaves(n: int) -> list[Pairs]:
@@ -165,48 +166,30 @@ def reduce(cs: ChainSet) -> ChainSet:
     return _chain_set(_unbranch(_pairs(cs)))
 
 
-def _run_cuttings(run: tuple[int, ...]):
-    """All ways to cut one maximal step-2 run into contiguous chains."""
-    for mask in range(1 << (len(run) - 1)):
-        chains = []
-        start = 0
-        for pos in range(len(run) - 1):
-            if mask & (1 << pos):
-                chains.append((run[start], pos + 1 - start))
-                start = pos + 1
-        chains.append((run[start], len(run) - start))
-        yield tuple(chains)
-
-
-def _decompositions(entries: tuple[int, ...]):
-    """Every split of a set of distinct entries into descending step-2 chains.
-
-    Each maximal step-2 run of one parity is cut independently; yields
-    tuples of (top, length) pairs, odd runs before even, tops descending.
-    """
-    runs = []
-    for parity in (1, 0):
-        members = sorted((e for e in entries if e % 2 == parity), reverse=True)
-        run: list[int] = []
-        for e in members:
-            if run and run[-1] - e != 2:
-                runs.append(tuple(run))
-                run = []
-            run.append(e)
-        if run:
-            runs.append(tuple(run))
-    for cuttings in product(*map(_run_cuttings, runs)):
-        yield sum(cuttings, ())
-
-
 def _pair_decompositions(n: int, max_entry: int | None = None):
-    """`all_chain_decompositions(n, max_entry)`, each as its (top, length) pairs."""
+    """`all_chain_decompositions(n, max_entry)` as pairs, searched as in
+    `_interlaced_pairs`: a top is at least the entries still due, and room
+    is kept for the entry 1."""
     if n < 2:
         raise ValueError("need n >= 2")
-    if max_entry is None:
-        max_entry = 2 * n - 1
-    for rest in combinations(range(2, max_entry + 1), n - 1):
-        yield from _decompositions((1,) + rest)
+    chosen: list[tuple[int, int]] = []
+
+    def grow(size: int, used: int, above: int):
+        if size == n:
+            yield tuple(chosen)
+            return
+        for top in range(n - size, above):
+            bottom, length, mask = top, 0, used
+            while bottom >= 1 and not mask >> bottom & 1 and size + length < n:
+                mask |= 1 << bottom
+                length += 1
+                if mask & 2 or size + length < n:
+                    chosen.append((top, length))
+                    yield from grow(size + length, mask, top)
+                    chosen.pop()
+                bottom -= 2
+
+    yield from grow(0, 0, (2 * n - 1 if max_entry is None else max_entry) + 1)
 
 
 def all_chain_decompositions(n: int, max_entry: int | None = None):
@@ -218,29 +201,48 @@ def all_chain_decompositions(n: int, max_entry: int | None = None):
     yield from map(_chain_set, _pair_decompositions(n, max_entry))
 
 
-def brute_force_enumerate(n: int) -> list[ChainSet]:
-    """Independent oracle: exhaust the chain decompositions of gap-free entry sets.
-
-    Two consecutive values missing below the top split the entries into
-    blocks that no chain (step 2) or link (straddling spans) can cross, so
-    the entries of an interlaced set with smallest entry 1 climb in steps
-    of 1 or 2.  The search walks all 2^(n-1) such step sequences, splits
-    each entry set into descending step-2 chains in every way, and keeps
-    the interlaced ones; it never calls expand or reduce.  Candidates stay
-    (top, length) pairs until they pass the interlacing test: building a
-    ChainSet per candidate makes the oracle several times slower.  Returns
-    them in the order of generate.
+def _interlaced_pairs(n: int):
+    """Every interlaced set of n entries with smallest entry 1, as pairs, in
+    generate's order: chains are picked by descending top, the next one in
+    ascending (top, length).  Cut are only partial sets no completion saves:
+    - overlapping chains, or a bottom below 1;
+    - a next top at most `low`, the lowest bottom so far: the sweep of
+      `_pairs_interlaced`, which lower tops cannot repair;
+    - too few entries left to fill [1, low).  Two consecutive values missing
+      below the top split a set into blocks no chain (step 2) or link
+      (straddling spans) crosses, so the entries climb from 1 in steps of 1
+      or 2, at least ceil((low - 1) / 2) = low // 2 of them below low.  So a
+      set of n entries has low = 1, and the first top is at most 2n - 1, as
+      its bottom is at most 2(n - length) + 1.
+    For n <= 16 it visits 6 * 2^(n-2) - 1 partial sets, the empty one too.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    found = []
-    for steps in product((1, 2), repeat=n - 1):
-        found.extend(
-            _chain_set(pairs)
-            for pairs in _decompositions(tuple(accumulate(steps, initial=1)))
-            if _pairs_interlaced(pairs)
-        )
-    return sorted(found, key=_pairs)
+    chosen: list[tuple[int, int]] = []
+
+    def grow(size: int, used: int, tops: range, low: int):
+        if size == n:
+            yield tuple(chosen)
+            return
+        for top in tops:
+            bottom, length, mask = top, 0, used
+            while bottom >= 1 and not mask >> bottom & 1 and size + length < n:
+                mask |= 1 << bottom
+                length += 1
+                floor = min(low, bottom)
+                if n - size - length >= floor // 2:
+                    chosen.append((top, length))
+                    yield from grow(size + length, mask, range(floor + 1, top), floor)
+                    chosen.pop()
+                bottom -= 2
+
+    yield from grow(0, 0, range(1, 2 * n), 2 * n)
+
+
+def brute_force_enumerate(n: int) -> list[ChainSet]:
+    """Independent oracle: `_interlaced_pairs(n)` as ChainSets; it never
+    calls expand or reduce."""
+    return [_chain_set(pairs) for pairs in _interlaced_pairs(n)]
 
 
 def is_u_small(tau: Weight) -> bool:

@@ -31,20 +31,21 @@ from .lr import (
     sub_partitions,
 )
 from .scattered import (
+    _BASE,
     _branch,
     _chain_set,
+    _interlaced_pairs,
+    _levels,
     _pair_decompositions,
     _pairs,
     _unbranch,
-    brute_force_enumerate,
-    generate,
+    expand,
     is_u_small,
     spherical_family,
 )
 from .spin import SpinResult, lowest_k_type, spin_lowest_k_type, verify_spin_identity
 from .weights import Weight, norm_sq, rho_doubled, spin_norm_sq, to_fundamental
 
-ORACLE_CAP = 10
 SPHERICAL_CAP = 9
 EQUIVALENCE_CAP = 7
 MULTIPLICITY_CAP = 8
@@ -144,8 +145,10 @@ class Param(NamedTuple):
 
 
 def build_ranks(n_max: int) -> dict[int, list[Param]]:
-    """Every scattered parameter of rank 2..n_max, as Params keyed by rank."""
-    return {n: [Param(cs, spin_lowest_k_type(cs), lowest_k_type(cs)) for cs in generate(n)] for n in range(2, n_max + 1)}
+    """Every scattered parameter of rank 2..n_max, as Params keyed by rank in
+    generate's order, from one walk of the branching tree."""
+    levels = zip(range(2, n_max + 1), _levels(_chain_set(_BASE), expand))
+    return {n: [Param(cs, spin_lowest_k_type(cs), lowest_k_type(cs)) for cs in sorted(level, key=_pairs)] for n, level in levels}
 
 
 def _sweep(label: str, predicate, cap: int | None = None):
@@ -171,8 +174,9 @@ def check_count(ranks, n_max):
 
 
 def check_oracle(ranks, n_max):
-    for n in range(2, min(n_max, ORACLE_CAP) + 1):
-        yield f"brute-force oracle n={n}", set(brute_force_enumerate(n)) == {p.cs for p in ranks[n]}, ""
+    for n in range(2, n_max + 1):
+        found = list(_interlaced_pairs(n))
+        yield f"brute-force oracle n={n}", found == [_pairs(p.cs) for p in ranks[n]], f"{len(found)} parameters"
 
 
 def check_equivalence(ranks, n_max):
@@ -185,6 +189,7 @@ def check_equivalence(ranks, n_max):
 def check_spherical(ranks, n_max):
     top = min(n_max, SPHERICAL_CAP)
     label = f"spherical family pattern and membership, a+b<={top}"
+    pairs = 0
     for total in range(3, top + 1, 2):
         sets = {p.cs for p in ranks[total]}
         for b in range(1, total // 2 + 1):
@@ -198,7 +203,8 @@ def check_spherical(ranks, n_max):
             if cs not in sets:
                 yield label, False, f"a={a} b={b} not enumerated"
                 return
-    yield label, True, ""
+            pairs += 1
+    yield label, True, f"{pairs} pairs"
 
 
 def check_lr(ranks, n_max):

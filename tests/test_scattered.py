@@ -1,4 +1,5 @@
 import json
+from itertools import accumulate, combinations, product
 
 import pytest
 
@@ -6,6 +7,7 @@ from spinchains.chains import (
     Chain,
     ChainSet,
     OverlappingChainsError,
+    _pairs_interlaced,
     extract_involution,
     is_interlaced,
     is_involution,
@@ -13,11 +15,13 @@ from spinchains.chains import (
 )
 from spinchains.scattered import (
     _chain_set,
-    _unbranch,
+    _interlaced_pairs,
     _leaves,
+    _pair_decompositions,
     _pairs,
     _record,
     _records,
+    _unbranch,
     all_chain_decompositions,
     brute_force_enumerate,
     build_record,
@@ -103,6 +107,85 @@ def test_reduce_rejects_what_it_rejected_on_chain_sets():
 
 def test_brute_force_base_case():
     assert brute_force_enumerate(2) == [ChainSet.from_lists([[3, 1]])]
+    with pytest.raises(ValueError):
+        brute_force_enumerate(1)
+
+
+def run_cuttings(run: tuple[int, ...]):
+    """All ways to cut one maximal step-2 run into contiguous chains."""
+    for mask in range(1 << (len(run) - 1)):
+        chains = []
+        start = 0
+        for pos in range(len(run) - 1):
+            if mask & (1 << pos):
+                chains.append((run[start], pos + 1 - start))
+                start = pos + 1
+        chains.append((run[start], len(run) - start))
+        yield tuple(chains)
+
+
+def split_entries(entries: tuple[int, ...]):
+    """Every split of a set of distinct entries into descending step-2 chains.
+
+    Each maximal step-2 run of one parity is cut independently; yields
+    tuples of (top, length) pairs, odd runs before even, tops descending.
+    """
+    runs = []
+    for parity in (1, 0):
+        members = sorted((e for e in entries if e % 2 == parity), reverse=True)
+        run: list[int] = []
+        for e in members:
+            if run and run[-1] - e != 2:
+                runs.append(tuple(run))
+                run = []
+            run.append(e)
+        if run:
+            runs.append(tuple(run))
+    for cuttings in product(*map(run_cuttings, runs)):
+        yield sum(cuttings, ())
+
+
+def gap_free_walk(n: int) -> list:
+    """The search brute_force_enumerate made before `_interlaced_pairs`, on
+    pairs, kept as its oracle.
+
+    Two consecutive values missing below the top split the entries into
+    blocks that no chain (step 2) or link (straddling spans) can cross, so
+    the entries of an interlaced set with smallest entry 1 climb in steps
+    of 1 or 2.  The search walks all 2^(n-1) such entry sets, splits each
+    into step-2 chains in every way and keeps the interlaced splits.
+    """
+    found = []
+    for steps in product((1, 2), repeat=n - 1):
+        entries = tuple(accumulate(steps, initial=1))
+        found.extend(tuple(sorted(pairs, reverse=True)) for pairs in split_entries(entries) if _pairs_interlaced(pairs))
+    return sorted(found)
+
+
+def test_top_down_search_equals_the_gap_free_walk():
+    for n in range(2, 12):
+        assert [_pairs(cs) for cs in brute_force_enumerate(n)] == gap_free_walk(n), n
+
+
+def test_top_down_search_equals_the_branching_tree():
+    # beyond VERIFY_CAP, where verify's oracle stops; about 0.2 s for n <= 14
+    for n in range(2, 15):
+        assert list(_interlaced_pairs(n)) == sorted(_leaves(n)), n
+
+
+def test_pair_decompositions_equal_the_split_entry_sets():
+    # every entry set with smallest entry 1, split in every way: how
+    # _pair_decompositions found them before its top-down search
+    for n in range(2, 8):
+        for max_entry in (None, 2 * n + 1):
+            top = 2 * n - 1 if max_entry is None else max_entry
+            split = [
+                tuple(sorted(pairs, reverse=True))
+                for rest in combinations(range(2, top + 1), n - 1)
+                for pairs in split_entries((1,) + rest)
+            ]
+            found = list(_pair_decompositions(n, max_entry))
+            assert len(set(found)) == len(found) and sorted(found) == sorted(split), (n, max_entry)
 
 
 def test_record_order_is_the_to_lists_order():

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spinchains import verify
+from spinchains.cli import VERIFY_CAP
 from spinchains.chains import ChainSet, involves_all_simple_reflections, is_interlaced, lambda_doubled
 from spinchains.lr import multiplicity_in_induced
 from spinchains.scattered import all_chain_decompositions, generate
@@ -129,6 +130,28 @@ def test_shell_lifts_and_hits_equal_the_ball():
         # the hits as spin_minimal_candidates found them in the ball
         hits = [dv for dv in (tuple(2 * x for x in v) for v in points) if multiplicity_in_induced(cs, dv) > 0]
         assert spin_minimal_candidates(cs)[1] == hits, cs.to_lists()
+
+
+def test_build_ranks_is_generate_at_every_rank(ranks):
+    assert list(ranks) == list(range(2, VERIFY_CAP + 1))
+    for n, params in ranks.items():
+        assert [p.cs for p in params] == generate(n), n
+
+
+def test_oracle_and_spherical_lines_count_their_items(check_lines):
+    oracle = [(label, detail) for label, _, detail in check_lines("check_oracle")]
+    assert oracle == [(f"brute-force oracle n={n}", f"{2 ** (n - 2)} parameters") for n in range(2, VERIFY_CAP + 1)]
+    [(label, _, detail)] = check_lines("check_spherical")
+    top = int(label.rsplit("a+b<=", 1)[1])
+    # a > b > 0 with a + b odd and at most top
+    assert detail == f"{sum(total // 2 for total in range(3, top + 1, 2))} pairs"
+
+
+def test_oracle_fails_on_a_rank_out_of_order():
+    # the oracle compares lists, so the right sets in the wrong order fail
+    ranks = verify.build_ranks(5)
+    ranks[5].reverse()
+    assert [ok for _, ok, _ in verify.check_oracle(ranks, 5)] == [True, True, True, False]
 
 
 def test_run_verification_rejects_tiny_rank():
