@@ -204,7 +204,7 @@ def all_chain_decompositions(n: int, max_entry: int | None = None):
 def _interlaced_pairs(n: int):
     """Every interlaced set of n entries with smallest entry 1, as pairs, in
     generate's order: chains are picked by descending top, the next one in
-    ascending (top, length).  Cut are only partial sets no completion saves:
+    ascending (top, length).  It cuts only partial sets no completion saves:
     - overlapping chains, or a bottom below 1;
     - a next top at most `low`, the lowest bottom so far: the sweep of
       `_pairs_interlaced`, which lower tops cannot repair;
