@@ -4,7 +4,7 @@ Subcommands: tau, perm, enumerate, count, verify, lr, spherical.
 Exit codes: 0 success, 1 verification failure, 2 parse error, 3 invalid
 chain set, 4 size bound exceeded.  The bounds: 2 <= n <= 16 for enumerate
 (n <= 12 with --with-multiplicity) and count, 2 <= n <= 12 for verify,
-a + b <= 16 for spherical, at most 22 filled cells, min(|inner|,
+a + b <= 16 for spherical, at most 46 filled cells, min(|inner|,
 |outer| - |inner|), for lr, and at most 5,000 entries for tau.  Every
 failure (exit 2, 3 or 4) prints exactly one `error:` line on stderr and
 nothing on stdout.  Weights are printed in doubled coordinates wherever
@@ -44,9 +44,11 @@ ENUM_CAP = 16
 # calls and takes about 0.7 s
 ENUM_MULT_CAP = 12
 VERIFY_CAP = 12
-# lr fills min(|inner|, |outer| - |inner|) cells, and its cost grows steeply
-# with that number: about 1-2 s at 21-22 cells, up to 11 s at 24
-LR_CELL_CAP = 22
+# lr fills min(|inner|, |outer| - |inner|) cells, and its cost still grows
+# with that number, by about 1.3x a cell.  On staircase outers with staircase
+# or near-staircase content, the slowest triple measured took 0.17 s at 40
+# cells, 0.8 s at 46 and 1.0-1.1 s at 47; random triples are cheaper
+LR_CELL_CAP = 46
 # tau tests every pair of chains, and a chain holds at least one entry:
 # 5,000 singleton chains take about 1 s
 TAU_ENTRY_CAP = 5000

@@ -13,6 +13,10 @@ weight does not fit, and otherwise fills whichever of outer/inner and
 outer/weight has fewer cells; the search depth is min(|inner|, |weight|)
 instead of |weight|.
 
+The counter memoises the ways to finish at the first cell of each row,
+keyed by the letter counts so far and the values in the row just above: no
+other filled cell constrains a later one, so the memo changes no count.
+
 On top of the counter sits the multiplicity of a dominant weight in a
 module induced from unitary characters of a product of GL factors: an
 iterated LR product of rectangles k_i^(d_i), one per chain.
@@ -118,35 +122,55 @@ def _count_tableaux(outer: Partition, inner: Partition, weight: Partition) -> in
     The raw counter behind `lr_coefficient`: it takes normalized partitions
     with inner inside outer and |outer| - |inner| = |weight|, checks none
     of this, and never swaps inner and weight.
+
+    The count is memoised at the first cell of each row.  When row r
+    begins, the ways to finish depend only on the letter counts placed so
+    far, which fix the content left and the lattice condition, and on the
+    values of row r-1 directly above row r's cells, which fix column
+    strictness; no row above r-1 touches a later cell.  So the key (cell
+    index, counts, those values) is exact.  The first row with cells is not
+    memoised, as its state occurs once, nor is a one-letter content, whose
+    filling is forced.  The memo lives for one call.
     """
     # Cells in reverse reading order: row by row, right to left.  For each
     # cell record the index of its right neighbour in the fill order (always
-    # the previous cell when in the same row) and of the cell directly above
-    # when that cell belongs to the skew shape.
-    cells = []  # (row, col)
-    pos_index: dict[tuple[int, int], int] = {}
-    for r, outer_len in enumerate(outer):
-        inner_len = inner[r] if r < len(inner) else 0
-        for c in range(outer_len - 1, inner_len - 1, -1):
-            pos_index[(r, c)] = len(cells)
-            cells.append((r, c))
-    right = [pos_index.get((r, c + 1)) for r, c in cells]
-    above = [pos_index.get((r - 1, c)) for r, c in cells]
-
+    # the previous cell when in the same row) and of the cell directly above,
+    # or a sentinel slot when there is none: values[-2] holds the largest
+    # letter, values[-1] holds 0.  A row starting at index start puts its
+    # cell in column c at start + outer[r] - 1 - c.
     nletters = len(weight)
+    ncells = sum(outer) - sum(inner)
+    no_right, no_above = ncells, ncells + 1
+    right, above = [], []
+    key_slice = [None] * ncells  # at a memoised row start, (a, b): values[a:b] lie above the row
+    inner = inner + (0,) * (len(outer) - len(inner))
+    start = base = 0  # base - c: the cell in column c of the row above
+    prev_inner = outer[0] if outer else 0  # no cell lies above the first row
+    for outer_len, inner_len in zip(outer, inner):
+        for c in range(outer_len - 1, inner_len - 1, -1):
+            right.append(len(right) - 1 if c < outer_len - 1 else no_right)
+            above.append(base - c if c >= prev_inner else no_above)
+        if start and outer_len > inner_len and nletters > 1:
+            key_slice[start] = (base + 1 - outer_len, base + 1 - max(inner_len, prev_inner))
+        base, prev_inner = start + outer_len - 1, inner_len
+        start += outer_len - inner_len
+
     remaining = list(weight)
     counts = [0] * (nletters + 1)  # counts[v] = number of v's placed so far
-    values = [0] * len(cells)
-    total = 0
+    values = [0] * ncells + [nletters, 0]
+    memo: dict[tuple, int] = {}
 
-    def fill(k: int) -> None:
-        nonlocal total
-        if k == len(cells):
-            total += 1
-            return
-        hi = values[right[k]] if right[k] is not None else nletters
-        lo = values[above[k]] + 1 if above[k] is not None else 1
-        for v in range(lo, hi + 1):
+    def fill(k: int) -> int:
+        if k == ncells:
+            return 1
+        key = None
+        if key_slice[k] is not None:
+            a, b = key_slice[k]
+            key = (k, tuple(counts), tuple(values[a:b]))
+            if key in memo:
+                return memo[key]
+        total = 0
+        for v in range(values[above[k]] + 1, values[right[k]] + 1):
             if remaining[v - 1] == 0:
                 continue
             # lattice prefix: placing v keeps counts[v] <= counts[v-1]
@@ -155,12 +179,16 @@ def _count_tableaux(outer: Partition, inner: Partition, weight: Partition) -> in
             values[k] = v
             counts[v] += 1
             remaining[v - 1] -= 1
-            fill(k + 1)
+            total += fill(k + 1)
             counts[v] -= 1
             remaining[v - 1] += 1
         values[k] = 0
+        if key is not None:
+            memo[key] = total
+        return total
 
-    fill(0)
+    total = fill(0)
+    memo.clear()  # fill refers to itself, so the cycle collector would free the memo only later
     return total
 
 

@@ -173,6 +173,9 @@ def test_lr_command(capsys):
     assert capsys.readouterr().out.strip() == "2"
     assert cli.main(["lr", "--outer", "3,1", "--inner", "2,1", "--weight", "1"]) == 0
     assert capsys.readouterr().out.strip() == "1"
+    at_cap = str(cli.LR_CELL_CAP)
+    assert cli.main(["lr", "--outer", f"{at_cap},{at_cap}", "--inner", at_cap, "--weight", at_cap]) == 0
+    assert capsys.readouterr().out.strip() == "1"
 
 
 def test_spherical_command(capsys):
@@ -220,6 +223,13 @@ TOO_MANY_ENTRIES = json.dumps({"chains": [[2 * k + 1] for k in range(cli.TAU_ENT
         # wrong size, in both orientations
         pytest.param("lr --outer 3,2 --inner 1 --weight 2,1", None, 2, None, id="lr-wrong-size-small-inner"),
         pytest.param("lr --outer 3,2 --inner 2,1 --weight 1", None, 2, None, id="lr-wrong-size-large-inner"),
+        pytest.param(
+            "lr --outer {0},{0} --inner {0} --weight {0}".format(cli.LR_CELL_CAP + 1),
+            None,
+            4,
+            f"error: lr would fill {cli.LR_CELL_CAP + 1} cells, at most {cli.LR_CELL_CAP} allowed",
+            id="lr-cells-past-cap",
+        ),
         pytest.param(
             "lr --outer 1200,1200 --inner 1200 --weight 1200",
             None,

@@ -79,6 +79,51 @@ def lr_oracle(outer, inner, weight):
     return total
 
 
+def count_tableaux_by_cells(outer, inner, weight):
+    """The reference for the memoised _count_tableaux, and its slow
+    predecessor: the same fill of outer/inner in reverse reading order with
+    the same pruning, counting every LR tableau one at a time, with no memo."""
+    cells = []  # (row, col)
+    pos_index = {}
+    for r, outer_len in enumerate(outer):
+        inner_len = inner[r] if r < len(inner) else 0
+        for c in range(outer_len - 1, inner_len - 1, -1):
+            pos_index[(r, c)] = len(cells)
+            cells.append((r, c))
+    right = [pos_index.get((r, c + 1)) for r, c in cells]
+    above = [pos_index.get((r - 1, c)) for r, c in cells]
+
+    nletters = len(weight)
+    remaining = list(weight)
+    counts = [0] * (nletters + 1)  # counts[v] = number of v's placed so far
+    values = [0] * len(cells)
+    total = 0
+
+    def fill(k):
+        nonlocal total
+        if k == len(cells):
+            total += 1
+            return
+        hi = values[right[k]] if right[k] is not None else nletters
+        lo = values[above[k]] + 1 if above[k] is not None else 1
+        for v in range(lo, hi + 1):
+            if remaining[v - 1] == 0:
+                continue
+            # lattice prefix: placing v keeps counts[v] <= counts[v-1]
+            if v > 1 and counts[v - 1] <= counts[v]:
+                continue
+            values[k] = v
+            counts[v] += 1
+            remaining[v - 1] -= 1
+            fill(k + 1)
+            counts[v] -= 1
+            remaining[v - 1] += 1
+        values[k] = 0
+
+    fill(0)
+    return total
+
+
 def grow_candidates_unpruned(mu, k, d, limit):
     """The reference for the pruned _grow_candidates: the same walk over
     mu <= nu <= limit with |nu| = |mu| + k*d, kept to weakly decreasing rows
@@ -199,6 +244,20 @@ def test_agrees_with_oracle_on_larger_spot_checks():
         assert lr_coefficient(outer, inner, weight) == lr_oracle(outer, inner, weight)
 
 
+def test_memo_counter_matches_cell_by_cell_counter():
+    for outer, inner, weight in lr_triples(9):
+        assert _count_tableaux(outer, inner, weight) == count_tableaux_by_cells(outer, inner, weight), (outer, inner, weight)
+        if contains(outer, weight):
+            assert _count_tableaux(outer, weight, inner) == count_tableaux_by_cells(outer, weight, inner), (outer, inner, weight)
+
+
+def test_24_cell_staircase_triples():
+    # count_tableaux_by_cells gave these in about 1 s and 11 s
+    outer, inner = tuple(range(13, 0, -1)), (7, 6, 5, 3, 2, 1)
+    assert lr_coefficient(outer, inner, (12, 11, 10, 9, 8, 7, 6, 3, 1)) == 54_705
+    assert lr_coefficient(outer, inner, (11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 1)) == 3_984_598
+
+
 def test_multiplicity_single_chain_is_one():
     cs = ChainSet.from_lists([[5, 3, 1]])
     assert multiplicity_in_induced(cs, lowest_k_type(cs)) == 1
@@ -274,6 +333,16 @@ def test_grow_candidates_prunes_only_zero_coefficients():
 SMALL_PARTITIONS = list(partitions_up_to(12))
 
 
+def add_cells(draw, shape, ncells):
+    """shape grown by ncells cells, each drawn among the addable ones."""
+    grown = list(shape) + [0]  # one empty row to grow into
+    for _ in range(ncells):
+        grown[draw(st.sampled_from([i for i in range(len(grown)) if i == 0 or grown[i - 1] > grown[i]]))] += 1
+        if grown[-1]:
+            grown.append(0)
+    return normalize_partition(grown)
+
+
 @st.composite
 def grow_cases(draw):
     """(mu, k, d, limit): |mu| <= 12, 1 <= k, d <= 5, and limit grown from mu
@@ -281,12 +350,7 @@ def grow_cases(draw):
     mu = draw(st.sampled_from(SMALL_PARTITIONS))
     k = draw(st.integers(1, 5))
     d = draw(st.integers(1, 5))
-    limit = list(mu) + [0]  # one empty row to grow into
-    for _ in range(k * d):
-        limit[draw(st.sampled_from([i for i in range(len(limit)) if i == 0 or limit[i - 1] > limit[i]]))] += 1
-        if limit[-1]:
-            limit.append(0)
-    return mu, k, d, normalize_partition(limit)
+    return mu, k, d, add_cells(draw, mu, k * d)
 
 
 @settings(deadline=None)
@@ -300,3 +364,24 @@ def test_grow_candidates_keeps_every_nonzero_coefficient(case):
         assert sum(nu) == sum(limit) and contains(nu, mu) and contains(limit, nu) and contains(nu, rect), nu
     nonzero = {nu for nu in got if lr_coefficient(nu, mu, rect)}
     assert nonzero == {nu for nu in grow_candidates_unpruned(mu, k, d, limit) if lr_coefficient(nu, mu, rect)}
+
+
+@st.composite
+def skew_triples(draw):
+    """(outer, inner, weight): |inner| <= 12, outer grown from inner by up to
+    14 addable cells, and weight a partition of that many cells inside outer,
+    so both orientations are valid input to the raw counter."""
+    inner = draw(st.sampled_from(SMALL_PARTITIONS))
+    ncells = draw(st.integers(0, 14))
+    outer = add_cells(draw, inner, ncells)
+    weight = draw(st.sampled_from([p for p in sub_partitions(outer) if sum(p) == ncells]))
+    return outer, inner, weight
+
+
+@settings(deadline=None, max_examples=100)
+@given(skew_triples())
+def test_memo_counter_matches_cell_by_cell_counter_in_both_orientations(triple):
+    outer, inner, weight = triple
+    count = count_tableaux_by_cells(outer, inner, weight)
+    assert _count_tableaux(outer, inner, weight) == count
+    assert _count_tableaux(outer, weight, inner) == count
