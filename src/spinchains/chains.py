@@ -170,13 +170,19 @@ def is_interlaced(cs: ChainSet) -> bool:
     return _pairs_interlaced([(c.top, c.length) for c in cs.chains])
 
 
+def _canonical_key(pair: tuple[int, int]) -> tuple[int, int]:
+    """canonical_order's sort key on a chain's (top, length): (-avg, length)."""
+    top, length = pair
+    return length - 1 - top, length
+
+
 def canonical_order(cs: ChainSet) -> tuple[Chain, ...]:
     """The chains with averages strictly decreasing, shorter first on ties.
 
     The order is total: equal average and equal length would force two
     identical chains, which disjointness already rules out.
     """
-    return tuple(sorted(cs.chains, key=lambda c: (-c.avg, c.length)))
+    return tuple(sorted(cs.chains, key=lambda c: _canonical_key((c.top, c.length))))
 
 
 def lambda_doubled(cs: ChainSet) -> Weight:

@@ -22,7 +22,7 @@ from .chains import (
     is_interlaced,
 )
 from .lr import multiplicity_in_induced
-from .spin import _pairs_tau, spin_lowest_k_type
+from .spin import _rules, spin_lowest_k_type
 from .weights import (
     Weight,
     fundamental_pairing_signs,
@@ -313,7 +313,8 @@ def _record(pairs: Pairs, rho: Weight, with_multiplicity: bool = False) -> dict:
         raise OverlappingChainsError(f"two chains share an entry: {chains}")
     if entries[-1] != 1 or not _pairs_interlaced(pairs):
         raise ValueError("not a scattered parameter: need interlaced chains with smallest entry 1")
-    tau = _pairs_tau(pairs)
+    _, rows, _ = _rules(pairs)
+    tau = sorted((2 * x for row in rows for x in row), reverse=True)
     u_small = all(x <= 0 for x in fundamental_pairing_signs([t - 2 * r for t, r in zip(tau, rho)]))
     mult = multiplicity_in_induced(_chain_set(pairs), tuple(tau)) if with_multiplicity else None
     return {

@@ -31,9 +31,11 @@ from spinchains.scattered import (
     reduce,
     spherical_family,
 )
-from spinchains.spin import _pairs_tau, spin_lowest_k_type, verify_spin_identity
+from spinchains.spin import _rules, spin_lowest_k_type, verify_spin_identity
 from spinchains.verify import CHECKS
 from spinchains.weights import rho_doubled, to_fundamental
+
+from test_spin import tau_by_layout
 
 
 @pytest.mark.parametrize("name", [check.__name__ for check in CHECKS])
@@ -207,14 +209,18 @@ def test_interlaced_decompositions_with_larger_entries_are_generated():
 
 def test_every_decomposition_gives_an_involution_and_the_spin_identity():
     # interlaced or not; whether the involution uses every simple reflection
-    # is the registry's check_equivalence.  The pair path's tau core meets
-    # here the rule paths that only non-interlaced sets take.
+    # is the registry's check_equivalence.  The rule engine meets its layout
+    # reference here on the rule paths that only non-interlaced sets take,
+    # and sorts pairs given in any order.
     for n in range(2, 8):
         for cs in all_chain_decompositions(n):
             assert is_involution(extract_involution(cs)), cs.to_lists()
             res = spin_lowest_k_type(cs)
             assert verify_spin_identity(res), cs.to_lists()
-            assert tuple(_pairs_tau(_pairs(cs)[::-1])) == res.tau, cs.to_lists()
+            rows, trace, tau = tau_by_layout(cs)
+            assert (res.rows, res.trace, res.tau) == (rows, trace, tau), cs.to_lists()
+            _, pair_rows, pair_trace = _rules(_pairs(cs)[::-1])
+            assert (tuple(map(tuple, pair_rows)), tuple(pair_trace)) == (rows, trace), cs.to_lists()
 
 
 def test_pair_path_records_equal_build_record():

@@ -3,13 +3,11 @@ import dataclasses
 import pytest
 from hypothesis import given
 
-from spinchains.chains import Chain, ChainSet, is_linked
+from spinchains.chains import ChainSet, is_linked
 from spinchains.spin import (
     AlgorithmViolation,
-    Rule,
-    TauLayout,
-    apply_rule,
-    classify_link,
+    AppliedRule,
+    _rules,
     dirac_report,
     lowest_k_type,
     spin_lowest_k_type,
@@ -32,33 +30,109 @@ def test_lowest_k_type_spherical_pair_is_constant():
     assert lowest_k_type(ChainSet.from_lists([[5, 3, 1], [4, 2]])) == (6,) * 5
 
 
-def test_classify_link_worked_pairs():
-    assert classify_link(Chain(9, 5), Chain(4, 1)) == Rule("a", 2)
-    assert classify_link(Chain(10, 2), Chain(9, 5)) == Rule("b", 1)
-    assert classify_link(Chain(6, 1), Chain(9, 5)) == Rule("c", 2)
+class TauLayout:
+    """Per-chain rows of coordinates, one row per chain in canonical order.
+
+    Row i starts as the constant k_i repeated d_i times; rules overwrite
+    slots, and every slot may be written at most once.
+    """
+
+    def __init__(self, chains):
+        self.chains = chains
+        self.rows = [[c.avg] * c.length for c in chains]
+        self._written = [[False] * c.length for c in chains]
+
+    def write(self, row, pos, value):
+        if not 0 <= pos < len(self.rows[row]):
+            raise AlgorithmViolation(f"slot {pos} outside row {row}")
+        if self._written[row][pos]:
+            raise AlgorithmViolation(f"slot {pos} of row {row} written twice")
+        self._written[row][pos] = True
+        self.rows[row][pos] = value
 
 
-def test_classify_link_requires_linked_pair():
-    with pytest.raises(ValueError):
-        classify_link(Chain(10, 2), Chain(5, 3))
+def classify_link(ci, cj):
+    """Which rule the linked pair ci, cj falls under, with its parameter.
+
+    ci precedes cj in canonical order.  Linked chains have opposite parity,
+    so (C_{j,1} - C_{i,d_i} + 1)/2 is an exact integer.
+    """
+    assert is_linked(ci, cj) and (-ci.avg, ci.length) < (-cj.avg, cj.length)
+    span = cj.top - ci.bottom
+    assert span % 2 == 1, "linked chains must have opposite parity"
+    param = (span + 1) // 2
+    if ci.top > cj.top:
+        return ("a" if cj.length <= param else "b"), param
+    return "c", param
 
 
-def test_classify_link_requires_canonical_precedence():
-    with pytest.raises(ValueError):
-        classify_link(Chain(4, 1), Chain(9, 5))
+def apply_rule(layout, i, j, kind, param):
+    """Rewrite rows i and j of the layout in place according to the rule."""
+    ci, cj = layout.chains[i], layout.chains[j]
+    ki, kj = ci.avg, cj.avg
+    if kind == "a":
+        for t in range(cj.length):
+            layout.write(i, ci.length - param + t, ki + param - t)
+            layout.write(j, t, kj - param + t)
+    elif kind == "b":
+        for t in range(param):
+            layout.write(i, ci.length - param + t, ki + 1 + t)
+            layout.write(j, t, kj - 1 - t)
+    else:
+        for t in range(ci.length):
+            layout.write(i, t, ki + (param - ci.length + 1) + t)
+            layout.write(j, param - ci.length + t, kj - (param - ci.length + 1) - t)
+
+
+def tau_by_layout(cs):
+    """(rows, trace, tau) of spin_lowest_k_type(cs), the slow way.
+
+    The reference for the rule engine `spin._rules`: the chains in their
+    defining order (-avg, length), every pair tested with is_linked,
+    classified and rewritten on a write-once ChainSet layout.
+    """
+    ordered = tuple(sorted(cs.chains, key=lambda c: (-c.avg, c.length)))
+    layout = TauLayout(ordered)
+    trace = []
+    for m in range(1, len(ordered)):
+        for i in range(m):
+            if is_linked(ordered[i], ordered[m]):
+                kind, param = classify_link(ordered[i], ordered[m])
+                apply_rule(layout, i, m, kind, param)
+                trace.append((kind, i, m, param))
+    tau = tuple(sorted((2 * x for row in layout.rows for x in row), reverse=True))
+    return tuple(map(tuple, layout.rows)), tuple(trace), tau
+
+
+@pytest.mark.parametrize(
+    "lists, kind, param",
+    [
+        ([[9, 7, 5, 3, 1], [4]], "a", 2),
+        ([[10, 8], [9, 7, 5, 3, 1]], "b", 1),
+        ([[9, 7, 5, 3, 1], [6]], "c", 2),
+    ],
+    ids=["a", "b", "c"],
+)
+def test_classify_link_worked_pairs(lists, kind, param):
+    res = spin_lowest_k_type(ChainSet.from_lists(lists))
+    assert res.trace == (AppliedRule(kind, 0, 1, param),)
 
 
 def test_apply_rule_a_on_worked_rows():
-    layout = TauLayout((Chain(9, 5), Chain(4, 1)))
-    apply_rule(layout, 0, 1, Rule("a", 2))
-    assert layout.rows == [[5, 5, 5, 7, 5], [2]]
+    res = spin_lowest_k_type(ChainSet.from_lists([[9, 7, 5, 3, 1], [4]]))
+    assert res.rows == ((5, 5, 5, 7, 5), (2,))
 
 
 def test_apply_rule_refuses_second_write():
-    layout = TauLayout((Chain(9, 5), Chain(4, 1)))
-    apply_rule(layout, 0, 1, Rule("a", 2))
-    with pytest.raises(AlgorithmViolation):
-        apply_rule(layout, 0, 1, Rule("a", 2))
+    # overlapping pairs, which a ChainSet rejects: {4,2}, {3,1} and {2}
+    with pytest.raises(AlgorithmViolation, match="slot 0 of row 2 written twice"):
+        _rules(((4, 2), (3, 2), (2, 1)))
+
+
+def test_rules_assert_opposite_parity():
+    # {5,3,1} and {3} share an entry and a parity
+    with pytest.raises(AssertionError, match="opposite parity"):
+        _rules(((5, 3), (3, 1)))
 
 
 def test_single_chain_layout_unchanged():
@@ -142,3 +216,9 @@ def test_rules_run_on_exactly_the_linked_pairs(cs):
 def test_canonical_order_invariance(pair):
     cs, shuffled = pair
     assert spin_lowest_k_type(cs) == spin_lowest_k_type(shuffled)
+
+
+@given(chain_sets())
+def test_rules_equal_the_layout_reference(cs):
+    res = spin_lowest_k_type(cs)
+    assert (res.rows, res.trace, res.tau) == tau_by_layout(cs)
