@@ -50,7 +50,7 @@ VERIFY_CAP = 12
 # cells, 0.8 s at 46 and 1.0-1.1 s at 47; random triples are cheaper
 LR_CELL_CAP = 46
 # tau tests every pair of chains, and a chain holds at least one entry:
-# 5,000 singleton chains take about 1 s
+# 5,000 singleton chains take 1.1-1.3 s
 TAU_ENTRY_CAP = 5000
 
 

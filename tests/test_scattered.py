@@ -219,7 +219,8 @@ def test_every_decomposition_gives_an_involution_and_the_spin_identity():
             assert verify_spin_identity(res), cs.to_lists()
             rows, trace, tau = tau_by_layout(cs)
             assert (res.rows, res.trace, res.tau) == (rows, trace, tau), cs.to_lists()
-            _, pair_rows, pair_trace = _rules(_pairs(cs)[::-1])
+            ordered, pair_rows, pair_trace = _rules(_pairs(cs)[::-1])
+            assert ordered == [(c.top, c.length) for c in res.chains], cs.to_lists()
             assert (tuple(map(tuple, pair_rows)), tuple(pair_trace)) == (rows, trace), cs.to_lists()
 
 
