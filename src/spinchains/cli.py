@@ -153,9 +153,10 @@ def _cmd_count(args) -> int:
 
 def _cmd_verify(args) -> int:
     _check_rank(args.n, VERIFY_CAP)
-    lines, ok = run_verification(args.n)
-    for line in lines:
-        print(line)
+    ok = True
+    for line, line_ok in run_verification(args.n):
+        print(line, flush=True)
+        ok = ok and line_ok
     print(f"RESULT: {'PASS' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 

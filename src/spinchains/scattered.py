@@ -10,7 +10,8 @@ top-down search of that definition confirms them independently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
+from operator import sub
 
 from .chains import (
     Chain,
@@ -22,7 +23,7 @@ from .chains import (
     is_interlaced,
 )
 from .lr import multiplicity_in_induced
-from .spin import _rules, spin_lowest_k_type
+from .spin import _step, spin_lowest_k_type
 from .weights import (
     Weight,
     fundamental_pairing_signs,
@@ -297,45 +298,100 @@ def build_record(cs: ChainSet, with_multiplicity: bool = False) -> ScatteredReco
     )
 
 
-def _record(pairs: Pairs, rho: Weight, with_multiplicity: bool = False) -> dict:
-    """build_record(cs, with_multiplicity).as_dict() for cs given as its pairs.
+def _assemble(pairs: Pairs, vals: list[int], rho: Weight, with_multiplicity: bool) -> dict:
+    """build_record(cs, with_multiplicity).as_dict() for cs given as its pairs,
+    from the rows its rules left in vals (standard scale, any order).
 
-    rho is rho_doubled(n), made once per rank by the caller.  The entries
-    are listed and sorted once; their ranks give the involution (through
-    chains._flip, the rule behind _pairs_involution) and show that the
-    chains are disjoint.  A ChainSet is built only for
-    multiplicity_in_induced.
+    The entries are listed and sorted once; their ranks give the involution
+    through chains._flip, the rule behind _pairs_involution.  A ChainSet is
+    built only for multiplicity_in_induced.
     """
     chains = [list(range(top, top - 2 * length, -2)) for top, length in pairs]
-    entries = sorted((e for chain in chains for e in chain), reverse=True)
+    entries = sorted(chain.from_iterable(chains), reverse=True)
     rank = {e: i for i, e in enumerate(entries)}
-    if len(rank) < len(entries):
-        raise OverlappingChainsError(f"two chains share an entry: {chains}")
-    if entries[-1] != 1 or not _pairs_interlaced(pairs):
-        raise ValueError("not a scattered parameter: need interlaced chains with smallest entry 1")
-    _, rows, _ = _rules(pairs)
-    tau = sorted((2 * x for row in rows for x in row), reverse=True)
-    u_small = all(x <= 0 for x in fundamental_pairing_signs([t - 2 * r for t, r in zip(tau, rho)]))
-    mult = multiplicity_in_induced(_chain_set(pairs), tuple(tau)) if with_multiplicity else None
+    tau = sorted(vals, reverse=True)
+    mult = multiplicity_in_induced(_chain_set(pairs), tuple(2 * t for t in tau)) if with_multiplicity else None
     return {
         "n": len(entries),
         "chains": chains,
-        "lambda2_fund": [a - b for a, b in zip(entries, entries[1:])],
+        "lambda2_fund": list(map(sub, entries, entries[1:])),
         "s": _flip(chains, rank),
-        "tau_fund": [(a - b) // 2 for a, b in zip(tau, tau[1:])],
-        "gamma": sorted((t - r for t, r in zip(tau, rho)), reverse=True),
-        "u_small": u_small,
+        "tau_fund": list(map(sub, tau, tau[1:])),
+        "gamma": sorted([2 * t - r for t, r in zip(tau, rho)], reverse=True),
+        # the signs of 2 tau - 2 rho, halved
+        "u_small": all(x <= 0 for x in fundamental_pairing_signs(list(map(sub, tau, rho)))),
         "multiplicity": mult,
     }
 
 
+def _prefix_walk(leaves, rho: Weight, with_multiplicity: bool = False):
+    """The record of each scattered leaf, in the order given, from one walk
+    of the leaves as a trie of chain prefixes.
+
+    Each leaf lists its chains by descending top, and sorted leaves share
+    prefixes with their neighbours.  The walk keeps a stack with the state
+    after each chain of the current prefix: the rows as one flat list of
+    values and the write-once flags of `spin._step`.  On each leaf it pops
+    back to the prefix shared with the previous leaf and pushes only the
+    new chains, resolving each against every earlier chain linked with it.
+    A chain below all earlier tops links an earlier chain exactly when its
+    top lies above that chain's bottom, and it comes later in canonical
+    order exactly when its average is smaller: of two chains with equal
+    averages, the one with the lower top is the shorter, which comes first.
+    Every slot of a scattered parameter is written at most once, so the
+    rows do not depend on the order the linked pairs are resolved in.
+    """
+    chains: list[tuple] = []  # the current prefix's chains, as _step takes them
+    states = [([], [])]  # (vals, written) after each chain of the prefix
+    prev: Pairs = ()
+    for leaf in leaves:
+        shared = 0
+        for a, b in zip(prev, leaf):
+            if a != b:
+                break
+            shared += 1
+        del chains[shared:], states[shared + 1:]
+        vals, written = states[-1]
+        for top, length in leaf[shared:]:
+            avg = top - length + 1
+            c = (top, top - 2 * (length - 1), length, avg, len(vals), len(chains))
+            vals = vals + [avg] * length
+            written = written + [False] * length
+            for x in chains:
+                if top > x[1]:
+                    if x[3] > avg:
+                        _step(vals, written, x, c)
+                    else:
+                        _step(vals, written, c, x)
+            chains.append(c)
+            states.append((vals, written))
+        prev = leaf
+        yield _assemble(leaf, vals, rho, with_multiplicity)
+
+
+def _record(pairs, rho: Weight, with_multiplicity: bool = False) -> dict:
+    """build_record(cs, with_multiplicity).as_dict() for cs given as its
+    pairs, in any order: a one-leaf walk.  rho is rho_doubled(n).
+
+    Raises OverlappingChainsError if two chains share an entry, and
+    ValueError if the chains are not interlaced or their smallest entry is
+    not 1, as build_record does.
+    """
+    pairs = tuple(sorted(pairs, reverse=True))
+    chains = [range(top, top - 2 * length, -2) for top, length in pairs]
+    entries = list(chain.from_iterable(chains))
+    if len(set(entries)) < len(entries):
+        raise OverlappingChainsError(f"two chains share an entry: {list(map(list, chains))}")
+    if min(entries) != 1 or not _pairs_interlaced(pairs):
+        raise ValueError("not a scattered parameter: need interlaced chains with smallest entry 1")
+    return next(_prefix_walk([pairs], rho, with_multiplicity))
+
+
 def _records(n: int, with_multiplicity: bool = False):
     """The pair path: build_record(cs, with_multiplicity).as_dict() for each
-    cs of generate(n), in that order, one at a time.  build_record is its
-    test oracle."""
-    rho = rho_doubled(n)
-    for pairs in sorted(_leaves(n)):
-        yield _record(pairs, rho, with_multiplicity)
+    cs of generate(n), in that order, one at a time, from one
+    `_prefix_walk`.  build_record is its test oracle."""
+    yield from _prefix_walk(sorted(_leaves(n)), rho_doubled(n), with_multiplicity)
 
 
 def spherical_family(a: int, b: int) -> ChainSet:

@@ -46,57 +46,84 @@ class AppliedRule(NamedTuple):
     param: int  # the p of rules a/b, the q of rule c
 
 
+def _step(vals, written, ci, cj):
+    """Rule (a), (b) or (c) on the linked chains ci and cj, ci first in canonical order.
+
+    A chain is (top, bottom, length, avg, offset, row): its slots are
+    vals[offset:offset + length], all rows in one flat list with one
+    write-once flag per slot in `written`, and row is its index in
+    messages.  Each rule writes one run of consecutive slots in each row.
+    Returns (kind, p).
+    """
+    ti, bi, di, ki, oi, _ = ci
+    tj, _, dj, kj, oj, _ = cj
+    span = tj - bi
+    if span % 2 == 0:
+        raise AssertionError("linked chains must have opposite parity")
+    p = (span + 1) // 2
+    if ti > tj:
+        si, sj = di - p, 0
+        if dj <= p:
+            kind, run, vi, vj, step = "a", dj, ki + p, kj - p, -1
+        else:
+            kind, run, vi, vj, step = "b", p, ki + 1, kj - 1, 1
+    else:  # rule (c), with q = p
+        kind, run, si, sj = "c", di, 0, p - di
+        vi, vj, step = ki + p - di + 1, kj - p + di - 1, 1
+    if si < 0 or si + run > di or sj < 0 or sj + run > dj:
+        _refuse(written, ci, cj, si, sj, run)
+    a, b = oi + si, oj + sj
+    end = a + run
+    while a < end:
+        if written[a] or written[b]:
+            _refuse(written, ci, cj, a - oi, b - oj, 1)
+        written[a] = written[b] = True
+        vals[a] = vi
+        vals[b] = vj
+        a += 1
+        b += 1
+        vi += step
+        vj -= step
+    return kind, p
+
+
+def _refuse(written, ci, cj, si, sj, run):
+    """Raise AlgorithmViolation for the first bad write of `run` slots from
+    slot si of ci and slot sj of cj, taken in the order the rules state
+    them: slot by slot, row ci before row cj."""
+    for t in range(run):
+        for (_, _, length, _, offset, row), pos in ((ci, si + t), (cj, sj + t)):
+            if not 0 <= pos < length:
+                raise AlgorithmViolation(f"slot {pos} outside row {row}")
+            if written[offset + pos]:
+                raise AlgorithmViolation(f"slot {pos} of row {row} written twice")
+
+
 def _rules(pairs):
     """Rules (a), (b) and (c) on disjoint (top, length) pairs given in any order.
 
     Returns the pairs in canonical order, their final rows (standard scale)
-    and the trace in execution order as (kind, i, j, param) tuples.  Two
-    pairs are linked when their (top, bottom) spans straddle, as in
-    `is_linked`; the caller checks disjointness.
+    and the trace in execution order as (kind, i, j, param) tuples.  Each
+    chain j is resolved by `_step` against every earlier chain i linked
+    with it; two pairs are linked when their (top, bottom) spans straddle,
+    as in `is_linked`.  The caller checks disjointness.
     """
     ordered = sorted(pairs, key=_canonical_key)
-    spans = [(top, top - 2 * (length - 1)) for top, length in ordered]
-    avgs = [top - length + 1 for top, length in ordered]
-    rows = [[k] * length for k, (_, length) in zip(avgs, ordered)]
-    written = [[False] * length for _, length in ordered]
+    chains, vals = [], []
+    for row, (top, length) in enumerate(ordered):
+        avg = top - length + 1
+        chains.append((top, top - 2 * (length - 1), length, avg, len(vals), row))
+        vals += [avg] * length
+    written = [False] * len(vals)
     trace = []
-
-    def write(row: int, pos: int, value: int) -> None:
-        if not 0 <= pos < len(rows[row]):
-            raise AlgorithmViolation(f"slot {pos} outside row {row}")
-        if written[row][pos]:
-            raise AlgorithmViolation(f"slot {pos} of row {row} written twice")
-        written[row][pos] = True
-        rows[row][pos] = value
-
-    for j in range(1, len(ordered)):
-        tj, bj = spans[j]
-        dj, kj = ordered[j][1], avgs[j]
+    for j, cj in enumerate(chains):
+        tj, bj = cj[0], cj[1]
         for i in range(j):
-            ti, bi = spans[i]
-            if not (ti > tj > bi or tj > ti > bj):
-                continue
-            span = tj - bi
-            if span % 2 == 0:
-                raise AssertionError("linked chains must have opposite parity")
-            p = (span + 1) // 2
-            di, ki = ordered[i][1], avgs[i]
-            if ti > tj and dj <= p:
-                kind = "a"
-                for t in range(dj):
-                    write(i, di - p + t, ki + p - t)
-                    write(j, t, kj - p + t)
-            elif ti > tj:
-                kind = "b"
-                for t in range(p):
-                    write(i, di - p + t, ki + 1 + t)
-                    write(j, t, kj - 1 - t)
-            else:  # rule (c), with q = p
-                kind = "c"
-                for t in range(di):
-                    write(i, t, ki + (p - di + 1) + t)
-                    write(j, p - di + t, kj - (p - di + 1) - t)
-            trace.append((kind, i, j, p))
+            ci = chains[i]
+            if ci[0] > tj > ci[1] or tj > ci[0] > bj:
+                kind, p = _step(vals, written, ci, cj)
+                trace.append((kind, i, j, p))
+    rows = [vals[offset:offset + length] for _, _, length, _, offset, _ in chains]
     return ordered, rows, trace
 
 

@@ -265,17 +265,14 @@ CHECKS = (
 def run_verification(n_max: int):
     """Run every check of CHECKS up to rank n_max.
 
-    Returns (lines, ok): the human-readable lines of every check, each
-    failing one with its first offender, and the overall verdict.
+    Yields (line, ok) for each human-readable line, as soon as its check
+    makes it: a failing line names its first offender.  The run passes
+    when every line does.
     """
     if n_max < 2:
         raise ValueError("need n_max >= 2")
     ranks = build_ranks(n_max)
-    lines: list[str] = []
-    all_ok = True
     for check in CHECKS:
         for label, ok, detail in check(ranks, n_max):
-            all_ok = all_ok and ok
             suffix = f" ({detail})" if detail else ""
-            lines.append(f"{label}: {'PASS' if ok else 'FAIL'}{suffix}")
-    return lines, all_ok
+            yield f"{label}: {'PASS' if ok else 'FAIL'}{suffix}", ok

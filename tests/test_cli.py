@@ -130,16 +130,17 @@ def test_enumerate_output_is_pinned(argv, lines, sha256, capsys):
 
 @pytest.mark.parametrize("fmt, header_lines", [("--json", 0), ("--table", 2)])
 def test_enumerate_writes_each_record_before_building_the_next(monkeypatch, fmt, header_lines):
+    # the prefix walk builds each record in scattered._assemble, once per leaf
     out = io.StringIO()
     lines_at_build = []
 
-    record = scattered._record
+    assemble = scattered._assemble
 
-    def counting_record(*args):
+    def counting_assemble(*args):
         lines_at_build.append(out.getvalue().count("\n"))
-        return record(*args)
+        return assemble(*args)
 
-    monkeypatch.setattr(scattered, "_record", counting_record)
+    monkeypatch.setattr(scattered, "_assemble", counting_assemble)
     with contextlib.redirect_stdout(out):
         assert cli.main(["enumerate", "-n", "6", fmt]) == 0
     assert lines_at_build == [header_lines + k for k in range(16)]
@@ -164,6 +165,21 @@ def test_verify_failure_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(verify, "CHECKS", (failing,))
     assert cli.main(["verify", "-n", "3"]) == 1
     assert capsys.readouterr().out.splitlines() == ["always fails: FAIL", "RESULT: FAIL"]
+
+
+def test_verify_prints_each_line_before_the_next_check_runs(monkeypatch):
+    out = io.StringIO()
+    printed_before = []
+
+    def doctored(ranks, n_max):
+        printed_before.append(out.getvalue())
+        yield "doctored check", False, "first offender"
+
+    monkeypatch.setattr(verify, "CHECKS", (verify.check_count, doctored))
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["verify", "-n", "3"]) == 1
+    assert printed_before == ["count n=2: PASS (1 parameters)\ncount n=3: PASS (2 parameters)\n"]
+    assert out.getvalue().splitlines()[2:] == ["doctored check: FAIL (first offender)", "RESULT: FAIL"]
 
 
 def test_lr_command(capsys):

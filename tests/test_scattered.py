@@ -1,12 +1,19 @@
+import functools
 import json
+from collections import Counter
 from itertools import accumulate, combinations, product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from spinchains import scattered, spin
 
 from spinchains.chains import (
     Chain,
     ChainSet,
     OverlappingChainsError,
+    _canonical_key,
     _pairs_interlaced,
     extract_involution,
     is_interlaced,
@@ -19,6 +26,7 @@ from spinchains.scattered import (
     _leaves,
     _pair_decompositions,
     _pairs,
+    _prefix_walk,
     _record,
     _records,
     _unbranch,
@@ -226,10 +234,80 @@ def test_every_decomposition_gives_an_involution_and_the_spin_identity():
 
 def test_pair_path_records_equal_build_record():
     # build_record is the oracle of the records `enumerate` prints
-    for n in range(2, 13):
+    for n in range(2, 14):
         assert list(_records(n)) == [build_record(cs).as_dict() for cs in generate(n)], n
     for n in range(2, 8):
         assert list(_records(n, True)) == [build_record(cs, True).as_dict() for cs in generate(n)], n
+
+
+@functools.cache
+def sorted_leaves(n: int) -> list:
+    return sorted(_leaves(n))
+
+
+@st.composite
+def leaf_subsets(draw):
+    """A rank n <= 12 and a sorted subset of its leaves, so that the prefix
+    walk must pop back across the gaps between them."""
+    n = draw(st.integers(2, 12))
+    leaves = sorted_leaves(n)
+    picks = draw(st.lists(st.integers(0, len(leaves) - 1), max_size=40, unique=True))
+    return n, [leaves[i] for i in sorted(picks)]
+
+
+@given(leaf_subsets())
+def test_prefix_walk_on_any_sorted_subset_equals_build_record(drawn):
+    n, leaves = drawn
+    assert list(_prefix_walk(leaves, rho_doubled(n))) == [build_record(_chain_set(p)).as_dict() for p in leaves]
+
+
+def test_prefix_walk_resolves_each_linked_pair_once_per_prefix(monkeypatch):
+    # the 1,024 rank-12 leaves have 1,812 distinct chain prefixes; the walk
+    # resolves 1,756 linked pairs on them, where the rules run leaf by leaf
+    # resolve 2,816.  At rank 16 the counts are 28,894 and 61,440
+    calls = Counter()
+
+    def counted(name, step):
+        def wrapper(*args):
+            calls[name] += 1
+            return step(*args)
+
+        return wrapper
+
+    def in_canonical_order(vals, written, ci, cj):
+        # chains are (top, bottom, length, ...), handed over as _rules does
+        assert _canonical_key((ci[0], ci[2])) < _canonical_key((cj[0], cj[2]))
+        return spin._step(vals, written, ci, cj)
+
+    monkeypatch.setattr(scattered, "_step", counted("walk", in_canonical_order))
+    assert len(list(_records(12))) == 1024
+    monkeypatch.setattr(spin, "_step", counted("per leaf", spin._step))
+    for pairs in _leaves(12):
+        _rules(pairs)
+    assert calls == {"walk": 1756, "per leaf": 2816}
+
+
+@pytest.mark.parametrize(
+    "pairs, error",
+    [
+        (((5, 3), (3, 1)), OverlappingChainsError),  # {5,3,1} {3}
+        (((7, 2), (3, 2), (3, 1)), OverlappingChainsError),  # {7,5} {3,1} {3}: not interlaced either
+        (((5, 2),), ValueError),  # {5,3}: smallest entry 3
+        (((10, 2), (9, 2), (6, 2), (5, 3)), ValueError),  # {10,8} {9,7} {6,4} {5,3,1}: not interlaced
+    ],
+    ids=["overlapping", "overlapping-and-not-interlaced", "smallest-entry-3", "not-interlaced"],
+)
+def test_record_rejects_what_build_record_rejects(pairs, error):
+    with pytest.raises(ValueError) as raised:
+        _record(pairs, rho_doubled(sum(length for _, length in pairs)))
+    assert raised.type is error
+
+
+def test_record_sorts_pairs_given_in_any_order():
+    # _record sorts the pairs by descending top, as a ChainSet stores them
+    for pairs in _leaves(7):
+        expected = build_record(_chain_set(pairs)).as_dict()
+        assert _record(pairs[::-1], rho_doubled(7)) == _record(pairs, rho_doubled(7)) == expected, pairs
 
 
 def test_is_u_small_examples():

@@ -129,6 +129,14 @@ def test_apply_rule_refuses_second_write():
         _rules(((4, 2), (3, 2), (2, 1)))
 
 
+def test_apply_rule_names_the_first_clash_inside_a_run():
+    # overlapping pairs: {6,4,2}, {5,3,1} and {3}, in canonical order rows
+    # 0, 2 and 1.  Rule (a) on rows 0 and 1 writes slot 2 of row 0; rule (b)
+    # on rows 0 and 2 then writes slots 1 and 2 of row 0, and slot 1 is free
+    with pytest.raises(AlgorithmViolation, match="slot 2 of row 0 written twice"):
+        _rules(((6, 3), (5, 3), (3, 1)))
+
+
 def test_rules_assert_opposite_parity():
     # {5,3,1} and {3} share an entry and a parity
     with pytest.raises(AssertionError, match="opposite parity"):

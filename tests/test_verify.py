@@ -156,7 +156,7 @@ def test_oracle_fails_on_a_rank_out_of_order():
 
 def test_run_verification_rejects_tiny_rank():
     with pytest.raises(ValueError):
-        run_verification(1)
+        next(run_verification(1))
 
 
 @pytest.mark.parametrize("name", DOCTORED)
@@ -166,7 +166,7 @@ def test_sweep_fails_on_a_doctored_parameter(name, monkeypatch):
     ranks[4].insert(0, bad)
     monkeypatch.setattr(verify, "build_ranks", lambda n_max: ranks)
     monkeypatch.setattr(verify, "CHECKS", [c for c in verify.CHECKS if c.__name__ == name])
-    [line], ok = run_verification(4)
+    [(line, ok)] = run_verification(4)
     assert not ok
     assert line.endswith(f", n<=4: FAIL ({bad.cs.to_json()})")
 
@@ -188,7 +188,7 @@ def test_equivalence_failure_names_the_first_offender(monkeypatch):
         for cs in all_chain_decompositions(n)
         if is_interlaced(cs) != involves_all_simple_reflections(fake([(c.top, c.length) for c in cs.chains]))
     )
-    [line], ok = run_verification(7)
+    [(line, ok)] = run_verification(7)
     assert not ok
     assert line == f"interlaced <=> involution uses all reflections, n<=7: FAIL ({bad.to_json()})"
     assert bad.to_json() == '{"chains": [[3, 1], [2]]}'
