@@ -300,7 +300,8 @@ def build_record(cs: ChainSet, with_multiplicity: bool = False) -> ScatteredReco
 
 def _assemble(pairs: Pairs, vals: list[int], rho: Weight, with_multiplicity: bool) -> dict:
     """build_record(cs, with_multiplicity).as_dict() for cs given as its pairs,
-    from the rows its rules left in vals (standard scale, any order).
+    from the rows its rules left in vals (standard scale, any order); rho
+    is rho_doubled(n), made once per rank by the caller.
 
     The entries are listed and sorted once; their ranks give the involution
     through chains._flip, the rule behind _pairs_involution.  A ChainSet is
@@ -318,7 +319,7 @@ def _assemble(pairs: Pairs, vals: list[int], rho: Weight, with_multiplicity: boo
         "s": _flip(chains, rank),
         "tau_fund": list(map(sub, tau, tau[1:])),
         "gamma": sorted([2 * t - r for t, r in zip(tau, rho)], reverse=True),
-        # the signs of 2 tau - 2 rho, halved
+        # is_u_small(2 tau): tau - rho pairs with the signs of 2 tau - 2 rho
         "u_small": all(x <= 0 for x in fundamental_pairing_signs(list(map(sub, tau, rho)))),
         "multiplicity": mult,
     }

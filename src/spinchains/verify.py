@@ -267,7 +267,8 @@ def run_verification(n_max: int):
 
     Yields (line, ok) for each human-readable line, as soon as its check
     makes it: a failing line names its first offender.  The run passes
-    when every line does.
+    when every line does.  A generator: n_max < 2 raises ValueError when
+    the first line is asked for.
     """
     if n_max < 2:
         raise ValueError("need n_max >= 2")

@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spinchains import scattered, spin
-
 from spinchains.chains import (
     Chain,
     ChainSet,
