@@ -6,10 +6,10 @@ chain set, 4 size bound exceeded.  The bounds: 2 <= n <= 16 for enumerate
 (n <= 12 with --with-multiplicity) and count, 2 <= n <= 12 for verify,
 a + b <= 16 for spherical, at most 46 filled cells, min(|inner|,
 |outer| - |inner|), for lr, and at most 5,000 entries for tau.  Every
-failure (exit 2, 3 or 4) prints exactly one `error:` line on stderr and
-nothing on stdout.  Weights are printed in doubled coordinates wherever
-the standard value could be half-integral; halve to recover the standard
-scale.
+failure (exit 2, 3 or 4), a command line the parser refuses included,
+prints exactly one `error:` line on stderr and nothing on stdout.
+Weights are printed in doubled coordinates wherever the standard value
+could be half-integral; halve to recover the standard scale.
 """
 
 from __future__ import annotations
@@ -59,6 +59,14 @@ class _CliError(Exception):
 
     Not a ValueError, so a library ValueError is never mistaken for one.
     """
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose parse errors raise _CliError(EXIT_PARSE, ...)
+    instead of printing usage and exiting; its subparsers are _Parsers too."""
+
+    def error(self, message):
+        raise _CliError(EXIT_PARSE, message)
 
 
 def _fmt_vec(v) -> str:
@@ -204,7 +212,7 @@ def _cmd_spherical(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="spinchains", description=__doc__)
+    parser = _Parser(prog="spinchains", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("tau", help="spin-lowest K-type of a chain set")
@@ -246,8 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _CliError as exc:
         code, message = exc.args

@@ -237,7 +237,7 @@ def _grow_candidates(mu: Partition, k: int, d: int, limit: Partition):
     yield from rec(0, goal, goal)
 
 
-def multiplicity_in_induced(cs: ChainSet, delta: Weight, shift: int | None = None) -> int:
+def multiplicity_in_induced(cs: ChainSet, delta: Weight) -> int:
     """Multiplicity of the K-type with doubled highest weight delta.
 
     The module is induced from the unitary characters det^(k_i) of GL(d_i)
@@ -259,11 +259,7 @@ def multiplicity_in_induced(cs: ChainSet, delta: Weight, shift: int | None = Non
     ordered = canonical_order(cs)
     if sum(delta_std) != sum(c.avg * c.length for c in ordered):
         return 0
-    min_needed = max(0, -min(c.avg for c in ordered), -delta_std[-1])
-    if shift is None:
-        shift = min_needed
-    elif shift < min_needed:
-        raise ValueError(f"shift {shift} leaves negative coordinates (need >= {min_needed})")
+    shift = max(0, -min(c.avg for c in ordered), -delta_std[-1])
     target = normalize_partition(x + shift for x in delta_std)
 
     states: dict[Partition, int] = {(): 1}

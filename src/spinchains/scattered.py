@@ -13,23 +13,10 @@ from dataclasses import dataclass
 from itertools import chain, islice
 from operator import sub
 
-from .chains import (
-    Chain,
-    ChainSet,
-    OverlappingChainsError,
-    _flip,
-    _pairs_interlaced,
-    extract_involution,
-    is_interlaced,
-)
+from .chains import Chain, ChainSet, _flip, _pairs_interlaced, is_interlaced
 from .lr import multiplicity_in_induced
 from .spin import _step, spin_lowest_k_type
-from .weights import (
-    Weight,
-    fundamental_pairing_signs,
-    rho_doubled,
-    to_fundamental,
-)
+from .weights import Weight, fundamental_pairing_signs, rho_doubled
 
 
 Pairs = tuple[tuple[int, int], ...]  # (top, length) of each chain, tops descending
@@ -167,8 +154,8 @@ def reduce(cs: ChainSet) -> ChainSet:
     return _chain_set(_unbranch(_pairs(cs)))
 
 
-def _pair_decompositions(n: int, max_entry: int | None = None):
-    """`all_chain_decompositions(n, max_entry)` as pairs, searched as in
+def _pair_decompositions(n: int):
+    """`all_chain_decompositions(n)` as pairs, searched as in
     `_interlaced_pairs`: a top is at least the entries still due, and room
     is kept for the entry 1."""
     if n < 2:
@@ -190,16 +177,17 @@ def _pair_decompositions(n: int, max_entry: int | None = None):
                     chosen.pop()
                 bottom -= 2
 
-    yield from grow(0, 0, (2 * n - 1 if max_entry is None else max_entry) + 1)
+    yield from grow(0, 0, 2 * n)
 
 
-def all_chain_decompositions(n: int, max_entry: int | None = None):
-    """Every disjoint chain decomposition with n entries and smallest entry 1.
+def all_chain_decompositions(n: int):
+    """Every disjoint chain decomposition with n entries, smallest entry 1
+    and largest entry at most 2n - 1, the bound of every interlaced one.
 
     No interlacing requirement; used to probe both directions of the
     correspondence between interlacing and the extracted involution.
     """
-    yield from map(_chain_set, _pair_decompositions(n, max_entry))
+    yield from map(_chain_set, _pair_decompositions(n))
 
 
 def _interlaced_pairs(n: int):
@@ -280,28 +268,31 @@ class ScatteredRecord:
 
 
 def build_record(cs: ChainSet, with_multiplicity: bool = False) -> ScatteredRecord:
-    """Assemble the per-representation report for a scattered parameter."""
+    """The record of a scattered parameter: the rows of its
+    spin_lowest_k_type run, assembled by `_assemble` as `enumerate`'s are."""
     if cs.min_entry() != 1 or not is_interlaced(cs):
         raise ValueError("not a scattered parameter: need interlaced chains with smallest entry 1")
-    res = spin_lowest_k_type(cs)
-    tau_std = tuple(x // 2 for x in res.tau)
-    mult = multiplicity_in_induced(cs, res.tau) if with_multiplicity else None
+    vals = [x for row in spin_lowest_k_type(cs).rows for x in row]
+    rec = _assemble(_pairs(cs), vals, rho_doubled(cs.n), with_multiplicity)
     return ScatteredRecord(
         n=cs.n,
         chains=cs,
-        lambda2_fund=tuple(x // 2 for x in to_fundamental(res.lambda2)),
-        s=extract_involution(cs),
-        tau_fund=to_fundamental(tau_std),
-        gamma=res.gamma,
-        u_small=is_u_small(res.tau),
-        multiplicity=mult,
+        lambda2_fund=tuple(rec["lambda2_fund"]),
+        s=tuple(rec["s"]),
+        tau_fund=tuple(rec["tau_fund"]),
+        gamma=tuple(rec["gamma"]),
+        u_small=rec["u_small"],
+        multiplicity=rec["multiplicity"],
     )
 
 
 def _assemble(pairs: Pairs, vals: list[int], rho: Weight, with_multiplicity: bool) -> dict:
-    """build_record(cs, with_multiplicity).as_dict() for cs given as its pairs,
-    from the rows its rules left in vals (standard scale, any order); rho
-    is rho_doubled(n), made once per rank by the caller.
+    """The record of the scattered parameter with chains `pairs` (tops
+    descending), as the dict `enumerate` prints, from the rows its rules
+    left in vals (standard scale, any order); rho is rho_doubled(n), made
+    once per rank by the caller.  The one place the record's fields are
+    computed: `_prefix_walk` calls it on each leaf, and `build_record`
+    wraps it in a ScatteredRecord.
 
     The entries are listed and sorted once; their ranks give the involution
     through chains._flip, the rule behind _pairs_involution.  A ChainSet is
@@ -370,28 +361,9 @@ def _prefix_walk(leaves, rho: Weight, with_multiplicity: bool = False):
         yield _assemble(leaf, vals, rho, with_multiplicity)
 
 
-def _record(pairs, rho: Weight, with_multiplicity: bool = False) -> dict:
-    """build_record(cs, with_multiplicity).as_dict() for cs given as its
-    pairs, in any order: a one-leaf walk.  rho is rho_doubled(n).
-
-    Raises OverlappingChainsError if two chains share an entry, and
-    ValueError if the chains are not interlaced or their smallest entry is
-    not 1, as build_record does.
-    """
-    pairs = tuple(sorted(pairs, reverse=True))
-    chains = [range(top, top - 2 * length, -2) for top, length in pairs]
-    entries = list(chain.from_iterable(chains))
-    if len(set(entries)) < len(entries):
-        raise OverlappingChainsError(f"two chains share an entry: {list(map(list, chains))}")
-    if min(entries) != 1 or not _pairs_interlaced(pairs):
-        raise ValueError("not a scattered parameter: need interlaced chains with smallest entry 1")
-    return next(_prefix_walk([pairs], rho, with_multiplicity))
-
-
 def _records(n: int, with_multiplicity: bool = False):
-    """The pair path: build_record(cs, with_multiplicity).as_dict() for each
-    cs of generate(n), in that order, one at a time, from one
-    `_prefix_walk`.  build_record is its test oracle."""
+    """build_record(cs, with_multiplicity).as_dict() for each cs of
+    generate(n), in that order, one at a time, from one `_prefix_walk`."""
     yield from _prefix_walk(sorted(_leaves(n)), rho_doubled(n), with_multiplicity)
 
 

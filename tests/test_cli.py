@@ -256,6 +256,11 @@ TOO_MANY_ENTRIES = json.dumps({"chains": [[2 * k + 1] for k in range(cli.TAU_ENT
         pytest.param("spherical -a 2 -b 2", None, 2, None, id="spherical-invalid"),
         pytest.param("spherical -a 300001 -b 2", None, 4, "error: a + b must be at most 16", id="spherical-huge"),
         pytest.param("spherical -a 9 -b 8", None, 4, "error: a + b must be at most 16", id="spherical-rank-17"),
+        # parse errors of the command line itself, caught before any command runs
+        pytest.param("enumerate -n x", None, 2, "error: argument -n: invalid int value: 'x'", id="enumerate-n-not-int"),
+        pytest.param("enumerate -n 4 --json --table", None, 2, None, id="enumerate-json-and-table"),
+        pytest.param("lr --weight 1", None, 2, "error: the following arguments are required: --outer", id="lr-no-outer"),
+        pytest.param("", None, 2, "error: the following arguments are required: command", id="no-command"),
     ],
 )
 def test_failure_prints_one_error_line(tmp_path, capsys, argv, content, code, err):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinchains import lr
-from spinchains.chains import ChainSet
+from spinchains.chains import Chain, ChainSet
 from spinchains.lr import (
     _count_tableaux,
     _grow_candidates,
@@ -283,10 +283,14 @@ def test_multiplicity_of_lowest_k_type_over_enumeration():
 
 
 def test_multiplicity_shift_invariance():
-    res = spin_lowest_k_type(EX22)
-    base = multiplicity_in_induced(EX22, res.tau)
-    assert multiplicity_in_induced(EX22, res.tau, shift=3) == base
-    assert multiplicity_in_induced(EX22, res.tau, shift=7) == base
+    # moving every chain by 2t moves each average, and so tau, by 2t (4t
+    # doubled).  The shift multiplicity_in_induced picks is 0 for t >= 0
+    # and 4 and 12 for t = -3 and -7
+    tau = spin_lowest_k_type(EX22).tau
+    assert multiplicity_in_induced(EX22, tau) == 1
+    for t in (-7, -3, 1, 3, 7):
+        moved = ChainSet(tuple(Chain(c.top + 2 * t, c.length) for c in EX22.chains))
+        assert multiplicity_in_induced(moved, tuple(x + 4 * t for x in tau)) == 1, t
 
 
 def test_multiplicity_handles_negative_averages():
@@ -306,8 +310,6 @@ def test_multiplicity_rejects_malformed_delta():
         multiplicity_in_induced(EX22, (0, 2) + (0,) * 7)  # not dominant
     with pytest.raises(ValueError):
         multiplicity_in_induced(EX22, (2, 0))  # wrong length
-    with pytest.raises(ValueError):
-        multiplicity_in_induced(EX22, lowest_k_type(EX22), shift=-100)
 
 
 def test_grow_candidates_prunes_only_zero_coefficients():

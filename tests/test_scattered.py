@@ -19,14 +19,15 @@ from spinchains.chains import (
     is_involution,
     lambda_doubled,
 )
+from spinchains.lr import multiplicity_in_induced
 from spinchains.scattered import (
+    ScatteredRecord,
     _chain_set,
     _interlaced_pairs,
     _leaves,
     _pair_decompositions,
     _pairs,
     _prefix_walk,
-    _record,
     _records,
     _unbranch,
     all_chain_decompositions,
@@ -182,19 +183,20 @@ def test_top_down_search_equals_the_branching_tree():
         assert list(_interlaced_pairs(n)) == sorted(_leaves(n)), n
 
 
+def split_entry_sets(n: int, top: int):
+    """Every split of every set of n entries with smallest entry 1 and
+    largest at most top, as pairs with tops descending."""
+    for rest in combinations(range(2, top + 1), n - 1):
+        for pairs in split_entries((1,) + rest):
+            yield tuple(sorted(pairs, reverse=True))
+
+
 def test_pair_decompositions_equal_the_split_entry_sets():
     # every entry set with smallest entry 1, split in every way: how
     # _pair_decompositions found them before its top-down search
     for n in range(2, 8):
-        for max_entry in (None, 2 * n + 1):
-            top = 2 * n - 1 if max_entry is None else max_entry
-            split = [
-                tuple(sorted(pairs, reverse=True))
-                for rest in combinations(range(2, top + 1), n - 1)
-                for pairs in split_entries((1,) + rest)
-            ]
-            found = list(_pair_decompositions(n, max_entry))
-            assert len(set(found)) == len(found) and sorted(found) == sorted(split), (n, max_entry)
+        found = list(_pair_decompositions(n))
+        assert len(set(found)) == len(found) and sorted(found) == sorted(split_entry_sets(n, 2 * n - 1)), n
 
 
 def test_record_order_is_the_to_lists_order():
@@ -208,10 +210,11 @@ def test_record_order_is_the_to_lists_order():
 
 
 def test_interlaced_decompositions_with_larger_entries_are_generated():
-    # neither the oracle's step walk nor a gap filter: every decomposition
-    # with entries up to 2n + 1, kept when interlaced
+    # neither the oracle's step walk, nor a gap filter, nor a search of
+    # src/: every split of every entry set up to 2n + 1, kept when interlaced
     for n in range(2, 8):
-        assert {cs for cs in all_chain_decompositions(n, 2 * n + 1) if is_interlaced(cs)} == set(generate(n))
+        found = [pairs for pairs in split_entry_sets(n, 2 * n + 1) if _pairs_interlaced(pairs)]
+        assert sorted(found) == list(map(_pairs, generate(n))), n
 
 
 def test_every_decomposition_gives_an_involution_and_the_spin_identity():
@@ -231,12 +234,33 @@ def test_every_decomposition_gives_an_involution_and_the_spin_identity():
             assert (tuple(map(tuple, pair_rows)), tuple(pair_trace)) == (rows, trace), cs.to_lists()
 
 
+def record_on_chain_sets(cs: ChainSet, with_multiplicity: bool = False) -> ScatteredRecord:
+    """build_record as it was written field by field on a ChainSet, before
+    it read its fields from `scattered._assemble`: the reference of both
+    record paths."""
+    if cs.min_entry() != 1 or not is_interlaced(cs):
+        raise ValueError("not a scattered parameter: need interlaced chains with smallest entry 1")
+    res = spin_lowest_k_type(cs)
+    return ScatteredRecord(
+        n=cs.n,
+        chains=cs,
+        lambda2_fund=tuple(x // 2 for x in to_fundamental(res.lambda2)),
+        s=extract_involution(cs),
+        tau_fund=to_fundamental(tuple(x // 2 for x in res.tau)),
+        gamma=res.gamma,
+        u_small=is_u_small(res.tau),
+        multiplicity=multiplicity_in_induced(cs, res.tau) if with_multiplicity else None,
+    )
+
+
 def test_pair_path_records_equal_build_record():
-    # build_record is the oracle of the records `enumerate` prints
-    for n in range(2, 14):
-        assert list(_records(n)) == [build_record(cs).as_dict() for cs in generate(n)], n
-    for n in range(2, 8):
-        assert list(_records(n, True)) == [build_record(cs, True).as_dict() for cs in generate(n)], n
+    # both record paths against the field-by-field reference: the records
+    # `enumerate` prints, and build_record's, tuple fields included
+    for n, with_multiplicity in [*((n, False) for n in range(2, 14)), *((n, True) for n in range(2, 8))]:
+        expected = [record_on_chain_sets(cs, with_multiplicity) for cs in generate(n)]
+        assert list(_records(n, with_multiplicity)) == [rec.as_dict() for rec in expected], (n, with_multiplicity)
+        if n <= 10:
+            assert [build_record(cs, with_multiplicity) for cs in generate(n)] == expected, (n, with_multiplicity)
 
 
 @functools.cache
@@ -255,9 +279,9 @@ def leaf_subsets(draw):
 
 
 @given(leaf_subsets())
-def test_prefix_walk_on_any_sorted_subset_equals_build_record(drawn):
+def test_prefix_walk_on_any_sorted_subset_equals_the_reference(drawn):
     n, leaves = drawn
-    assert list(_prefix_walk(leaves, rho_doubled(n))) == [build_record(_chain_set(p)).as_dict() for p in leaves]
+    assert list(_prefix_walk(leaves, rho_doubled(n))) == [record_on_chain_sets(_chain_set(p)).as_dict() for p in leaves]
 
 
 def test_prefix_walk_resolves_each_linked_pair_once_per_prefix(monkeypatch):
@@ -297,16 +321,11 @@ def test_prefix_walk_resolves_each_linked_pair_once_per_prefix(monkeypatch):
     ids=["overlapping", "overlapping-and-not-interlaced", "smallest-entry-3", "not-interlaced"],
 )
 def test_record_rejects_what_build_record_rejects(pairs, error):
+    # overlapping chains are refused when the ChainSet is built, before
+    # build_record's own check can run
     with pytest.raises(ValueError) as raised:
-        _record(pairs, rho_doubled(sum(length for _, length in pairs)))
+        build_record(_chain_set(pairs))
     assert raised.type is error
-
-
-def test_record_sorts_pairs_given_in_any_order():
-    # _record sorts the pairs by descending top, as a ChainSet stores them
-    for pairs in _leaves(7):
-        expected = build_record(_chain_set(pairs)).as_dict()
-        assert _record(pairs[::-1], rho_doubled(7)) == _record(pairs, rho_doubled(7)) == expected, pairs
 
 
 def test_is_u_small_examples():
@@ -323,10 +342,6 @@ def test_build_record_rejects_non_scattered():
         cs = ChainSet.from_lists(lists)
         with pytest.raises(ValueError):
             build_record(cs)
-        with pytest.raises(ValueError):
-            _record(_pairs(cs), rho_doubled(cs.n))
-    with pytest.raises(OverlappingChainsError):
-        _record(((5, 3), (3, 1)), rho_doubled(4))
 
 
 def test_record_json_shape():
