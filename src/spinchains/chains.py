@@ -12,8 +12,8 @@ chain in place.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass
-from operator import attrgetter
 
 from .weights import Weight
 
@@ -22,16 +22,16 @@ class OverlappingChainsError(ValueError):
     """Two chains of one parameter share an entry."""
 
 
-@dataclass(frozen=True)
-class Chain:
-    """Arithmetic sequence top, top-2, ..., top-2*(length-1), stored by endpoints."""
+class Chain(namedtuple("Chain", "top length")):
+    """Arithmetic sequence top, top-2, ..., top-2*(length-1), stored by
+    endpoints: it is its (top, length) pair, and compares and hashes as one."""
 
-    top: int
-    length: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.length < 1:
+    def __new__(cls, top: int, length: int):
+        if length < 1:
             raise ValueError("chain length must be positive")
+        return super().__new__(cls, top, length)
 
     @property
     def bottom(self) -> int:
@@ -65,9 +65,11 @@ class Chain:
 class ChainSet:
     """Disjoint union of chains, stored by descending top.
 
-    Disjoint chains have distinct tops, so the stored order is a normal
-    form: two ChainSets are equal, and hash alike, exactly when they hold
-    the same chains.
+    The chains may be given as Chains or as plain (top, length) pairs, in
+    any order; each is built through Chain's check, and overlap is reported
+    in the order given.  Disjoint chains have distinct tops, so the stored
+    order is a normal form: two ChainSets are equal, and hash alike, exactly
+    when they hold the same chains.
     """
 
     chains: tuple[Chain, ...]
@@ -75,13 +77,14 @@ class ChainSet:
     def __post_init__(self):
         if not self.chains:
             raise ValueError("chain set needs at least one chain")
+        chains = [Chain(*c) for c in self.chains]
         seen = set()
-        for c in self.chains:
+        for c in chains:
             for e in c.entries():
                 if e in seen:
                     raise OverlappingChainsError(f"entry {e} appears in two chains")
                 seen.add(e)
-        object.__setattr__(self, "chains", tuple(sorted(self.chains, key=attrgetter("top"), reverse=True)))
+        object.__setattr__(self, "chains", tuple(sorted(chains, reverse=True)))
 
     @property
     def n(self) -> int:
@@ -167,7 +170,7 @@ def is_interlaced(cs: ChainSet) -> bool:
     A single chain counts as interlaced.  The chains of a ChainSet are
     disjoint by construction, so no overlap check is repeated here.
     """
-    return _pairs_interlaced([(c.top, c.length) for c in cs.chains])
+    return _pairs_interlaced(cs.chains)
 
 
 def _canonical_key(pair: tuple[int, int]) -> tuple[int, int]:
@@ -182,7 +185,7 @@ def canonical_order(cs: ChainSet) -> tuple[Chain, ...]:
     The order is total: equal average and equal length would force two
     identical chains, which disjointness already rules out.
     """
-    return tuple(sorted(cs.chains, key=lambda c: _canonical_key((c.top, c.length))))
+    return tuple(sorted(cs.chains, key=_canonical_key))
 
 
 def lambda_doubled(cs: ChainSet) -> Weight:
@@ -224,7 +227,7 @@ def _pairs_involution(pairs) -> tuple[int, ...]:
 def extract_involution(cs: ChainSet) -> tuple[int, ...]:
     """One-line notation of the involution s encoded by the chain set; see
     `_pairs_involution`."""
-    return _pairs_involution([(c.top, c.length) for c in cs.chains])
+    return _pairs_involution(cs.chains)
 
 
 def is_involution(perm: tuple[int, ...]) -> bool:

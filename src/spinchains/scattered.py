@@ -11,23 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, islice
-from operator import sub
+from operator import attrgetter, sub
 
-from .chains import Chain, ChainSet, _flip, _pairs_interlaced, is_interlaced
+from .chains import ChainSet, _flip, _pairs_interlaced, is_interlaced
 from .lr import multiplicity_in_induced
 from .spin import _step, spin_lowest_k_type
 from .weights import Weight, fundamental_pairing_signs, rho_doubled
 
 
 Pairs = tuple[tuple[int, int], ...]  # (top, length) of each chain, tops descending
-
-
-def _pairs(cs: ChainSet) -> Pairs:
-    return tuple((c.top, c.length) for c in cs.chains)
-
-
-def _chain_set(pairs) -> ChainSet:
-    return ChainSet(tuple(Chain(top, length) for top, length in pairs))
 
 
 def _branch(pairs: Pairs) -> tuple[Pairs, Pairs]:
@@ -76,10 +68,7 @@ def expand(cs: ChainSet) -> tuple[ChainSet, ChainSet]:
     """The two interlaced children with one extra entry; the rule is `_branch`'s."""
     if cs.min_entry() != 1:
         raise ValueError("expand needs smallest entry 1")
-    # a child shares all but one chain with cs; reusing those Chains keeps
-    # generate as fast as building each child from cs directly
-    kept = {(c.top, c.length): c for c in cs.chains}
-    return tuple(ChainSet(tuple(kept.get(pair) or Chain(*pair) for pair in child)) for child in _branch(_pairs(cs)))
+    return tuple(map(ChainSet, _branch(cs.chains)))
 
 
 _BASE: Pairs = ((3, 2),)  # the parameter {3, 1}, the root of the branching tree
@@ -110,7 +99,7 @@ def generate(n: int) -> list[ChainSet]:
 
     Leaves of the branching tree at depth n - 2, walked with expand, in
     ascending to_lists order: the record order of `spinchains enumerate`.
-    They are sorted on their tuples of (top, length) pairs, which gives the
+    They are sorted on their chains, (top, length) pairs, which gives the
     same order without building the entry lists.  Proof: the pairs and the
     entry lists both hold the chains by descending top, so it suffices that
     two chains' entry lists compare as their pairs do.  Lists with
@@ -118,7 +107,7 @@ def generate(n: int) -> list[ChainSet]:
     far as the shorter one goes, so the shorter is a prefix of the longer
     and sorts first, as its pair does.  Equal pairs mean equal chains.
     """
-    return sorted(_walk(n, _chain_set(_BASE), expand), key=_pairs)
+    return sorted(_walk(n, ChainSet(_BASE), expand), key=attrgetter("chains"))
 
 
 def count(n: int) -> int:
@@ -151,7 +140,7 @@ def reduce(cs: ChainSet) -> ChainSet:
         raise ValueError("reduce needs an interlaced set with smallest entry 1")
     if cs.n <= 2:
         raise ValueError("the base parameter {3, 1} cannot be reduced")
-    return _chain_set(_unbranch(_pairs(cs)))
+    return ChainSet(_unbranch(cs.chains))
 
 
 def _pair_decompositions(n: int):
@@ -187,7 +176,7 @@ def all_chain_decompositions(n: int):
     No interlacing requirement; used to probe both directions of the
     correspondence between interlacing and the extracted involution.
     """
-    yield from map(_chain_set, _pair_decompositions(n))
+    yield from map(ChainSet, _pair_decompositions(n))
 
 
 def _interlaced_pairs(n: int):
@@ -231,7 +220,7 @@ def _interlaced_pairs(n: int):
 def brute_force_enumerate(n: int) -> list[ChainSet]:
     """Independent oracle: `_interlaced_pairs(n)` as ChainSets; it never
     calls expand or reduce."""
-    return [_chain_set(pairs) for pairs in _interlaced_pairs(n)]
+    return list(map(ChainSet, _interlaced_pairs(n)))
 
 
 def is_u_small(tau: Weight) -> bool:
@@ -273,7 +262,7 @@ def build_record(cs: ChainSet, with_multiplicity: bool = False) -> ScatteredReco
     if cs.min_entry() != 1 or not is_interlaced(cs):
         raise ValueError("not a scattered parameter: need interlaced chains with smallest entry 1")
     vals = [x for row in spin_lowest_k_type(cs).rows for x in row]
-    rec = _assemble(_pairs(cs), vals, rho_doubled(cs.n), with_multiplicity)
+    rec = _assemble(cs.chains, vals, rho_doubled(cs.n), with_multiplicity)
     return ScatteredRecord(
         n=cs.n,
         chains=cs,
@@ -302,7 +291,7 @@ def _assemble(pairs: Pairs, vals: list[int], rho: Weight, with_multiplicity: boo
     entries = sorted(chain.from_iterable(chains), reverse=True)
     rank = {e: i for i, e in enumerate(entries)}
     tau = sorted(vals, reverse=True)
-    mult = multiplicity_in_induced(_chain_set(pairs), tuple(2 * t for t in tau)) if with_multiplicity else None
+    mult = multiplicity_in_induced(ChainSet(pairs), tuple(2 * t for t in tau)) if with_multiplicity else None
     return {
         "n": len(entries),
         "chains": chains,
@@ -380,4 +369,4 @@ def spherical_family(a: int, b: int) -> ChainSet:
         raise ValueError("need a > b > 0")
     if (a + b) % 2 == 0:
         raise ValueError("need a + b odd")
-    return ChainSet((Chain(2 * a - 1, a), Chain(a + b - 1, b)))
+    return ChainSet(((2 * a - 1, a), (a + b - 1, b)))

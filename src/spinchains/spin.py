@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .chains import Chain, ChainSet, _canonical_key, canonical_order, is_interlaced
+from .chains import Chain, ChainSet, _canonical_key, is_interlaced
 # spinbench's test_tracer_counts_calls_and_restores_the_modules reads spin.is_linked
 from .chains import is_linked  # noqa: F401
 from .weights import Weight, dominant, rho_doubled
@@ -150,19 +150,18 @@ def lowest_k_type(cs: ChainSet) -> Weight:
 def spin_lowest_k_type(cs: ChainSet) -> SpinResult:
     """Run the rewriting rules over all linked pairs and assemble tau.
 
-    A thin wrapper of the pair engine `_rules`, fed the pairs of
-    `canonical_order(cs)`: row i and the trace's indices refer to chains[i].
+    A thin wrapper of the pair engine `_rules`, which puts the chains in
+    canonical order: row i and the trace's indices refer to chains[i].
     The engine adds the chains one at a time and resolves each against every
     earlier chain linked with it.
     """
-    ordered = canonical_order(cs)
-    _, rows, trace = _rules([(c.top, c.length) for c in ordered])
+    ordered, rows, trace = _rules(cs.chains)
     tau = dominant([2 * x for row in rows for x in row])
     lambda2 = tuple(2 * e for e in cs.all_entries())
     rho = rho_doubled(len(tau))
     gamma = dominant([t - r for t, r in zip(tau, rho)])
     return SpinResult(
-        chains=ordered,
+        chains=tuple(ordered),
         tau=tau,
         lambda2=lambda2,
         gamma=gamma,

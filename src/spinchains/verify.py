@@ -33,13 +33,10 @@ from .lr import (
 from .scattered import (
     _BASE,
     _branch,
-    _chain_set,
     _interlaced_pairs,
     _levels,
     _pair_decompositions,
-    _pairs,
     _unbranch,
-    expand,
     is_u_small,
     spherical_family,
 )
@@ -147,8 +144,8 @@ class Param(NamedTuple):
 def build_ranks(n_max: int) -> dict[int, list[Param]]:
     """Every scattered parameter of rank 2..n_max, as Params keyed by rank in
     generate's order, from one walk of the branching tree."""
-    levels = zip(range(2, n_max + 1), _levels(_chain_set(_BASE), expand))
-    return {n: [Param(cs, spin_lowest_k_type(cs), lowest_k_type(cs)) for cs in sorted(level, key=_pairs)] for n, level in levels}
+    levels = zip(range(2, n_max + 1), _levels(_BASE, _branch))
+    return {n: [Param(cs, spin_lowest_k_type(cs), lowest_k_type(cs)) for cs in map(ChainSet, sorted(level))] for n, level in levels}
 
 
 def _sweep(label: str, predicate, cap: int | None = None):
@@ -176,14 +173,14 @@ def check_count(ranks, n_max):
 def check_oracle(ranks, n_max):
     for n in range(2, n_max + 1):
         found = list(_interlaced_pairs(n))
-        yield f"brute-force oracle n={n}", found == [_pairs(p.cs) for p in ranks[n]], f"{len(found)} parameters"
+        yield f"brute-force oracle n={n}", found == [p.cs.chains for p in ranks[n]], f"{len(found)} parameters"
 
 
 def check_equivalence(ranks, n_max):
     top = min(n_max, EQUIVALENCE_CAP)
     decompositions = (pairs for n in range(2, top + 1) for pairs in _pair_decompositions(n))
     bad = next((pairs for pairs in decompositions if _pairs_interlaced(pairs) != involves_all_simple_reflections(_pairs_involution(pairs))), None)
-    yield f"interlaced <=> involution uses all reflections, n<={top}", bad is None, _chain_set(bad).to_json() if bad else ""
+    yield f"interlaced <=> involution uses all reflections, n<={top}", bad is None, ChainSet(bad).to_json() if bad else ""
 
 
 def check_spherical(ranks, n_max):
@@ -239,7 +236,7 @@ def _involution_ok(p: Param) -> bool:
 def _round_trip_ok(p: Param) -> bool:
     """_unbranch undoes both children of _branch(p), and p is a child of
     _unbranch(p) from rank 3 on: the rules of reduce and expand, on pairs."""
-    pairs = _pairs(p.cs)
+    pairs = p.cs.chains
     return all(_unbranch(k) == pairs for k in _branch(pairs)) and (p.cs.n == 2 or pairs in _branch(_unbranch(pairs)))
 
 

@@ -89,6 +89,15 @@ def test_chain_set_rejects_overlap():
         ChainSet.from_lists([[5, 3, 1], [3]])
 
 
+def test_a_chain_is_its_pair():
+    assert Chain(5, 3) == (5, 3) and hash(Chain(5, 3)) == hash((5, 3))
+    cs = ChainSet(((5, 3), (2, 1)))
+    assert cs == ChainSet.from_lists([[5, 3, 1], [2]])
+    assert all(type(c) is Chain for c in cs.chains)
+    with pytest.raises(ValueError, match="chain length must be positive"):
+        ChainSet(((3, 0),))
+
+
 def test_is_linked_worked_pairs():
     assert is_linked(Chain(10, 2), Chain(9, 5))
     assert is_linked(Chain(6, 2), Chain(5, 3))
@@ -158,7 +167,7 @@ def test_is_interlaced_matches_linked_pair_graph(cs):
 @given(st.data())
 def test_pairs_interlaced_ignores_input_order(data):
     cs = data.draw(chain_sets())
-    pairs = data.draw(st.permutations([(c.top, c.length) for c in cs.chains]))
+    pairs = data.draw(st.permutations(list(cs.chains)))
     assert _pairs_interlaced(pairs) == is_interlaced_by_linked_pairs(cs)
 
 
@@ -231,7 +240,7 @@ def test_extracted_permutation_is_always_an_involution(cs):
 
 @given(chain_sets(), st.randoms())
 def test_pairs_involution_ignores_the_order_of_the_pairs(cs, rng):
-    pairs = [(c.top, c.length) for c in cs.chains]
+    pairs = list(cs.chains)
     rng.shuffle(pairs)
     assert _pairs_involution(pairs) == extract_involution(cs)
 

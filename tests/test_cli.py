@@ -217,6 +217,14 @@ TOO_MANY_ENTRIES = json.dumps({"chains": [[2 * k + 1] for k in range(cli.TAU_ENT
         pytest.param("tau -f {file}", DEEP_JSON, 2, None, id="tau-deep"),
         pytest.param("perm -f {file}", DEEP_JSON, 2, None, id="perm-deep"),
         pytest.param("tau -f {file}", b'{"chains": [[5, 3], [3, 1]]}', 3, None, id="tau-overlapping-chains"),
+        # overlap is reported in the order the chains are given, before they are sorted
+        pytest.param(
+            "tau -f {file}",
+            b'{"chains": [[3, 1], [6, 4], [7, 5, 3], [4, 2]]}',
+            3,
+            "error: invalid chain set: entry 3 appears in two chains",
+            id="tau-overlap-in-given-order",
+        ),
         pytest.param(
             "tau -f {file}",
             TOO_MANY_ENTRIES,

@@ -22,11 +22,9 @@ from spinchains.chains import (
 from spinchains.lr import multiplicity_in_induced
 from spinchains.scattered import (
     ScatteredRecord,
-    _chain_set,
     _interlaced_pairs,
     _leaves,
     _pair_decompositions,
-    _pairs,
     _prefix_walk,
     _records,
     _unbranch,
@@ -97,7 +95,7 @@ def reduce_on_chain_sets(cs: ChainSet) -> ChainSet:
 def test_unbranch_equals_reduce_on_chain_sets(ranks):
     for n, params in ranks.items():
         for p in params if n > 2 else ():
-            assert _unbranch(_pairs(p.cs)) == _pairs(reduce_on_chain_sets(p.cs)), p.cs.to_lists()
+            assert _unbranch(p.cs.chains) == reduce_on_chain_sets(p.cs).chains, p.cs.to_lists()
 
 
 def test_reduce_rejects_what_it_rejected_on_chain_sets():
@@ -174,7 +172,7 @@ def gap_free_walk(n: int) -> list:
 
 def test_top_down_search_equals_the_gap_free_walk():
     for n in range(2, 12):
-        assert [_pairs(cs) for cs in brute_force_enumerate(n)] == gap_free_walk(n), n
+        assert [cs.chains for cs in brute_force_enumerate(n)] == gap_free_walk(n), n
 
 
 def test_top_down_search_equals_the_branching_tree():
@@ -203,7 +201,7 @@ def test_record_order_is_the_to_lists_order():
     # sorting on the entry lists defines the record order; it is the oracle
     # of the (top, length) pair key that generate and brute_force_enumerate use
     for n in range(2, 13):
-        assert generate(n) == sorted(map(_chain_set, _leaves(n)), key=ChainSet.to_lists)
+        assert generate(n) == sorted(map(ChainSet, _leaves(n)), key=ChainSet.to_lists)
     for n in range(2, 10):
         found = brute_force_enumerate(n)
         assert found == sorted(found, key=ChainSet.to_lists)
@@ -214,7 +212,7 @@ def test_interlaced_decompositions_with_larger_entries_are_generated():
     # src/: every split of every entry set up to 2n + 1, kept when interlaced
     for n in range(2, 8):
         found = [pairs for pairs in split_entry_sets(n, 2 * n + 1) if _pairs_interlaced(pairs)]
-        assert sorted(found) == list(map(_pairs, generate(n))), n
+        assert sorted(found) == [cs.chains for cs in generate(n)], n
 
 
 def test_every_decomposition_gives_an_involution_and_the_spin_identity():
@@ -229,8 +227,8 @@ def test_every_decomposition_gives_an_involution_and_the_spin_identity():
             assert verify_spin_identity(res), cs.to_lists()
             rows, trace, tau = tau_by_layout(cs)
             assert (res.rows, res.trace, res.tau) == (rows, trace, tau), cs.to_lists()
-            ordered, pair_rows, pair_trace = _rules(_pairs(cs)[::-1])
-            assert ordered == [(c.top, c.length) for c in res.chains], cs.to_lists()
+            ordered, pair_rows, pair_trace = _rules(cs.chains[::-1])
+            assert ordered == list(res.chains), cs.to_lists()
             assert (tuple(map(tuple, pair_rows)), tuple(pair_trace)) == (rows, trace), cs.to_lists()
 
 
@@ -281,7 +279,7 @@ def leaf_subsets(draw):
 @given(leaf_subsets())
 def test_prefix_walk_on_any_sorted_subset_equals_the_reference(drawn):
     n, leaves = drawn
-    assert list(_prefix_walk(leaves, rho_doubled(n))) == [record_on_chain_sets(_chain_set(p)).as_dict() for p in leaves]
+    assert list(_prefix_walk(leaves, rho_doubled(n))) == [record_on_chain_sets(ChainSet(p)).as_dict() for p in leaves]
 
 
 def test_prefix_walk_resolves_each_linked_pair_once_per_prefix(monkeypatch):
@@ -324,7 +322,7 @@ def test_record_rejects_what_build_record_rejects(pairs, error):
     # overlapping chains are refused when the ChainSet is built, before
     # build_record's own check can run
     with pytest.raises(ValueError) as raised:
-        build_record(_chain_set(pairs))
+        build_record(ChainSet(pairs))
     assert raised.type is error
 
 
@@ -335,13 +333,6 @@ def test_is_u_small_examples():
     assert is_u_small(tau)
     bumped = (two_rho[0] + 2 * len(two_rho),) + two_rho[1:]
     assert not is_u_small(bumped)
-
-
-def test_build_record_rejects_non_scattered():
-    for lists in ([[5, 3]], [[10, 8], [9, 7], [6, 4], [5, 3, 1]]):
-        cs = ChainSet.from_lists(lists)
-        with pytest.raises(ValueError):
-            build_record(cs)
 
 
 def test_record_json_shape():

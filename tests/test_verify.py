@@ -186,7 +186,7 @@ def test_equivalence_failure_names_the_first_offender(monkeypatch):
         cs
         for n in range(2, 8)
         for cs in all_chain_decompositions(n)
-        if is_interlaced(cs) != involves_all_simple_reflections(fake([(c.top, c.length) for c in cs.chains]))
+        if is_interlaced(cs) != involves_all_simple_reflections(fake(cs.chains))
     )
     [(line, ok)] = run_verification(7)
     assert not ok
