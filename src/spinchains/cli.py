@@ -5,7 +5,8 @@ Exit codes: 0 success, 1 verification failure, 2 parse error, 3 invalid
 chain set, 4 size bound exceeded.  The bounds: 2 <= n <= 16 for enumerate
 (n <= 12 with --with-multiplicity) and count, 2 <= n <= 12 for verify,
 a + b <= 16 for spherical, at most 46 filled cells, min(|inner|,
-|outer| - |inner|), for lr, and at most 5,000 entries for tau.  Every
+|outer| - |inner|), for lr, and at most 5,000 entries for tau, with no
+printed integer past the interpreter's integer-to-string limit.  Every
 failure (exit 2, 3 or 4), a command line the parser refuses included,
 prints exactly one `error:` line on stderr and nothing on stdout.
 Weights are printed in doubled coordinates wherever the standard value
@@ -112,14 +113,22 @@ def _cmd_tau(args) -> int:
     if cs.n > TAU_ENTRY_CAP:
         raise _CliError(EXIT_BOUND, f"tau would run on {cs.n} entries, at most {TAU_ENTRY_CAP} allowed")
     res = spin_lowest_k_type(cs)
-    print(f"chains (canonical order): {_fmt_chains(c.entries() for c in res.chains)}")
-    print(f"2*lambda = {_fmt_vec(lambda_doubled(cs))}")
-    print(f"lowest K-type = {_fmt_vec(x // 2 for x in lowest_k_type(cs))}")
-    print(f"rules: {_fmt_trace(res)}")
-    print(f"tau = {_fmt_vec(x // 2 for x in res.tau)}")
-    print(f"2*{{tau-rho}} = {_fmt_vec(res.gamma)}")
     verdict = "PASS" if verify_spin_identity(res) else "FAIL"
-    print(f"identity {{tau-rho}} = 2*lambda - rho: {verdict}")
+    # every line is formatted before any is printed: a value too long for
+    # the interpreter's integer-to-string limit refuses the whole command
+    try:
+        lines = [
+            f"chains (canonical order): {_fmt_chains(c.entries() for c in res.chains)}",
+            f"2*lambda = {_fmt_vec(lambda_doubled(cs))}",
+            f"lowest K-type = {_fmt_vec(x // 2 for x in lowest_k_type(cs))}",
+            f"rules: {_fmt_trace(res)}",
+            f"tau = {_fmt_vec(x // 2 for x in res.tau)}",
+            f"2*{{tau-rho}} = {_fmt_vec(res.gamma)}",
+            f"identity {{tau-rho}} = 2*lambda - rho: {verdict}",
+        ]
+    except ValueError as exc:
+        raise _CliError(EXIT_BOUND, f"tau would print an integer of more than {sys.get_int_max_str_digits()} digits") from exc
+    print("\n".join(lines))
     return EXIT_OK if verdict == "PASS" else EXIT_VERIFY_FAIL
 
 

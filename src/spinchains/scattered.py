@@ -9,7 +9,6 @@ top-down search of that definition confirms them independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, islice
 from operator import attrgetter, sub
 
@@ -230,49 +229,13 @@ def is_u_small(tau: Weight) -> bool:
     return all(x <= 0 for x in fundamental_pairing_signs(diff))
 
 
-@dataclass(frozen=True)
-class ScatteredRecord:
-    """Full report for one scattered representation."""
-
-    n: int
-    chains: ChainSet
-    lambda2_fund: tuple[int, ...]  # fundamental coefficients of 2*lambda
-    s: tuple[int, ...]  # involution, one-line notation
-    tau_fund: tuple[int, ...]  # fundamental coefficients of tau (integral)
-    gamma: Weight  # {tau - rho}, doubled
-    u_small: bool
-    multiplicity: int | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "chains": self.chains.to_lists(),
-            "lambda2_fund": list(self.lambda2_fund),
-            "s": list(self.s),
-            "tau_fund": list(self.tau_fund),
-            "gamma": list(self.gamma),
-            "u_small": self.u_small,
-            "multiplicity": self.multiplicity,
-        }
-
-
-def build_record(cs: ChainSet, with_multiplicity: bool = False) -> ScatteredRecord:
-    """The record of a scattered parameter: the rows of its
-    spin_lowest_k_type run, assembled by `_assemble` as `enumerate`'s are."""
+def build_record(cs: ChainSet, with_multiplicity: bool = False) -> dict:
+    """The record of a scattered parameter, as the dict `enumerate` prints:
+    the rows of its spin_lowest_k_type run, assembled by `_assemble`."""
     if cs.min_entry() != 1 or not is_interlaced(cs):
         raise ValueError("not a scattered parameter: need interlaced chains with smallest entry 1")
     vals = [x for row in spin_lowest_k_type(cs).rows for x in row]
-    rec = _assemble(cs.chains, vals, rho_doubled(cs.n), with_multiplicity)
-    return ScatteredRecord(
-        n=cs.n,
-        chains=cs,
-        lambda2_fund=tuple(rec["lambda2_fund"]),
-        s=tuple(rec["s"]),
-        tau_fund=tuple(rec["tau_fund"]),
-        gamma=tuple(rec["gamma"]),
-        u_small=rec["u_small"],
-        multiplicity=rec["multiplicity"],
-    )
+    return _assemble(cs.chains, vals, rho_doubled(cs.n), with_multiplicity)
 
 
 def _assemble(pairs: Pairs, vals: list[int], rho: Weight, with_multiplicity: bool) -> dict:
@@ -281,7 +244,7 @@ def _assemble(pairs: Pairs, vals: list[int], rho: Weight, with_multiplicity: boo
     left in vals (standard scale, any order); rho is rho_doubled(n), made
     once per rank by the caller.  The one place the record's fields are
     computed: `_prefix_walk` calls it on each leaf, and `build_record`
-    wraps it in a ScatteredRecord.
+    returns it as it is.
 
     The entries are listed and sorted once; their ranks give the involution
     through chains._flip, the rule behind _pairs_involution.  A ChainSet is
@@ -351,7 +314,7 @@ def _prefix_walk(leaves, rho: Weight, with_multiplicity: bool = False):
 
 
 def _records(n: int, with_multiplicity: bool = False):
-    """build_record(cs, with_multiplicity).as_dict() for each cs of
+    """build_record(cs, with_multiplicity) for each cs of
     generate(n), in that order, one at a time, from one `_prefix_walk`."""
     yield from _prefix_walk(sorted(_leaves(n)), rho_doubled(n), with_multiplicity)
 

@@ -114,16 +114,16 @@ def spin_norm_shell(n: int, coord_sum: int, norm: int):
             yield tuple(x // 2 for x in delta)
 
 
-def spin_minimal_candidates(cs: ChainSet) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+def spin_minimal_candidates(cs: ChainSet) -> list[tuple[int, ...]]:
     """All dominant weights achieving the minimal spin norm |2lambda| with
-    positive multiplicity, in descending order; returns (tau, hits)."""
-    res = spin_lowest_k_type(cs)
+    positive multiplicity, doubled, in descending order."""
+    lam = lambda_doubled(cs)
     hits = []
-    for v in spin_norm_shell(cs.n, sum(lambda_doubled(cs)), norm_sq(res.lambda2)):
+    for v in spin_norm_shell(cs.n, sum(lam), 4 * norm_sq(lam)):
         dv = tuple(2 * x for x in v)
         if multiplicity_in_induced(cs, dv) > 0:
             hits.append(dv)
-    return res.tau, sorted(hits, reverse=True)
+    return sorted(hits, reverse=True)
 
 
 def _is_horizontal_strip(outer, inner) -> bool:
@@ -255,7 +255,7 @@ CHECKS = (
     check_spherical,
     check_lr,
     _sweep("tau has multiplicity one", lambda p: multiplicity_in_induced(p.cs, p.res.tau) == 1, MULTIPLICITY_CAP),
-    _sweep("tau is the unique spin-minimal K-type", lambda p: spin_minimal_candidates(p.cs)[1] == [p.res.tau], UNIQUENESS_CAP),
+    _sweep("tau is the unique spin-minimal K-type", lambda p: spin_minimal_candidates(p.cs) == [p.res.tau], UNIQUENESS_CAP),
 )
 
 

@@ -109,7 +109,7 @@ def test_criterion_05_small_rank_table():
     }
     for n, table in expected.items():
         records = {
-            tuple(c.entries() for c in rec.chains.chains): (rec.lambda2_fund, rec.s, rec.tau_fund)
+            tuple(map(tuple, rec["chains"])): (tuple(rec["lambda2_fund"]), tuple(rec["s"]), tuple(rec["tau_fund"]))
             for rec in (build_record(cs) for cs in generate(n))
         }
         assert records == table, n

@@ -79,16 +79,18 @@ def test_enumerate_json_round_trip(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 8
     for line in lines:
-        payload = json.loads(line)
-        cs = ChainSet.from_lists(payload["chains"])
-        assert build_record(cs).as_dict() == payload
+        cs = ChainSet.from_lists(json.loads(line)["chains"])
+        # the record build_record returns is the line enumerate prints
+        assert json.dumps(build_record(cs)) == line
         assert verify_spin_identity(spin_lowest_k_type(cs))
 
 
 def test_enumerate_with_multiplicity(capsys):
     assert cli.main(["enumerate", "-n", "4", "--json", "--with-multiplicity"]) == 0
     for line in capsys.readouterr().out.strip().splitlines():
-        assert json.loads(line)["multiplicity"] == 1
+        payload = json.loads(line)
+        assert payload["multiplicity"] == 1
+        assert json.dumps(build_record(ChainSet.from_lists(payload["chains"]), with_multiplicity=True)) == line
 
 
 def test_enumerate_deterministic(capsys):
@@ -231,6 +233,15 @@ TOO_MANY_ENTRIES = json.dumps({"chains": [[2 * k + 1] for k in range(cli.TAU_ENT
             4,
             f"error: tau would run on {cli.TAU_ENTRY_CAP + 1} entries, at most {cli.TAU_ENTRY_CAP} allowed",
             id="tau-entries",
+        ),
+        # the largest entry the parser accepts: 2*{tau-rho} holds an integer
+        # one digit longer, which the interpreter refuses to print
+        pytest.param(
+            "tau -f {file}",
+            b'{"chains": [[' + b"9" * sys.get_int_max_str_digits() + b"]]}",
+            4,
+            f"error: tau would print an integer of more than {sys.get_int_max_str_digits()} digits",
+            id="tau-entry-at-the-digit-limit",
         ),
         pytest.param("enumerate -n 17", None, 4, "error: n must satisfy 2 <= n <= 16", id="enumerate-17"),
         pytest.param(

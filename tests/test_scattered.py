@@ -21,7 +21,6 @@ from spinchains.chains import (
 )
 from spinchains.lr import multiplicity_in_induced
 from spinchains.scattered import (
-    ScatteredRecord,
     _interlaced_pairs,
     _leaves,
     _pair_decompositions,
@@ -232,31 +231,31 @@ def test_every_decomposition_gives_an_involution_and_the_spin_identity():
             assert (tuple(map(tuple, pair_rows)), tuple(pair_trace)) == (rows, trace), cs.to_lists()
 
 
-def record_on_chain_sets(cs: ChainSet, with_multiplicity: bool = False) -> ScatteredRecord:
+def record_on_chain_sets(cs: ChainSet, with_multiplicity: bool = False) -> dict:
     """build_record as it was written field by field on a ChainSet, before
     it read its fields from `scattered._assemble`: the reference of both
     record paths."""
     if cs.min_entry() != 1 or not is_interlaced(cs):
         raise ValueError("not a scattered parameter: need interlaced chains with smallest entry 1")
     res = spin_lowest_k_type(cs)
-    return ScatteredRecord(
-        n=cs.n,
-        chains=cs,
-        lambda2_fund=tuple(x // 2 for x in to_fundamental(res.lambda2)),
-        s=extract_involution(cs),
-        tau_fund=to_fundamental(tuple(x // 2 for x in res.tau)),
-        gamma=res.gamma,
-        u_small=is_u_small(res.tau),
-        multiplicity=multiplicity_in_induced(cs, res.tau) if with_multiplicity else None,
-    )
+    return {
+        "n": cs.n,
+        "chains": cs.to_lists(),
+        "lambda2_fund": [x // 2 for x in to_fundamental(res.lambda2)],
+        "s": list(extract_involution(cs)),
+        "tau_fund": list(to_fundamental(tuple(x // 2 for x in res.tau))),
+        "gamma": list(res.gamma),
+        "u_small": is_u_small(res.tau),
+        "multiplicity": multiplicity_in_induced(cs, res.tau) if with_multiplicity else None,
+    }
 
 
 def test_pair_path_records_equal_build_record():
     # both record paths against the field-by-field reference: the records
-    # `enumerate` prints, and build_record's, tuple fields included
+    # `enumerate` prints, and build_record's
     for n, with_multiplicity in [*((n, False) for n in range(2, 14)), *((n, True) for n in range(2, 8))]:
         expected = [record_on_chain_sets(cs, with_multiplicity) for cs in generate(n)]
-        assert list(_records(n, with_multiplicity)) == [rec.as_dict() for rec in expected], (n, with_multiplicity)
+        assert list(_records(n, with_multiplicity)) == expected, (n, with_multiplicity)
         if n <= 10:
             assert [build_record(cs, with_multiplicity) for cs in generate(n)] == expected, (n, with_multiplicity)
 
@@ -279,7 +278,7 @@ def leaf_subsets(draw):
 @given(leaf_subsets())
 def test_prefix_walk_on_any_sorted_subset_equals_the_reference(drawn):
     n, leaves = drawn
-    assert list(_prefix_walk(leaves, rho_doubled(n))) == [record_on_chain_sets(ChainSet(p)).as_dict() for p in leaves]
+    assert list(_prefix_walk(leaves, rho_doubled(n))) == [record_on_chain_sets(ChainSet(p)) for p in leaves]
 
 
 def test_prefix_walk_resolves_each_linked_pair_once_per_prefix(monkeypatch):
@@ -337,7 +336,7 @@ def test_is_u_small_examples():
 
 def test_record_json_shape():
     rec = build_record(ChainSet.from_lists([[5, 3, 1], [4]]), with_multiplicity=True)
-    payload = json.loads(json.dumps(rec.as_dict()))
+    payload = json.loads(json.dumps(rec))
     assert payload == {
         "n": 4,
         "chains": [[5, 3, 1], [4]],

@@ -129,7 +129,7 @@ def test_shell_lifts_and_hits_equal_the_ball():
         assert len(lifts) == len(set(lifts)) and set(lifts) == set(points), cs.to_lists()
         # the hits as spin_minimal_candidates found them in the ball
         hits = [dv for dv in (tuple(2 * x for x in v) for v in points) if multiplicity_in_induced(cs, dv) > 0]
-        assert spin_minimal_candidates(cs)[1] == hits, cs.to_lists()
+        assert spin_minimal_candidates(cs) == hits, cs.to_lists()
 
 
 def test_build_ranks_is_generate_at_every_rank(ranks):
