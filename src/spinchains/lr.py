@@ -19,7 +19,11 @@ other filled cell constrains a later one, so the memo changes no count.
 
 On top of the counter sits the multiplicity of a dominant weight in a
 module induced from unitary characters of a product of GL factors: an
-iterated LR product of rectangles k_i^(d_i), one per chain.
+iterated LR product of rectangles k_i^(d_i), one per chain.  Its shapes are
+its own, built valid by `_grow_candidates`, so it skips `lr_coefficient`'s
+checks.  A one-row or one-column rectangle needs no count at all: every
+candidate is a horizontal or vertical strip, with coefficient 1 by the
+Pieri rule.  Any other rectangle goes straight to the raw counter.
 """
 
 from __future__ import annotations
@@ -243,9 +247,24 @@ def multiplicity_in_induced(cs: ChainSet, delta: Weight) -> int:
     The module is induced from the unitary characters det^(k_i) of GL(d_i)
     factors given by the chains.  A uniform shift t makes every k_i + t
     non-negative and delta + t a partition; the answer is independent of
-    the choice of t, and the iterated product of rectangle Schur functions
-    is evaluated through lr_coefficient with all intermediate shapes
-    confined below the target.
+    the choice of t.  The iterated product of the rectangles k^d =
+    (k_i + t)^(d_i) is evaluated state by state, every intermediate shape
+    confined below the target and grown by `_grow_candidates`.
+
+    Each candidate nu of a state mu is a partition with mu <= nu, no zero
+    part, |nu| = |mu| + k*d and the caps and floors of `_grow_candidates`,
+    so its coefficient c(nu; mu, k^d) needs none of `lr_coefficient`'s
+    checks (Fulton, *Young Tableaux*, section 5):
+    - d = 1: row i is capped at mu[i-1] and floored at mu[i], so nu/mu is
+      a horizontal strip of k cells and c = 1 by the Pieri rule.
+    - k = 1: row i is capped at mu[i] + 1, so nu/mu is a vertical strip of
+      d cells and c = 1 by the dual Pieri rule.
+    - Otherwise k^d fits inside nu: the floors give nu[i] >= k for i < d,
+      and the caps nu[i] <= mu[i] + k give |mu| + k*d = |nu| <= |mu| +
+      k*len(nu), so len(nu) >= d.  The raw `_count_tableaux` takes nu at
+      once, on the smaller of nu/mu and nu/k^d as `lr_coefficient` would,
+      ties as given.  Such a c can exceed 1: products with a rectangle are
+      not multiplicity-free.
     """
     n = cs.n
     if len(delta) != n:
@@ -265,14 +284,18 @@ def multiplicity_in_induced(cs: ChainSet, delta: Weight) -> int:
     states: dict[Partition, int] = {(): 1}
     for c in ordered:
         k, d = c.avg + shift, c.length
+        if k == 0:  # det^0 is the trivial character: every state stays
+            continue
+        rect = (k,) * d
         new: dict[Partition, int] = {}
         for mu, coeff in states.items():
-            if k == 0:
-                new[mu] = new.get(mu, 0) + coeff
+            if k == 1 or d == 1:  # a strip: c = 1 for every candidate
+                for nu in _grow_candidates(mu, k, d, target):
+                    new[nu] = new.get(nu, 0) + coeff
                 continue
-            rect = (k,) * d
+            swap = sum(mu) < k * d
             for nu in _grow_candidates(mu, k, d, target):
-                c_lr = lr_coefficient(nu, mu, rect)
+                c_lr = _count_tableaux(nu, rect, mu) if swap else _count_tableaux(nu, mu, rect)
                 if c_lr:
                     new[nu] = new.get(nu, 0) + coeff * c_lr
         states = new

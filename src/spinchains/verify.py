@@ -45,7 +45,7 @@ from .weights import Weight, norm_sq, rho_doubled, spin_norm_sq, to_fundamental
 
 SPHERICAL_CAP = 9
 EQUIVALENCE_CAP = 7
-MULTIPLICITY_CAP = 8
+MULTIPLICITY_CAP = 9
 UNIQUENESS_CAP = 7
 LR_SANITY_CAP = 6
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinchains import lr
-from spinchains.chains import Chain, ChainSet
+from spinchains.chains import Chain, ChainSet, canonical_order, lambda_doubled
 from spinchains.lr import (
     _count_tableaux,
     _grow_candidates,
@@ -25,7 +25,10 @@ from spinchains.lr import (
     partitions_up_to,
     sub_partitions,
 )
+from spinchains.scattered import _pair_decompositions
 from spinchains.spin import lowest_k_type, spin_lowest_k_type
+from spinchains.verify import spin_norm_shell
+from spinchains.weights import norm_sq
 
 from test_chains import EX22
 
@@ -152,6 +155,37 @@ def grow_candidates_unpruned(mu, k, d, limit):
             acc.pop()
 
     yield from rec(0, goal, goal)
+
+
+def multiplicity_by_lr_coefficient(cs, delta):
+    """The reference for multiplicity_in_induced, and its slow predecessor:
+    the same iterated product over the same candidates, each coefficient
+    taken from the public lr_coefficient with all of its checks.  It takes
+    only input that multiplicity_in_induced accepts."""
+    delta_std = tuple(x // 2 for x in delta)
+    ordered = canonical_order(cs)
+    if sum(delta_std) != sum(c.avg * c.length for c in ordered):
+        return 0
+    shift = max(0, -min(c.avg for c in ordered), -delta_std[-1])
+    target = normalize_partition(x + shift for x in delta_std)
+
+    states = {(): 1}
+    for c in ordered:
+        k, d = c.avg + shift, c.length
+        new = {}
+        for mu, coeff in states.items():
+            if k == 0:
+                new[mu] = new.get(mu, 0) + coeff
+                continue
+            rect = (k,) * d
+            for nu in _grow_candidates(mu, k, d, target):
+                c_lr = lr_coefficient(nu, mu, rect)
+                if c_lr:
+                    new[nu] = new.get(nu, 0) + coeff * c_lr
+        states = new
+        if not states:
+            return 0
+    return states.get(target, 0)
 
 
 def lr_triples(max_size):
@@ -312,6 +346,92 @@ def test_multiplicity_rejects_malformed_delta():
         multiplicity_in_induced(EX22, (2, 0))  # wrong length
 
 
+def shell_queries(cs):
+    """Every doubled delta that verify's uniqueness check asks about for cs:
+    each lift of the spin-norm shell of |2lambda|, and tau."""
+    lam = lambda_doubled(cs)
+    queries = [tuple(2 * x for x in v) for v in spin_norm_shell(cs.n, sum(lam), 4 * norm_sq(lam))]
+    return queries + [spin_lowest_k_type(cs).tau]
+
+
+def test_multiplicity_matches_lr_coefficient_path_on_every_shell():
+    nonzero = 0
+    for n in range(2, 6):
+        for pairs in _pair_decompositions(n):
+            cs = ChainSet(pairs)
+            for delta in shell_queries(cs):
+                got = multiplicity_in_induced(cs, delta)
+                assert got == multiplicity_by_lr_coefficient(cs, delta), (pairs, delta)
+                nonzero += got > 0
+    assert nonzero > 100  # the sweep reaches the product, not just the early 0
+
+
+@st.composite
+def induced_queries(draw):
+    """(cs, delta): up to four disjoint chains of at most 8 entries in all,
+    and a dominant doubled delta with lambda's coordinate sum: the lowest
+    K-type moved coordinatewise by even steps of at most 6, sorted, with
+    the sum restored at an end.  Most such delta lie off the spin-norm shell."""
+    chains, used = [], set()
+    for _ in range(draw(st.integers(1, 4))):
+        c = Chain(draw(st.integers(-6, 10)), draw(st.integers(1, 4)))
+        if used.isdisjoint(c.entries()) and len(used) + c.length <= 8:
+            used.update(c.entries())
+            chains.append(c)
+    cs = ChainSet(tuple(chains))
+    lowest = lowest_k_type(cs)
+    delta = sorted((x + 2 * draw(st.integers(-3, 3)) for x in lowest), reverse=True)
+    excess = sum(delta) - sum(lowest)
+    delta[-1 if excess > 0 else 0] -= excess
+    return cs, tuple(delta)
+
+
+@settings(deadline=None)
+@given(induced_queries())
+def test_multiplicity_matches_lr_coefficient_path_off_the_shell(query):
+    cs, delta = query
+    assert multiplicity_in_induced(cs, delta) == multiplicity_by_lr_coefficient(cs, delta)
+
+
+def test_one_row_and_one_column_candidates_have_coefficient_one():
+    """The Pieri shortcut of multiplicity_in_induced: for d = 1 or k = 1,
+    under a limit that cuts nothing, every shape _grow_candidates yields is
+    a horizontal or vertical strip over mu, with coefficient 1."""
+    for mu in partitions_up_to(6):
+        for k, d in [(1, 1), (2, 1), (3, 1), (1, 2), (1, 3)]:
+            goal = sum(mu) + k * d
+            shapes = list(_grow_candidates(mu, k, d, (goal,) * (len(mu) + d)))
+            assert shapes, (mu, k, d)
+            for nu in shapes:
+                assert lr_coefficient(nu, mu, (k,) * d) == 1, (mu, k, d, nu)
+
+
+def test_multiplicity_adds_up_one_row_paths():
+    # three singletons: h3 h2 h1 holds s_(5,1) K_{(5,1),(3,2,1)} = 2 times,
+    # every step a coefficient-1 Pieri step
+    cs = ChainSet(((3, 1), (2, 1), (1, 1)))
+    assert multiplicity_in_induced(cs, (10, 2, 0)) == 2
+    assert multiplicity_by_lr_coefficient(cs, (10, 2, 0)) == 2
+
+
+def test_multiplicity_keeps_a_rectangle_coefficient_above_one(monkeypatch):
+    """The rectangle branch uses the raw count as it is: with shift 2 the
+    factors are 5^1, 3^2 and 2^2, and c((7,4,3,1); (6,3,2), 2^2) = 2.  An
+    engine that took every nonzero c as 1 would answer 3."""
+    counts = []
+
+    def recording(outer, inner, weight):
+        counts.append(_count_tableaux(outer, inner, weight))
+        return counts[-1]
+
+    cs, delta = ChainSet(((3, 1), (2, 2), (1, 2))), (10, 4, 2, -2, -4)
+    monkeypatch.setattr(lr, "_count_tableaux", recording)
+    assert multiplicity_in_induced(cs, delta) == 4
+    assert 2 in counts
+    monkeypatch.undo()
+    assert multiplicity_by_lr_coefficient(cs, delta) == 4
+
+
 def test_grow_candidates_prunes_only_zero_coefficients():
     by_size = {}
     for p in partitions_up_to(6 + 3 * 3):
@@ -326,6 +446,8 @@ def test_grow_candidates_prunes_only_zero_coefficients():
                     pruned = set(_grow_candidates(mu, k, d, limit))
                     full = set(grow_candidates_unpruned(mu, k, d, limit))
                     assert pruned <= full, (mu, k, d, limit)
+                    # multiplicity_in_induced hands these to the raw counter as k^d's outer
+                    assert all(contains(nu, (k,) * d) for nu in pruned), (mu, k, d, limit)
                     for nu in full - pruned:
                         assert lr_coefficient(nu, mu, (k,) * d) == 0, (mu, k, d, nu)
                     dropped += len(full - pruned)
