@@ -198,20 +198,6 @@ def lambda_doubled(cs: ChainSet) -> Weight:
     return cs.all_entries()
 
 
-def _flip(chains, rank: dict[int, int]) -> list[int]:
-    """The involution that flips each chain front to back, in one-line notation.
-
-    rank maps each entry of the disjoint chains to its 0-based position in
-    descending order; s[rank[e]] is 1 + the rank of the entry that takes
-    e's slot.
-    """
-    s = [0] * len(rank)
-    for chain in chains:
-        for e, flipped in zip(chain, reversed(chain)):
-            s[rank[e]] = rank[flipped] + 1
-    return s
-
-
 def _pairs_involution(pairs) -> tuple[int, ...]:
     """One-line notation of the involution s encoded by disjoint (top, length) pairs.
 
@@ -221,7 +207,11 @@ def _pairs_involution(pairs) -> tuple[int, ...]:
     """
     chains = [range(top, top - 2 * length, -2) for top, length in pairs]
     rank = {e: i for i, e in enumerate(sorted((e for chain in chains for e in chain), reverse=True))}
-    return tuple(_flip(chains, rank))
+    s = [0] * len(rank)
+    for chain in chains:
+        for e, flipped in zip(chain, reversed(chain)):
+            s[rank[e]] = rank[flipped] + 1
+    return tuple(s)
 
 
 def extract_involution(cs: ChainSet) -> tuple[int, ...]:

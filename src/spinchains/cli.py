@@ -2,13 +2,15 @@
 
 Subcommands: tau, perm, enumerate, count, verify, lr, spherical.
 Exit codes: 0 success, 1 verification failure, 2 parse error, 3 invalid
-chain set, 4 size bound exceeded.  The bounds: 2 <= n <= 16 for enumerate
-(n <= 12 with --with-multiplicity) and count, 2 <= n <= 12 for verify,
-a + b <= 16 for spherical, at most 46 filled cells, min(|inner|,
-|outer| - |inner|), for lr, and at most 5,000 entries for tau, with no
-printed integer past the interpreter's integer-to-string limit.  Every
-failure (exit 2, 3 or 4), a command line the parser refuses included,
-prints exactly one `error:` line on stderr and nothing on stdout.
+chain set, 4 size bound exceeded; a reader that closes stdout early, as
+`enumerate | head` does, ends the command with 0 and nothing on stderr.
+The bounds: 2 <= n <= 16 for enumerate (n <= 12 with --with-multiplicity)
+and count, 2 <= n <= 12 for verify, a + b <= 16 for spherical, at most 46
+filled cells, min(|inner|, |outer| - |inner|), for lr, and at most 5,000
+entries for tau, with no printed integer past the interpreter's
+integer-to-string limit.  Every failure (exit 2, 3 or 4), a command line
+the parser refuses included, prints exactly one `error:` line on stderr
+and nothing on stdout.
 Weights are printed in doubled coordinates wherever the standard value
 could be half-integral; halve to recover the standard scale.
 """
@@ -16,8 +18,9 @@ could be half-integral; halve to recover the standard scale.
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
+from functools import cache
 
 from .chains import (
     ChainSet,
@@ -89,6 +92,33 @@ def _fmt_trace(res: SpinResult) -> str:
     return "; ".join(parts)
 
 
+@cache
+def _line_template(n: int) -> str:
+    """The %-template of the JSON line of a rank-n record, one %d per int."""
+    ints = "[" + ", ".join(["%d"] * n) + "]"
+    short = "[" + ", ".join(["%d"] * (n - 1)) + "]"
+    return (
+        f'{{"n": %d, "chains": %s, "lambda2_fund": {short}, "s": {ints}, '
+        f'"tau_fund": {short}, "gamma": {ints}, "u_small": %s, "multiplicity": %s}}'
+    )
+
+
+def _json_line(rec: dict) -> str:
+    """json.dumps(rec) for a record of `scattered._assemble`, written by one %
+    formatting: %d of an int, and str of a list of int lists, are their JSON."""
+    n, mult = rec["n"], rec["multiplicity"]
+    return _line_template(n) % (
+        n,
+        rec["chains"],
+        *rec["lambda2_fund"],
+        *rec["s"],
+        *rec["tau_fund"],
+        *rec["gamma"],
+        "true" if rec["u_small"] else "false",
+        "null" if mult is None else mult,
+    )
+
+
 def _load_chain_set(path: str) -> ChainSet:
     try:
         with open(path) as fh:
@@ -147,8 +177,9 @@ def _cmd_enumerate(args) -> int:
     # built lazily, so each line is written as soon as its record exists
     records = _records(args.n, args.with_multiplicity)
     if args.json:
+        write = sys.stdout.write
         for rec in records:
-            print(json.dumps(rec))
+            write(_json_line(rec) + "\n")
         return EXIT_OK
     print("n | chains | 2lambda' | s | tau | 2gamma | u-small | mult")
     print("(fundamental coefficients of 2lambda' and the vector 2gamma are doubled; halve for standard scale)")
@@ -270,6 +301,17 @@ def main(argv=None) -> int:
         code, message = exc.args
         print(f"error: {message}", file=sys.stderr)
         return code
+    except BrokenPipeError:
+        # the reader has gone (`enumerate | head`): what stdout still buffers
+        # goes to os.devnull, so the flush at exit cannot fail again
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError):
+            return EXIT_OK
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return EXIT_OK
 
 
 if __name__ == "__main__":

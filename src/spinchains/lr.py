@@ -255,6 +255,9 @@ def multiplicity_in_induced(cs: ChainSet, delta: Weight) -> int:
     part, |nu| = |mu| + k*d and the caps and floors of `_grow_candidates`,
     so its coefficient c(nu; mu, k^d) needs none of `lr_coefficient`'s
     checks (Fulton, *Young Tableaux*, section 5):
+    - mu = (), the state before the first rectangle: nu has at most
+      len(mu) + d = d rows, each capped and floored at k, so nu = k^d and
+      c = 1.
     - d = 1: row i is capped at mu[i-1] and floored at mu[i], so nu/mu is
       a horizontal strip of k cells and c = 1 by the Pieri rule.
     - k = 1: row i is capped at mu[i] + 1, so nu/mu is a vertical strip of
@@ -289,7 +292,7 @@ def multiplicity_in_induced(cs: ChainSet, delta: Weight) -> int:
         rect = (k,) * d
         new: dict[Partition, int] = {}
         for mu, coeff in states.items():
-            if k == 1 or d == 1:  # a strip: c = 1 for every candidate
+            if k == 1 or d == 1 or not mu:  # a strip, or k^d itself: c = 1
                 for nu in _grow_candidates(mu, k, d, target):
                     new[nu] = new.get(nu, 0) + coeff
                 continue

@@ -4,15 +4,16 @@ The scattered parameters of SL(n) are exactly the interlaced chain sets
 with n entries whose smallest entry is 1.  They are generated from the
 base parameter {3, 1} by a two-way branching on the largest odd entry M_o
 and largest even entry M_e, giving 2^(n-2) parameters at rank n.  A
-top-down search of that definition confirms them independently.
+top-down search of that definition finds them independently, in record
+order; `enumerate` prints it, so the search and the tree certify each other.
 """
 
 from __future__ import annotations
 
-from itertools import chain, islice
-from operator import attrgetter, sub
+from itertools import accumulate, compress, islice, repeat
+from operator import add, attrgetter, mul, sub
 
-from .chains import ChainSet, _flip, _pairs_interlaced, is_interlaced
+from .chains import ChainSet, _pairs_interlaced, is_interlaced
 from .lr import multiplicity_in_induced
 from .spin import _step, spin_lowest_k_type
 from .weights import Weight, fundamental_pairing_signs, rho_doubled
@@ -184,14 +185,19 @@ def _interlaced_pairs(n: int):
     ascending (top, length).  It cuts only partial sets no completion saves:
     - overlapping chains, or a bottom below 1;
     - a next top at most `low`, the lowest bottom so far: the sweep of
-      `_pairs_interlaced`, which lower tops cannot repair;
+      `_pairs_interlaced`, which lower tops cannot repair.  So a partial
+      set that is not complete needs a free value between low and its
+      lowest top;
     - too few entries left to fill [1, low).  Two consecutive values missing
       below the top split a set into blocks no chain (step 2) or link
       (straddling spans) crosses, so the entries climb from 1 in steps of 1
-      or 2, at least ceil((low - 1) / 2) = low // 2 of them below low.  So a
-      set of n entries has low = 1, and the first top is at most 2n - 1, as
-      its bottom is at most 2(n - length) + 1.
-    For n <= 16 it visits 6 * 2^(n-2) - 1 partial sets, the empty one too.
+      or 2, at least ceil((low - 1) / 2) = low // 2 of them below low, and
+      the next top above low is one more.  So a set of n entries has
+      low = 1, and the first top is at most 2n - 1, as its bottom is at
+      most 2(n - length) + 1.
+    For 3 <= n <= 16 it visits 5 * 2^(n-3) - 1 partial sets, the empty one
+    too.  `enumerate` prints what it yields; verify's oracle line and the
+    tests hold it to the sorted leaves of the branching tree.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -206,8 +212,8 @@ def _interlaced_pairs(n: int):
             while bottom >= 1 and not mask >> bottom & 1 and size + length < n:
                 mask |= 1 << bottom
                 length += 1
-                floor = min(low, bottom)
-                if n - size - length >= floor // 2:
+                floor, rem = min(low, bottom), n - size - length
+                if (rem > floor // 2 and (~mask & ((1 << top) - 1)) >> (floor + 1)) if rem else floor == 1:
                     chosen.append((top, length))
                     yield from grow(size + length, mask, range(floor + 1, top), floor)
                     chosen.pop()
@@ -217,8 +223,8 @@ def _interlaced_pairs(n: int):
 
 
 def brute_force_enumerate(n: int) -> list[ChainSet]:
-    """Independent oracle: `_interlaced_pairs(n)` as ChainSets; it never
-    calls expand or reduce."""
+    """`_interlaced_pairs(n)` as ChainSets, the search `enumerate` prints;
+    it never calls expand or reduce, so it and `generate` certify each other."""
     return list(map(ChainSet, _interlaced_pairs(n)))
 
 
@@ -235,35 +241,64 @@ def build_record(cs: ChainSet, with_multiplicity: bool = False) -> dict:
     if cs.min_entry() != 1 or not is_interlaced(cs):
         raise ValueError("not a scattered parameter: need interlaced chains with smallest entry 1")
     vals = [x for row in spin_lowest_k_type(cs).rows for x in row]
-    return _assemble(cs.chains, vals, rho_doubled(cs.n), with_multiplicity)
+    pieces = _NO_PIECES
+    for top, length in cs.chains:
+        pieces = _extend(pieces, top, length)
+    return _assemble(pieces, vals, rho_doubled(cs.n), with_multiplicity, cs)
 
 
-def _assemble(pairs: Pairs, vals: list[int], rho: Weight, with_multiplicity: bool) -> dict:
-    """The record of the scattered parameter with chains `pairs` (tops
-    descending), as the dict `enumerate` prints, from the rows its rules
-    left in vals (standard scale, any order); rho is rho_doubled(n), made
-    once per rank by the caller.  The one place the record's fields are
-    computed: `_prefix_walk` calls it on each leaf, and `build_record`
-    returns it as it is.
+_NO_PIECES: tuple[list, list] = ([], [])  # the pieces of the empty chain set
 
-    The entries are listed and sorted once; their ranks give the involution
-    through chains._flip, the rule behind _pairs_involution.  A ChainSet is
-    built only for multiplicity_in_induced.
+
+def _extend(pieces: tuple[list, list], top: int, length: int) -> tuple[list, list]:
+    """The pieces `_assemble` reads, after one more chain (top, length) of
+    positive entries: (mirror, chains), new lists.  mirror[e] is the entry
+    that takes e's slot when e's chain is flipped, 0 where e is no entry;
+    chains lists the chains' entries in the order added.
     """
-    chains = [list(range(top, top - 2 * length, -2)) for top, length in pairs]
-    entries = sorted(chain.from_iterable(chains), reverse=True)
-    rank = {e: i for i, e in enumerate(entries)}
+    mirror, chains = pieces
+    bottom = top - 2 * (length - 1)
+    mirror = mirror + [0] * (top + 1 - len(mirror))
+    mirror[bottom:top + 1:2] = range(top, bottom - 1, -2)
+    return mirror, chains + [list(range(top, bottom - 1, -2))]
+
+
+def _assemble(pieces: tuple[list, list], vals: list[int], rho: Weight, with_multiplicity: bool, cs=None) -> dict:
+    """The record of a scattered parameter, as the dict `enumerate` prints,
+    from its `_extend` pieces (chains added by descending top) and the rows
+    its rules left in vals (standard scale, any order); rho is
+    rho_doubled(n), made once per rank by the caller.  The one place the
+    record's fields are computed: `_prefix_walk` calls it on each leaf, and
+    `build_record` returns it as it is.
+
+    The involution sends each entry's rank to its mirror's, the rule of
+    chains._pairs_involution.  With with_multiplicity,
+    multiplicity_in_induced runs on cs, the parameter as a ChainSet, built
+    from the chains only when the caller has none.
+    """
+    mirror, chains = pieces
+    entries = list(compress(range(len(mirror) - 1, 0, -1), reversed(mirror)))
+    n = len(entries)
+    rank = dict(zip(entries, range(1, n + 1)))
     tau = sorted(vals, reverse=True)
-    mult = multiplicity_in_induced(ChainSet(pairs), tuple(2 * t for t in tau)) if with_multiplicity else None
+    shifted = list(map(sub, tau, rho))
+    total = sum(shifted)
+    mult = None
+    if with_multiplicity:
+        if cs is None:
+            cs = ChainSet([(c[0], len(c)) for c in chains])
+        mult = multiplicity_in_induced(cs, tuple(2 * t for t in tau))
     return {
-        "n": len(entries),
+        "n": n,
         "chains": chains,
         "lambda2_fund": list(map(sub, entries, entries[1:])),
-        "s": _flip(chains, rank),
+        "s": list(map(rank.__getitem__, filter(None, reversed(mirror)))),
         "tau_fund": list(map(sub, tau, tau[1:])),
-        "gamma": sorted([2 * t - r for t, r in zip(tau, rho)], reverse=True),
-        # is_u_small(2 tau): tau - rho pairs with the signs of 2 tau - 2 rho
-        "u_small": all(x <= 0 for x in fundamental_pairing_signs(list(map(sub, tau, rho)))),
+        "gamma": sorted(map(add, tau, shifted), reverse=True),  # 2 tau - rho
+        # is_u_small(2 tau): tau - rho pairs with the signs of 2 tau - 2 rho,
+        # n * S_i - i * S_n on the partial sums S_i of tau - rho, which are the
+        # partial sums of n * (tau - rho) - S_n; the last one is 0
+        "u_small": max(accumulate(map(sub, map(mul, shifted, repeat(n)), repeat(total)))) <= 0,
         "multiplicity": mult,
     }
 
@@ -275,18 +310,19 @@ def _prefix_walk(leaves, rho: Weight, with_multiplicity: bool = False):
     Each leaf lists its chains by descending top, and sorted leaves share
     prefixes with their neighbours.  The walk keeps a stack with the state
     after each chain of the current prefix: the rows as one flat list of
-    values and the write-once flags of `spin._step`.  On each leaf it pops
-    back to the prefix shared with the previous leaf and pushes only the
-    new chains, resolving each against every earlier chain linked with it.
-    A chain below all earlier tops links an earlier chain exactly when its
-    top lies above that chain's bottom, and it comes later in canonical
-    order exactly when its average is smaller: of two chains with equal
-    averages, the one with the lower top is the shorter, which comes first.
-    Every slot of a scattered parameter is written at most once, so the
-    rows do not depend on the order the linked pairs are resolved in.
+    values, the write-once flags of `spin._step`, and the `_extend` pieces
+    of the record.  On each leaf it pops back to the prefix shared with the
+    previous leaf and pushes only the new chains, resolving each against
+    every earlier chain linked with it.  A chain below all earlier tops
+    links an earlier chain exactly when its top lies above that chain's
+    bottom, and it comes later in canonical order exactly when its average
+    is smaller: of two chains with equal averages, the one with the lower
+    top is the shorter, which comes first.  Every slot of a scattered
+    parameter is written at most once, so the rows do not depend on the
+    order the linked pairs are resolved in.
     """
     chains: list[tuple] = []  # the current prefix's chains, as _step takes them
-    states = [([], [])]  # (vals, written) after each chain of the prefix
+    states = [([], [], _NO_PIECES)]  # (vals, written, pieces) after each chain of the prefix
     prev: Pairs = ()
     for leaf in leaves:
         shared = 0
@@ -295,7 +331,7 @@ def _prefix_walk(leaves, rho: Weight, with_multiplicity: bool = False):
                 break
             shared += 1
         del chains[shared:], states[shared + 1:]
-        vals, written = states[-1]
+        vals, written, pieces = states[-1]
         for top, length in leaf[shared:]:
             avg = top - length + 1
             c = (top, top - 2 * (length - 1), length, avg, len(vals), len(chains))
@@ -308,15 +344,17 @@ def _prefix_walk(leaves, rho: Weight, with_multiplicity: bool = False):
                     else:
                         _step(vals, written, c, x)
             chains.append(c)
-            states.append((vals, written))
+            pieces = _extend(pieces, top, length)
+            states.append((vals, written, pieces))
         prev = leaf
-        yield _assemble(leaf, vals, rho, with_multiplicity)
+        yield _assemble(pieces, vals, rho, with_multiplicity)
 
 
 def _records(n: int, with_multiplicity: bool = False):
-    """build_record(cs, with_multiplicity) for each cs of
-    generate(n), in that order, one at a time, from one `_prefix_walk`."""
-    yield from _prefix_walk(sorted(_leaves(n)), rho_doubled(n), with_multiplicity)
+    """build_record(cs, with_multiplicity) for each cs of generate(n), in
+    that order, one at a time: `_prefix_walk` over `_interlaced_pairs(n)`,
+    which yields them in that order with memory linear in n."""
+    yield from _prefix_walk(_interlaced_pairs(n), rho_doubled(n), with_multiplicity)
 
 
 def spherical_family(a: int, b: int) -> ChainSet:

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -146,6 +147,55 @@ def test_enumerate_writes_each_record_before_building_the_next(monkeypatch, fmt,
     with contextlib.redirect_stdout(out):
         assert cli.main(["enumerate", "-n", "6", fmt]) == 0
     assert lines_at_build == [header_lines + k for k in range(16)]
+
+
+def test_json_line_is_json_dumps():
+    records = [rec for n in range(2, 14) for rec in scattered._records(n)]
+    records += [rec for n in range(2, 8) for rec in scattered._records(n, True)]
+    last = records[-1]
+    records += [dict(last, u_small=False), dict(last, multiplicity=0), dict(last, multiplicity=2)]
+    for rec in records:
+        assert cli._json_line(rec) == json.dumps(rec), rec
+
+
+class ReaderGoneAfter(io.StringIO):
+    """A stdout whose reader goes away after k lines: the write that would
+    complete line k + 1 raises BrokenPipeError, as a closed pipe does."""
+
+    def __init__(self, k: int):
+        super().__init__()
+        self.k = k
+
+    def write(self, text: str) -> int:
+        if self.getvalue().count("\n") + text.count("\n") > self.k:
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+
+@pytest.mark.parametrize(
+    "argv", [["enumerate", "-n", "8", "--json"], ["enumerate", "-n", "8", "--table"], ["verify", "-n", "6"]]
+)
+@pytest.mark.parametrize("k", [0, 3])
+def test_a_reader_that_stops_early_ends_the_command_quietly(argv, k, capsys):
+    assert cli.main(argv) == 0
+    full = capsys.readouterr().out
+    out, err = ReaderGoneAfter(k), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert cli.main(argv) == cli.EXIT_OK
+    assert err.getvalue() == ""
+    assert out.getvalue().count("\n") == k and full.startswith(out.getvalue())
+
+
+def test_enumerate_into_a_closed_pipe_sends_the_rest_to_devnull(monkeypatch):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        # 1,024 lines overflow the buffer, so a write reaches the closed pipe
+        assert cli.main(["enumerate", "-n", "12", "--json"]) == cli.EXIT_OK
+        stdout.write("more\n")
+        stdout.flush()  # the descriptor now leads to os.devnull: no BrokenPipeError
+        monkeypatch.undo()
 
 
 def test_count_command(capsys):

@@ -25,7 +25,7 @@ from spinchains.lr import (
     partitions_up_to,
     sub_partitions,
 )
-from spinchains.scattered import _pair_decompositions
+from spinchains.scattered import _pair_decompositions, generate
 from spinchains.spin import lowest_k_type, spin_lowest_k_type
 from spinchains.verify import spin_norm_shell
 from spinchains.weights import norm_sq
@@ -430,6 +430,27 @@ def test_multiplicity_keeps_a_rectangle_coefficient_above_one(monkeypatch):
     assert 2 in counts
     monkeypatch.undo()
     assert multiplicity_by_lr_coefficient(cs, delta) == 4
+
+
+def test_empty_state_takes_the_rectangle_with_no_raw_count(monkeypatch):
+    """The first rectangle k^d, k, d >= 2, on the state (): its only
+    candidate is k^d itself, and multiplicity_in_induced adds it with
+    coefficient 1 instead of counting tableaux on a skew shape with no cells."""
+    for k in range(2, 5):
+        for d in range(2, 5):
+            assert list(_grow_candidates((), k, d, (k * d,) * (d + 1))) == [(k,) * d], (k, d)
+            assert lr_coefficient((k,) * d, (), (k,) * d) == 1
+    queries = [(cs, spin_lowest_k_type(cs).tau) for cs in generate(8)]
+    expected = [multiplicity_by_lr_coefficient(cs, tau) for cs, tau in queries]
+    calls = []
+
+    def recording(outer, inner, weight):
+        calls.append((inner, weight))
+        return _count_tableaux(outer, inner, weight)
+
+    monkeypatch.setattr(lr, "_count_tableaux", recording)
+    assert [multiplicity_in_induced(cs, tau) for cs, tau in queries] == expected
+    assert calls and all(inner and weight for inner, weight in calls)
 
 
 def test_grow_candidates_prunes_only_zero_coefficients():

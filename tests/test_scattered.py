@@ -1,5 +1,6 @@
 import functools
 import json
+import tracemalloc
 from collections import Counter
 from itertools import accumulate, combinations, product
 
@@ -175,8 +176,9 @@ def test_top_down_search_equals_the_gap_free_walk():
 
 
 def test_top_down_search_equals_the_branching_tree():
-    # beyond VERIFY_CAP, where verify's oracle stops; about 0.2 s for n <= 14
-    for n in range(2, 15):
+    # at every rank enumerate prints, beyond VERIFY_CAP, where verify's
+    # oracle stops: enumerate prints the search, so the tree is its oracle
+    for n in range(2, 17):
         assert list(_interlaced_pairs(n)) == sorted(_leaves(n)), n
 
 
@@ -305,6 +307,51 @@ def test_prefix_walk_resolves_each_linked_pair_once_per_prefix(monkeypatch):
     for pairs in _leaves(12):
         _rules(pairs)
     assert calls == {"walk": 1756, "per leaf": 2816}
+
+
+def test_records_stream_without_the_branching_tree(monkeypatch):
+    first = min(_leaves(16))
+
+    def refuse(*args):
+        raise AssertionError("enumerate's path builds the branching tree")
+
+    monkeypatch.setattr(scattered, "_leaves", refuse)
+    monkeypatch.setattr(scattered, "_branch", refuse)
+    assert next(_records(16)) == record_on_chain_sets(ChainSet(first))
+
+
+def test_records_stream_in_a_fraction_of_the_sorted_leaves_memory():
+    n = 14
+    next(_records(4))  # first-call allocations stay outside the measurement
+    tracemalloc.start()
+    try:
+        # the walk goes first, so the tree cannot find its tuples on free lists
+        start = tracemalloc.get_traced_memory()[0]
+        assert sum(1 for _ in _records(n)) == 2 ** (n - 2)
+        walk = tracemalloc.get_traced_memory()[1] - start
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        leaves = sorted(_leaves(n))
+        tree = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert len(leaves) == 2 ** (n - 2)
+    assert walk < tree / 4, (walk, tree)
+
+
+def test_assemble_builds_a_chain_set_only_when_its_caller_has_none(monkeypatch):
+    sets = [ChainSet(pairs) for pairs in _interlaced_pairs(6)]
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return ChainSet(*args)
+
+    monkeypatch.setattr(scattered, "ChainSet", counting)
+    records = [build_record(cs, with_multiplicity=True) for cs in sets]
+    assert built == []
+    assert list(_records(6, with_multiplicity=True)) == records
+    assert len(built) == len(sets) == 16
 
 
 @pytest.mark.parametrize(
