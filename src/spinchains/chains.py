@@ -92,10 +92,7 @@ class ChainSet:
 
     def all_entries(self) -> tuple[int, ...]:
         """Every entry of every chain, sorted descending."""
-        out = []
-        for c in self.chains:
-            out.extend(c.entries())
-        return tuple(sorted(out, reverse=True))
+        return _pairs_entries(self.chains)
 
     def min_entry(self) -> int:
         return min(c.bottom for c in self.chains)
@@ -121,6 +118,15 @@ class ChainSet:
 
     def to_json(self) -> str:
         return json.dumps({"chains": self.to_lists()})
+
+
+def _pairs_entries(pairs) -> tuple[int, ...]:
+    """Every entry of disjoint (top, length) pairs in any order, sorted descending."""
+    out = []
+    for top, length in pairs:
+        out += range(top, top - 2 * length, -2)
+    out.sort(reverse=True)
+    return tuple(out)
 
 
 def is_linked(c1: Chain, c2: Chain) -> bool:

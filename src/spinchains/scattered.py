@@ -268,8 +268,8 @@ def _assemble(pieces: tuple[list, list], vals: list[int], rho: Weight, with_mult
     from its `_extend` pieces (chains added by descending top) and the rows
     its rules left in vals (standard scale, any order); rho is
     rho_doubled(n), made once per rank by the caller.  The one place the
-    record's fields are computed: `_prefix_walk` calls it on each leaf, and
-    `build_record` returns it as it is.
+    record's fields are computed: `_records` calls it on each leaf of
+    `_prefix_walk`, and `build_record` returns it as it is.
 
     The involution sends each entry's rank to its mirror's, the rule of
     chains._pairs_involution.  With with_multiplicity,
@@ -303,9 +303,11 @@ def _assemble(pieces: tuple[list, list], vals: list[int], rho: Weight, with_mult
     }
 
 
-def _prefix_walk(leaves, rho: Weight, with_multiplicity: bool = False):
-    """The record of each scattered leaf, in the order given, from one walk
-    of the leaves as a trie of chain prefixes.
+def _prefix_walk(leaves):
+    """(pieces, vals) of each scattered leaf, in the order given, from one
+    walk of the leaves as a trie of chain prefixes: the `_extend` pieces of
+    its record, and its rows as one flat list in the leaf's chain order.
+    Later leaves share both, so treat them as read-only.
 
     Each leaf lists its chains by descending top, and sorted leaves share
     prefixes with their neighbours.  The walk keeps a stack with the state
@@ -319,7 +321,7 @@ def _prefix_walk(leaves, rho: Weight, with_multiplicity: bool = False):
     is smaller: of two chains with equal averages, the one with the lower
     top is the shorter, which comes first.  Every slot of a scattered
     parameter is written at most once, so the rows do not depend on the
-    order the linked pairs are resolved in.
+    order the linked pairs are resolved in; a verify line checks it.
     """
     chains: list[tuple] = []  # the current prefix's chains, as _step takes them
     states = [([], [], _NO_PIECES)]  # (vals, written, pieces) after each chain of the prefix
@@ -347,14 +349,16 @@ def _prefix_walk(leaves, rho: Weight, with_multiplicity: bool = False):
             pieces = _extend(pieces, top, length)
             states.append((vals, written, pieces))
         prev = leaf
-        yield _assemble(pieces, vals, rho, with_multiplicity)
+        yield pieces, vals
 
 
 def _records(n: int, with_multiplicity: bool = False):
     """build_record(cs, with_multiplicity) for each cs of generate(n), in
     that order, one at a time: `_prefix_walk` over `_interlaced_pairs(n)`,
     which yields them in that order with memory linear in n."""
-    yield from _prefix_walk(_interlaced_pairs(n), rho_doubled(n), with_multiplicity)
+    rho = rho_doubled(n)
+    for pieces, vals in _prefix_walk(_interlaced_pairs(n)):
+        yield _assemble(pieces, vals, rho, with_multiplicity)
 
 
 def spherical_family(a: int, b: int) -> ChainSet:

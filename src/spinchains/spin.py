@@ -139,12 +139,17 @@ class SpinResult:
     trace: tuple[AppliedRule, ...]  # in execution order
 
 
+def _pairs_lowest_k_type(pairs) -> Weight:
+    """`lowest_k_type` on (top, length) pairs in any order."""
+    vals = []
+    for top, length in pairs:
+        vals += [2 * (top - length + 1)] * length
+    return dominant(vals)
+
+
 def lowest_k_type(cs: ChainSet) -> Weight:
     """Highest weight of the lowest K-type, doubled: averages with multiplicity."""
-    vals = []
-    for c in cs.chains:
-        vals.extend([2 * c.avg] * c.length)
-    return dominant(vals)
+    return _pairs_lowest_k_type(cs.chains)
 
 
 def spin_lowest_k_type(cs: ChainSet) -> SpinResult:
@@ -170,16 +175,19 @@ def spin_lowest_k_type(cs: ChainSet) -> SpinResult:
     )
 
 
-def verify_spin_identity(res: SpinResult) -> bool:
-    """Check {tau - rho} = 2*lambda - rho exactly, in doubled arithmetic.
-
-    2*lambda - rho is automatically weakly decreasing, so no sort is needed
-    on the right-hand side.
-    """
-    rho = rho_doubled(len(res.tau))
-    lhs = dominant(t - r for t, r in zip(res.tau, rho))
-    rhs = tuple(l - r for l, r in zip(res.lambda2, rho))
+def _spin_identity(tau: Weight, lambda2: Weight) -> bool:
+    """Whether {tau - rho} = 2*lambda - rho exactly, for tau and lambda2 =
+    2*lambda, both doubled.  2*lambda - rho is weakly decreasing, so its
+    side needs no sort."""
+    rho = rho_doubled(len(tau))
+    lhs = dominant(t - r for t, r in zip(tau, rho))
+    rhs = tuple(l - r for l, r in zip(lambda2, rho))
     return lhs == rhs
+
+
+def verify_spin_identity(res: SpinResult) -> bool:
+    """Check {tau - rho} = 2*lambda - rho exactly, in doubled arithmetic."""
+    return _spin_identity(res.tau, res.lambda2)
 
 
 def dirac_report(cs: ChainSet) -> tuple[Weight, int]:

@@ -2,8 +2,9 @@
 
 `CHECKS` is the registry, run in order: each check is a generator
 ``check(ranks, n_max)`` of ``(label, ok, detail)`` lines, where ``ranks[n]``
-lists the rank-n parameters as `Param`s.  Per-parameter checks come from
-`_sweep`; the heavyweight checks carry the caps below.
+lists the rank-n parameters as `Param`s, made by `scattered._prefix_walk`,
+the walk `enumerate` prints.  Per-parameter checks come from `_sweep`; the
+heavyweight checks carry the caps below.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from typing import NamedTuple
 
 from .chains import (
     ChainSet,
+    _pairs_entries,
     _pairs_interlaced,
     _pairs_involution,
-    extract_involution,
     involves_all_simple_reflections,
     is_involution,
     lambda_doubled,
@@ -31,17 +32,19 @@ from .lr import (
     sub_partitions,
 )
 from .scattered import (
+    Pairs,
     _BASE,
     _branch,
     _interlaced_pairs,
     _levels,
     _pair_decompositions,
+    _prefix_walk,
     _unbranch,
     is_u_small,
     spherical_family,
 )
-from .spin import SpinResult, lowest_k_type, spin_lowest_k_type, verify_spin_identity
-from .weights import Weight, norm_sq, rho_doubled, spin_norm_sq, to_fundamental
+from .spin import _pairs_lowest_k_type, _rules, _spin_identity, lowest_k_type
+from .weights import Weight, dominant, norm_sq, rho_doubled, spin_norm_sq, to_fundamental
 
 SPHERICAL_CAP = 9
 EQUIVALENCE_CAP = 7
@@ -134,18 +137,35 @@ def _is_horizontal_strip(outer, inner) -> bool:
 
 
 class Param(NamedTuple):
-    """One scattered parameter with its tau and lowest K-type, each computed once."""
+    """One scattered parameter as plain data: its (top, length) pairs, tops
+    descending; tau and the lowest K-type, doubled; and the prefix walk's
+    rows (standard scale), one per chain.  The sweeps take lambda from
+    chains, so doctored chains are caught as a doctored tau is."""
 
-    cs: ChainSet
-    res: SpinResult
+    chains: Pairs
+    tau: Weight
     lowest: Weight
+    rows: tuple[tuple[int, ...], ...]
+
+
+def _param(pairs: Pairs, vals: list[int]) -> Param:
+    """The Param of a leaf from the flat rows `_prefix_walk` gave it."""
+    rows, start = [], 0
+    for _, length in pairs:
+        rows.append(tuple(vals[start:start + length]))
+        start += length
+    return Param(pairs, dominant([2 * x for x in vals]), _pairs_lowest_k_type(pairs), tuple(rows))
 
 
 def build_ranks(n_max: int) -> dict[int, list[Param]]:
     """Every scattered parameter of rank 2..n_max, as Params keyed by rank in
-    generate's order, from one walk of the branching tree."""
-    levels = zip(range(2, n_max + 1), _levels(_BASE, _branch))
-    return {n: [Param(cs, spin_lowest_k_type(cs), lowest_k_type(cs)) for cs in map(ChainSet, sorted(level))] for n, level in levels}
+    generate's order: one `_prefix_walk` per rank over the sorted leaves of
+    the branching tree.  A ChainSet is built only where a check needs one."""
+    ranks = {}
+    for n, level in zip(range(2, n_max + 1), _levels(_BASE, _branch)):
+        leaves = sorted(level)
+        ranks[n] = [_param(leaf, vals) for leaf, (_, vals) in zip(leaves, _prefix_walk(leaves))]
+    return ranks
 
 
 def _sweep(label: str, predicate, cap: int | None = None):
@@ -155,7 +175,7 @@ def _sweep(label: str, predicate, cap: int | None = None):
         top = min(n_max, cap) if cap else n_max
         params = [p for n in range(2, top + 1) for p in ranks[n]]
         bad = next((p for p in params if not predicate(p)), None)
-        yield f"{label}, n<={top}", bad is None, bad.cs.to_json() if bad else f"{len(params)} parameters"
+        yield f"{label}, n<={top}", bad is None, ChainSet(bad.chains).to_json() if bad else f"{len(params)} parameters"
 
     check.__name__ = re.sub(r"\W+", "_", label).strip("_")
     return check
@@ -163,7 +183,7 @@ def _sweep(label: str, predicate, cap: int | None = None):
 
 def check_count(ranks, n_max):
     for n in range(2, n_max + 1):
-        sets = {p.cs for p in ranks[n]}
+        sets = {p.chains for p in ranks[n]}
         ok = len(ranks[n]) == len(sets) == 2 ** (n - 2)
         yield f"count n={n}", ok, f"{len(sets)} parameters"
         if not ok:
@@ -173,7 +193,7 @@ def check_count(ranks, n_max):
 def check_oracle(ranks, n_max):
     for n in range(2, n_max + 1):
         found = list(_interlaced_pairs(n))
-        yield f"brute-force oracle n={n}", found == [p.cs.chains for p in ranks[n]], f"{len(found)} parameters"
+        yield f"definition search equals branching tree, n={n}", found == [p.chains for p in ranks[n]], f"{len(found)} parameters"
 
 
 def check_equivalence(ranks, n_max):
@@ -188,7 +208,7 @@ def check_spherical(ranks, n_max):
     label = f"spherical family pattern and membership, a+b<={top}"
     pairs = 0
     for total in range(3, top + 1, 2):
-        sets = {p.cs for p in ranks[total]}
+        sets = {p.chains for p in ranks[total]}
         for b in range(1, total // 2 + 1):
             a = total - b
             cs = spherical_family(a, b)
@@ -197,7 +217,7 @@ def check_spherical(ranks, n_max):
             if len(set(lowest_k_type(cs))) != 1 or to_fundamental(lambda_doubled(cs)) != pattern:
                 yield label, False, f"a={a} b={b}"
                 return
-            if cs not in sets:
+            if cs.chains not in sets:
                 yield label, False, f"a={a} b={b} not enumerated"
                 return
             pairs += 1
@@ -229,15 +249,26 @@ def check_lr(ranks, n_max):
 
 
 def _involution_ok(p: Param) -> bool:
-    s = extract_involution(p.cs)
+    s = _pairs_involution(p.chains)
     return is_involution(s) and involves_all_simple_reflections(s)
+
+
+def _lambda2(p: Param) -> Weight:
+    """2*lambda, doubled, from p's chains."""
+    return tuple(2 * e for e in _pairs_entries(p.chains))
+
+
+def _order_free_ok(p: Param) -> bool:
+    """`spin._rules` in canonical order gives each chain the walk's row."""
+    ordered, rows, _ = _rules(p.chains)
+    return dict(zip(ordered, map(tuple, rows))) == dict(zip(p.chains, p.rows))
 
 
 def _round_trip_ok(p: Param) -> bool:
     """_unbranch undoes both children of _branch(p), and p is a child of
-    _unbranch(p) from rank 3 on: the rules of reduce and expand, on pairs."""
-    pairs = p.cs.chains
-    return all(_unbranch(k) == pairs for k in _branch(pairs)) and (p.cs.n == 2 or pairs in _branch(_unbranch(pairs)))
+    _unbranch(p) unless p is the root: the rules of reduce and expand, on pairs."""
+    pairs = p.chains
+    return all(_unbranch(k) == pairs for k in _branch(pairs)) and (pairs == _BASE or pairs in _branch(_unbranch(pairs)))
 
 
 CHECKS = (
@@ -245,17 +276,18 @@ CHECKS = (
     check_oracle,
     check_equivalence,
     _sweep("involutions use all simple reflections", _involution_ok),
-    _sweep("spin identity {tau-rho} = 2lambda-rho", lambda p: verify_spin_identity(p.res)),
-    _sweep("tau differs from lowest K-type on multi-chain parameters", lambda p: len(p.cs.chains) == 1 or p.res.tau != p.lowest),
-    _sweep("spin norm of tau equals |2lambda|", lambda p: spin_norm_sq(p.res.tau) == norm_sq(p.res.lambda2)),
-    _sweep("rules preserve the coordinate sum", lambda p: sum(p.res.tau) == sum(p.lowest)),
-    _sweep("tau is u-small", lambda p: is_u_small(p.res.tau)),
-    _sweep("lambda fundamental coefficients are 1/2 or 1", lambda p: set(to_fundamental(lambda_doubled(p.cs))) <= {1, 2}),
+    _sweep("tau does not depend on the order the linked pairs are resolved in", _order_free_ok),
+    _sweep("spin identity {tau-rho} = 2lambda-rho", lambda p: _spin_identity(p.tau, _lambda2(p))),
+    _sweep("tau differs from lowest K-type on multi-chain parameters", lambda p: len(p.chains) == 1 or p.tau != p.lowest),
+    _sweep("spin norm of tau equals |2lambda|", lambda p: spin_norm_sq(p.tau) == norm_sq(_lambda2(p))),
+    _sweep("rules preserve the coordinate sum", lambda p: sum(p.tau) == sum(p.lowest)),
+    _sweep("tau is u-small", lambda p: is_u_small(p.tau)),
+    _sweep("lambda fundamental coefficients are 1/2 or 1", lambda p: set(to_fundamental(_pairs_entries(p.chains))) <= {1, 2}),
     _sweep("reduce/expand round trip", _round_trip_ok),
     check_spherical,
     check_lr,
-    _sweep("tau has multiplicity one", lambda p: multiplicity_in_induced(p.cs, p.res.tau) == 1, MULTIPLICITY_CAP),
-    _sweep("tau is the unique spin-minimal K-type", lambda p: spin_minimal_candidates(p.cs) == [p.res.tau], UNIQUENESS_CAP),
+    _sweep("tau has multiplicity one", lambda p: multiplicity_in_induced(ChainSet(p.chains), p.tau) == 1, MULTIPLICITY_CAP),
+    _sweep("tau is the unique spin-minimal K-type", lambda p: spin_minimal_candidates(ChainSet(p.chains)) == [p.tau], UNIQUENESS_CAP),
 )
 
 

@@ -22,6 +22,7 @@ from spinchains.chains import (
 )
 from spinchains.lr import multiplicity_in_induced
 from spinchains.scattered import (
+    _assemble,
     _interlaced_pairs,
     _leaves,
     _pair_decompositions,
@@ -95,7 +96,7 @@ def reduce_on_chain_sets(cs: ChainSet) -> ChainSet:
 def test_unbranch_equals_reduce_on_chain_sets(ranks):
     for n, params in ranks.items():
         for p in params if n > 2 else ():
-            assert _unbranch(p.cs.chains) == reduce_on_chain_sets(p.cs).chains, p.cs.to_lists()
+            assert _unbranch(p.chains) == reduce_on_chain_sets(ChainSet(p.chains)).chains, p.chains
 
 
 def test_reduce_rejects_what_it_rejected_on_chain_sets():
@@ -280,7 +281,9 @@ def leaf_subsets(draw):
 @given(leaf_subsets())
 def test_prefix_walk_on_any_sorted_subset_equals_the_reference(drawn):
     n, leaves = drawn
-    assert list(_prefix_walk(leaves, rho_doubled(n))) == [record_on_chain_sets(ChainSet(p)) for p in leaves]
+    rho = rho_doubled(n)
+    records = [_assemble(pieces, vals, rho, False) for pieces, vals in _prefix_walk(leaves)]
+    assert records == [record_on_chain_sets(ChainSet(p)) for p in leaves]
 
 
 def test_prefix_walk_resolves_each_linked_pair_once_per_prefix(monkeypatch):

@@ -1,4 +1,4 @@
-import dataclasses
+import hashlib
 from itertools import product
 from math import isqrt
 
@@ -10,32 +10,48 @@ from spinchains import verify
 from spinchains.cli import VERIFY_CAP
 from spinchains.chains import ChainSet, involves_all_simple_reflections, is_interlaced, lambda_doubled
 from spinchains.lr import multiplicity_in_induced
-from spinchains.scattered import all_chain_decompositions, generate
-from spinchains.spin import spin_lowest_k_type
+from spinchains.scattered import _BASE, _branch, _levels, all_chain_decompositions, generate
+from spinchains.spin import lowest_k_type, spin_lowest_k_type
 from spinchains.verify import _strictly_decreasing, run_verification, spin_minimal_candidates, spin_norm_shell
 from spinchains.weights import norm_sq, rho_doubled, spin_norm_sq
 
 
-def _with_tau(p, tau):
-    return p._replace(res=dataclasses.replace(p.res, tau=tau))
+ORDER = "tau_does_not_depend_on_the_order_the_linked_pairs_are_resolved_in"
 
 
 def _bump_tau(p):
-    return _with_tau(p, (p.res.tau[0] + 4 * p.cs.n,) + p.res.tau[1:])
+    return p._replace(tau=(p.tau[0] + 4 * len(p.tau),) + p.tau[1:])
+
+
+def _bump_row(p):
+    first, *rest = p.rows
+    return p._replace(rows=((first[0] + 1,) + first[1:], *rest))
 
 
 # per-parameter check, by name -> a doctored copy of a multi-chain rank-4 parameter that it must reject
 DOCTORED = {
-    "involutions_use_all_simple_reflections": lambda p: p._replace(cs=ChainSet.from_lists([[7, 5], [3, 1]])),
+    "involutions_use_all_simple_reflections": lambda p: p._replace(chains=((7, 2), (3, 2))),  # {7,5} {3,1}
+    ORDER: _bump_row,
     "spin_identity_tau_rho_2lambda_rho": _bump_tau,
-    "tau_differs_from_lowest_K_type_on_multi_chain_parameters": lambda p: _with_tau(p, p.lowest),
+    "tau_differs_from_lowest_K_type_on_multi_chain_parameters": lambda p: p._replace(tau=p.lowest),
     "spin_norm_of_tau_equals_2lambda": _bump_tau,
     "rules_preserve_the_coordinate_sum": _bump_tau,
     "tau_is_u_small": _bump_tau,
-    "lambda_fundamental_coefficients_are_1_2_or_1": lambda p: p._replace(cs=ChainSet.from_lists([[9, 7], [3, 1]])),
+    "lambda_fundamental_coefficients_are_1_2_or_1": lambda p: p._replace(chains=((9, 2), (3, 2))),  # {9,7} {3,1}
     "tau_has_multiplicity_one": _bump_tau,
     "tau_is_the_unique_spin_minimal_K_type": _bump_tau,
 }
+
+# sha256 of the stdout of `spinchains verify -n 12`, at VERIFY_CAP = 12
+VERIFY_12_SHA256 = "60ce884126d53e662db8a60c6b662402d11c6e6b9af07bb5a0017d075f072d40"
+
+
+def build_ranks_by_chain_sets(n_max: int) -> dict:
+    """build_ranks as it was before the prefix walk, kept as its oracle:
+    (ChainSet, spin_lowest_k_type run, lowest_k_type) of each parameter of
+    rank 2..n_max, keyed by rank in generate's order."""
+    levels = zip(range(2, n_max + 1), _levels(_BASE, _branch))
+    return {n: [(cs, spin_lowest_k_type(cs), lowest_k_type(cs)) for cs in map(ChainSet, sorted(level))] for n, level in levels}
 
 
 def dominant_ball(n: int, coord_sum: int, norm_bound: int):
@@ -135,12 +151,35 @@ def test_shell_lifts_and_hits_equal_the_ball():
 def test_build_ranks_is_generate_at_every_rank(ranks):
     assert list(ranks) == list(range(2, VERIFY_CAP + 1))
     for n, params in ranks.items():
-        assert [p.cs for p in params] == generate(n), n
+        assert [p.chains for p in params] == [cs.chains for cs in generate(n)], n
+
+
+def test_build_ranks_equals_the_chain_set_build(ranks):
+    # chains, tau and lowest K-type of every parameter the walk's table
+    # holds, against a ChainSet and a spin_lowest_k_type run for each
+    expected = build_ranks_by_chain_sets(VERIFY_CAP)
+    assert list(ranks) == list(expected)
+    for n, params in ranks.items():
+        found = [(p.chains, p.tau, p.lowest) for p in params]
+        assert found == [(cs.chains, res.tau, lowest) for cs, res, lowest in expected[n]], n
+
+
+def test_verify_output_is_pinned(check_lines):
+    # the session's lines of every check, printed as `spinchains verify -n
+    # VERIFY_CAP` prints them; re-pin when VERIFY_CAP or a line changes
+    lines = [
+        f"{label}: {'PASS' if ok else 'FAIL'}{f' ({detail})' if detail else ''}"
+        for check in verify.CHECKS
+        for label, ok, detail in check_lines(check.__name__)
+    ]
+    passed = all(line.split(": ", 1)[1].startswith("PASS") for line in lines)
+    text = "".join(f"{line}\n" for line in [*lines, f"RESULT: {'PASS' if passed else 'FAIL'}"])
+    assert VERIFY_CAP == 12 and hashlib.sha256(text.encode()).hexdigest() == VERIFY_12_SHA256
 
 
 def test_oracle_and_spherical_lines_count_their_items(check_lines):
     oracle = [(label, detail) for label, _, detail in check_lines("check_oracle")]
-    assert oracle == [(f"brute-force oracle n={n}", f"{2 ** (n - 2)} parameters") for n in range(2, VERIFY_CAP + 1)]
+    assert oracle == [(f"definition search equals branching tree, n={n}", f"{2 ** (n - 2)} parameters") for n in range(2, VERIFY_CAP + 1)]
     [(label, _, detail)] = check_lines("check_spherical")
     top = int(label.rsplit("a+b<=", 1)[1])
     # a > b > 0 with a + b odd and at most top
@@ -162,13 +201,52 @@ def test_run_verification_rejects_tiny_rank():
 @pytest.mark.parametrize("name", DOCTORED)
 def test_sweep_fails_on_a_doctored_parameter(name, monkeypatch):
     ranks = verify.build_ranks(4)
-    bad = DOCTORED[name](next(p for p in ranks[4] if len(p.cs.chains) > 1))
+    bad = DOCTORED[name](next(p for p in ranks[4] if len(p.chains) > 1))
     ranks[4].insert(0, bad)
     monkeypatch.setattr(verify, "build_ranks", lambda n_max: ranks)
     monkeypatch.setattr(verify, "CHECKS", [c for c in verify.CHECKS if c.__name__ == name])
     [(line, ok)] = run_verification(4)
     assert not ok
-    assert line.endswith(f", n<=4: FAIL ({bad.cs.to_json()})")
+    assert line.endswith(f", n<=4: FAIL ({ChainSet(bad.chains).to_json()})")
+
+
+def test_every_per_parameter_check_has_a_doctored_parameter():
+    # the round trip reads only the chains, and a doctored set breaks the
+    # branching rule's own assertions before the check can say FAIL
+    swept = {c.__name__ for c in verify.CHECKS if c.__qualname__.startswith("_sweep.")}
+    assert swept - {"reduce_expand_round_trip"} == set(DOCTORED)
+
+
+@pytest.mark.parametrize("name", ["spin_identity_tau_rho_2lambda_rho", "spin_norm_of_tau_equals_2lambda"])
+def test_sweeps_take_lambda_from_the_chains(name, monkeypatch):
+    # {5,3,1} {4} with its own tau, but the chains of {7,5,3,1}
+    ranks = verify.build_ranks(4)
+    real = next(p for p in ranks[4] if p.chains == ((5, 3), (4, 1)))
+    ranks[4].insert(0, real._replace(chains=((7, 4),)))
+    monkeypatch.setattr(verify, "build_ranks", lambda n_max: ranks)
+    monkeypatch.setattr(verify, "CHECKS", [c for c in verify.CHECKS if c.__name__ == name])
+    [(line, ok)] = run_verification(4)
+    assert not ok
+    assert line.endswith(', n<=4: FAIL ({"chains": [[7, 5, 3, 1]]})')
+
+
+def test_order_line_names_the_parameter_whose_canonical_rows_differ(monkeypatch):
+    # the canonical-order rules, made to change one row of one rank-5
+    # parameter: the walk's rows no longer match there, and only there
+    target = [p for p in verify.build_ranks(5)[5] if len(p.chains) > 1][2]
+    real = verify._rules
+
+    def perturbed(pairs):
+        ordered, rows, trace = real(pairs)
+        if pairs == target.chains:
+            rows[-1] = [rows[-1][0] + 1, *rows[-1][1:]]
+        return ordered, rows, trace
+
+    monkeypatch.setattr(verify, "_rules", perturbed)
+    monkeypatch.setattr(verify, "CHECKS", [c for c in verify.CHECKS if c.__name__ == ORDER])
+    [(line, ok)] = run_verification(5)
+    assert not ok
+    assert line == f"tau does not depend on the order the linked pairs are resolved in, n<=5: FAIL ({ChainSet(target.chains).to_json()})"
 
 
 def test_equivalence_failure_names_the_first_offender(monkeypatch):
