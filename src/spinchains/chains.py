@@ -7,12 +7,19 @@ A disjoint union of chains encodes the Zhelobenko parameter (lambda, -s.lambda)
 of an irreducible unitary module of GL(n, C) with regular half-integral
 infinitesimal character; the involution s can be read off by flipping each
 chain in place.
+
+A ChainSet iterates over its chains, so is_interlaced, canonical_order,
+lambda_doubled and extract_involution, like spin.lowest_k_type,
+lr.multiplicity_in_induced and verify.spin_minimal_candidates, take a
+ChainSet or the same chains as disjoint (top, length) pairs in any order.
+Pairs get no overlap check.
 """
 
 from __future__ import annotations
 
 import json
 from collections import namedtuple
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .weights import Weight
@@ -86,13 +93,12 @@ class ChainSet:
                 seen.add(e)
         object.__setattr__(self, "chains", tuple(sorted(chains, reverse=True)))
 
+    def __iter__(self):
+        return iter(self.chains)
+
     @property
     def n(self) -> int:
         return sum(c.length for c in self.chains)
-
-    def all_entries(self) -> tuple[int, ...]:
-        """Every entry of every chain, sorted descending."""
-        return _pairs_entries(self.chains)
 
     def min_entry(self) -> int:
         return min(c.bottom for c in self.chains)
@@ -120,15 +126,6 @@ class ChainSet:
         return json.dumps({"chains": self.to_lists()})
 
 
-def _pairs_entries(pairs) -> tuple[int, ...]:
-    """Every entry of disjoint (top, length) pairs in any order, sorted descending."""
-    out = []
-    for top, length in pairs:
-        out += range(top, top - 2 * length, -2)
-    out.sort(reverse=True)
-    return tuple(out)
-
-
 def is_linked(c1: Chain, c2: Chain) -> bool:
     """Whether the spans of two disjoint chains straddle each other.
 
@@ -143,13 +140,12 @@ def is_linked(c1: Chain, c2: Chain) -> bool:
     return c1.top > c2.top > c1.bottom or c2.top > c1.top > c2.bottom
 
 
-def _pairs_interlaced(pairs) -> bool:
-    """Whether the linkage graph on (top, length) pairs is connected.
+def is_interlaced(cs: Iterable[tuple[int, int]]) -> bool:
+    """Whether the linkage graph on the chains is connected.
 
-    The pairs must describe disjoint chains, in any order; a single chain
-    counts as interlaced.  One sweep by descending top decides it: the set
-    is interlaced iff each next top lies strictly above the lowest bottom
-    seen so far.
+    A single chain counts as interlaced.  One sweep by descending top
+    decides it: the set is interlaced iff each next top lies strictly above
+    the lowest bottom seen so far.
 
     Proof.  Take chain i before chain j in that order, so T_i > T_j.  They
     are linked iff T_j > b_i, since T_j > T_i is impossible.  If
@@ -158,7 +154,7 @@ def _pairs_interlaced(pairs) -> bool:
     Otherwise each chain links an earlier one, and the graph is connected
     by induction.
     """
-    spans = iter(sorted(pairs, reverse=True))
+    spans = iter(sorted(cs, reverse=True))
     top, length = next(spans)
     low = top - 2 * (length - 1)
     for top, length in spans:
@@ -170,13 +166,11 @@ def _pairs_interlaced(pairs) -> bool:
     return True
 
 
-def is_interlaced(cs: ChainSet) -> bool:
-    """Whether the linkage graph on the chains is connected.
-
-    A single chain counts as interlaced.  The chains of a ChainSet are
-    disjoint by construction, so no overlap check is repeated here.
-    """
-    return _pairs_interlaced(cs.chains)
+def _require_scattered(cs: ChainSet) -> None:
+    """Raise ValueError unless cs is a scattered parameter: interlaced
+    chains with smallest entry 1."""
+    if cs.min_entry() != 1 or not is_interlaced(cs):
+        raise ValueError("not a scattered parameter: need interlaced chains with smallest entry 1")
 
 
 def _canonical_key(pair: tuple[int, int]) -> tuple[int, int]:
@@ -185,45 +179,42 @@ def _canonical_key(pair: tuple[int, int]) -> tuple[int, int]:
     return length - 1 - top, length
 
 
-def canonical_order(cs: ChainSet) -> tuple[Chain, ...]:
+def canonical_order(cs: Iterable[tuple[int, int]]) -> tuple:
     """The chains with averages strictly decreasing, shorter first on ties.
 
-    The order is total: equal average and equal length would force two
-    identical chains, which disjointness already rules out.
+    Pairs come back as they were given.  The order is total: equal average
+    and equal length would force two identical chains, which disjointness
+    already rules out.
     """
-    return tuple(sorted(cs.chains, key=_canonical_key))
+    return tuple(sorted(cs, key=_canonical_key))
 
 
-def lambda_doubled(cs: ChainSet) -> Weight:
+def lambda_doubled(cs: Iterable[tuple[int, int]]) -> Weight:
     """The infinitesimal character lambda in doubled coordinates.
 
-    The entries of the chains are exactly the doubled coordinates of lambda;
-    `ChainSet.all_entries` already sorts them into the dominant
-    representative.
+    The entries of the chains are exactly the doubled coordinates of
+    lambda; sorted descending, they are its dominant representative.
     """
-    return cs.all_entries()
+    out = []
+    for top, length in cs:
+        out += range(top, top - 2 * length, -2)
+    out.sort(reverse=True)
+    return tuple(out)
 
 
-def _pairs_involution(pairs) -> tuple[int, ...]:
-    """One-line notation of the involution s encoded by disjoint (top, length) pairs.
+def extract_involution(cs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """One-line notation of the involution s encoded by the chains.
 
     Label the entries 1..n in descending order, flip each chain front to
-    back, and read the labels now sitting in the original slots.  The pairs
-    may come in any order.
+    back, and read the labels now sitting in the original slots.
     """
-    chains = [range(top, top - 2 * length, -2) for top, length in pairs]
+    chains = [range(top, top - 2 * length, -2) for top, length in cs]
     rank = {e: i for i, e in enumerate(sorted((e for chain in chains for e in chain), reverse=True))}
     s = [0] * len(rank)
     for chain in chains:
         for e, flipped in zip(chain, reversed(chain)):
             s[rank[e]] = rank[flipped] + 1
     return tuple(s)
-
-
-def extract_involution(cs: ChainSet) -> tuple[int, ...]:
-    """One-line notation of the involution s encoded by the chain set; see
-    `_pairs_involution`."""
-    return _pairs_involution(cs.chains)
 
 
 def is_involution(perm: tuple[int, ...]) -> bool:

@@ -28,7 +28,9 @@ Pieri rule.  Any other rectangle goes straight to the raw counter.
 
 from __future__ import annotations
 
-from .chains import ChainSet, canonical_order
+from collections.abc import Iterable
+
+from .chains import canonical_order
 from .weights import Weight
 
 Partition = tuple[int, ...]
@@ -241,15 +243,16 @@ def _grow_candidates(mu: Partition, k: int, d: int, limit: Partition):
     yield from rec(0, goal, goal)
 
 
-def multiplicity_in_induced(cs: ChainSet, delta: Weight) -> int:
+def multiplicity_in_induced(cs: Iterable[tuple[int, int]], delta: Weight) -> int:
     """Multiplicity of the K-type with doubled highest weight delta.
 
     The module is induced from the unitary characters det^(k_i) of GL(d_i)
-    factors given by the chains.  A uniform shift t makes every k_i + t
-    non-negative and delta + t a partition; the answer is independent of
-    the choice of t.  The iterated product of the rectangles k^d =
-    (k_i + t)^(d_i) is evaluated state by state, every intermediate shape
-    confined below the target and grown by `_grow_candidates`.
+    factors given by the chains: k_i = top - length + 1 is a chain's average
+    and d_i its length.  A uniform shift t makes every k_i + t non-negative
+    and delta + t a partition; the answer is independent of the choice of
+    t.  The iterated product of the rectangles k^d = (k_i + t)^(d_i) is
+    evaluated state by state, every intermediate shape confined below the
+    target and grown by `_grow_candidates`.
 
     Each candidate nu of a state mu is a partition with mu <= nu, no zero
     part, |nu| = |mu| + k*d and the caps and floors of `_grow_candidates`,
@@ -269,7 +272,8 @@ def multiplicity_in_induced(cs: ChainSet, delta: Weight) -> int:
       ties as given.  Such a c can exceed 1: products with a rectangle are
       not multiplicity-free.
     """
-    n = cs.n
+    factors = [(top - length + 1, length) for top, length in canonical_order(cs)]
+    n = sum(d for _, d in factors)
     if len(delta) != n:
         raise ValueError(f"delta has {len(delta)} coordinates, parameter has {n}")
     if any(x % 2 for x in delta):
@@ -278,15 +282,14 @@ def multiplicity_in_induced(cs: ChainSet, delta: Weight) -> int:
         if a < b:
             raise ValueError("delta must be dominant")
     delta_std = tuple(x // 2 for x in delta)
-    ordered = canonical_order(cs)
-    if sum(delta_std) != sum(c.avg * c.length for c in ordered):
+    if sum(delta_std) != sum(k * d for k, d in factors):
         return 0
-    shift = max(0, -min(c.avg for c in ordered), -delta_std[-1])
+    shift = max(0, -min(k for k, _ in factors), -delta_std[-1])
     target = normalize_partition(x + shift for x in delta_std)
 
     states: dict[Partition, int] = {(): 1}
-    for c in ordered:
-        k, d = c.avg + shift, c.length
+    for k, d in factors:
+        k += shift
         if k == 0:  # det^0 is the trivial character: every state stays
             continue
         rect = (k,) * d

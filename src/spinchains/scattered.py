@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import accumulate, compress, islice, repeat
 from operator import add, attrgetter, mul, sub
 
-from .chains import ChainSet, _pairs_interlaced, is_interlaced
+from .chains import ChainSet, _require_scattered, is_interlaced
 from .lr import multiplicity_in_induced
 from .spin import _step, spin_lowest_k_type
 from .weights import Weight, fundamental_pairing_signs, rho_doubled
@@ -59,7 +59,7 @@ def _branch(pairs: Pairs) -> tuple[Pairs, Pairs]:
         else:
             children = (add_singleton(me - 1), grow(even))
     for child in children:
-        if not _pairs_interlaced(child):
+        if not is_interlaced(child):
             raise AssertionError(f"expansion produced a non-interlaced set: {child}")
     return children
 
@@ -128,7 +128,7 @@ def _unbranch(pairs: Pairs) -> Pairs:
         raise AssertionError("an interlaced set cannot top out in an unlinked singleton")
     else:
         out = tuple(sorted(((m - 2, length - 1),) + pairs[1:], reverse=True))
-    if not _pairs_interlaced(out) or min(top - 2 * (length - 1) for top, length in out) != 1:
+    if not is_interlaced(out) or min(top - 2 * (length - 1) for top, length in out) != 1:
         raise AssertionError(f"reduction broke interlacing: {out}")
     return out
 
@@ -136,8 +136,7 @@ def _unbranch(pairs: Pairs) -> Pairs:
 def reduce(cs: ChainSet) -> ChainSet:
     """The unique parent of an interlaced chain set, inverse of expand; the
     rule is `_unbranch`'s."""
-    if cs.min_entry() != 1 or not is_interlaced(cs):
-        raise ValueError("reduce needs an interlaced set with smallest entry 1")
+    _require_scattered(cs)
     if cs.n <= 2:
         raise ValueError("the base parameter {3, 1} cannot be reduced")
     return ChainSet(_unbranch(cs.chains))
@@ -185,7 +184,7 @@ def _interlaced_pairs(n: int):
     ascending (top, length).  It cuts only partial sets no completion saves:
     - overlapping chains, or a bottom below 1;
     - a next top at most `low`, the lowest bottom so far: the sweep of
-      `_pairs_interlaced`, which lower tops cannot repair.  So a partial
+      `is_interlaced`, which lower tops cannot repair.  So a partial
       set that is not complete needs a free value between low and its
       lowest top;
     - too few entries left to fill [1, low).  Two consecutive values missing
@@ -238,13 +237,12 @@ def is_u_small(tau: Weight) -> bool:
 def build_record(cs: ChainSet, with_multiplicity: bool = False) -> dict:
     """The record of a scattered parameter, as the dict `enumerate` prints:
     the rows of its spin_lowest_k_type run, assembled by `_assemble`."""
-    if cs.min_entry() != 1 or not is_interlaced(cs):
-        raise ValueError("not a scattered parameter: need interlaced chains with smallest entry 1")
+    _require_scattered(cs)
     vals = [x for row in spin_lowest_k_type(cs).rows for x in row]
     pieces = _NO_PIECES
     for top, length in cs.chains:
         pieces = _extend(pieces, top, length)
-    return _assemble(pieces, vals, rho_doubled(cs.n), with_multiplicity, cs)
+    return _assemble(pieces, vals, rho_doubled(cs.n), with_multiplicity)
 
 
 _NO_PIECES: tuple[list, list] = ([], [])  # the pieces of the empty chain set
@@ -263,7 +261,7 @@ def _extend(pieces: tuple[list, list], top: int, length: int) -> tuple[list, lis
     return mirror, chains + [list(range(top, bottom - 1, -2))]
 
 
-def _assemble(pieces: tuple[list, list], vals: list[int], rho: Weight, with_multiplicity: bool, cs=None) -> dict:
+def _assemble(pieces: tuple[list, list], vals: list[int], rho: Weight, with_multiplicity: bool) -> dict:
     """The record of a scattered parameter, as the dict `enumerate` prints,
     from its `_extend` pieces (chains added by descending top) and the rows
     its rules left in vals (standard scale, any order); rho is
@@ -272,9 +270,8 @@ def _assemble(pieces: tuple[list, list], vals: list[int], rho: Weight, with_mult
     `_prefix_walk`, and `build_record` returns it as it is.
 
     The involution sends each entry's rank to its mirror's, the rule of
-    chains._pairs_involution.  With with_multiplicity,
-    multiplicity_in_induced runs on cs, the parameter as a ChainSet, built
-    from the chains only when the caller has none.
+    chains.extract_involution.  With with_multiplicity,
+    multiplicity_in_induced runs on the chains' (top, length) pairs.
     """
     mirror, chains = pieces
     entries = list(compress(range(len(mirror) - 1, 0, -1), reversed(mirror)))
@@ -285,9 +282,7 @@ def _assemble(pieces: tuple[list, list], vals: list[int], rho: Weight, with_mult
     total = sum(shifted)
     mult = None
     if with_multiplicity:
-        if cs is None:
-            cs = ChainSet([(c[0], len(c)) for c in chains])
-        mult = multiplicity_in_induced(cs, tuple(2 * t for t in tau))
+        mult = multiplicity_in_induced([(c[0], len(c)) for c in chains], tuple(2 * t for t in tau))
     return {
         "n": n,
         "chains": chains,

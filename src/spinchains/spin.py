@@ -26,10 +26,11 @@ K-type of minimal spin norm, the one contributing to Dirac cohomology.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .chains import Chain, ChainSet, _canonical_key, is_interlaced
+from .chains import Chain, ChainSet, _require_scattered, canonical_order, lambda_doubled
 # spinbench's test_tracer_counts_calls_and_restores_the_modules reads spin.is_linked
 from .chains import is_linked  # noqa: F401
 from .weights import Weight, dominant, rho_doubled
@@ -100,7 +101,7 @@ def _refuse(written, ci, cj, si, sj, run):
 
 
 def _rules(pairs):
-    """Rules (a), (b) and (c) on disjoint (top, length) pairs given in any order.
+    """Rules (a), (b) and (c) on a ChainSet, or its chains as pairs.
 
     Returns the pairs in canonical order, their final rows (standard scale)
     and the trace in execution order as (kind, i, j, param) tuples.  Each
@@ -108,7 +109,7 @@ def _rules(pairs):
     with it; two pairs are linked when their (top, bottom) spans straddle,
     as in `is_linked`.  The caller checks disjointness.
     """
-    ordered = sorted(pairs, key=_canonical_key)
+    ordered = canonical_order(pairs)
     chains, vals = [], []
     for row, (top, length) in enumerate(ordered):
         avg = top - length + 1
@@ -139,17 +140,12 @@ class SpinResult:
     trace: tuple[AppliedRule, ...]  # in execution order
 
 
-def _pairs_lowest_k_type(pairs) -> Weight:
-    """`lowest_k_type` on (top, length) pairs in any order."""
+def lowest_k_type(cs: Iterable[tuple[int, int]]) -> Weight:
+    """Highest weight of the lowest K-type, doubled: averages with multiplicity."""
     vals = []
-    for top, length in pairs:
+    for top, length in cs:
         vals += [2 * (top - length + 1)] * length
     return dominant(vals)
-
-
-def lowest_k_type(cs: ChainSet) -> Weight:
-    """Highest weight of the lowest K-type, doubled: averages with multiplicity."""
-    return _pairs_lowest_k_type(cs.chains)
 
 
 def spin_lowest_k_type(cs: ChainSet) -> SpinResult:
@@ -162,11 +158,11 @@ def spin_lowest_k_type(cs: ChainSet) -> SpinResult:
     """
     ordered, rows, trace = _rules(cs.chains)
     tau = dominant([2 * x for row in rows for x in row])
-    lambda2 = tuple(2 * e for e in cs.all_entries())
+    lambda2 = tuple(2 * e for e in lambda_doubled(cs))
     rho = rho_doubled(len(tau))
     gamma = dominant([t - r for t, r in zip(tau, rho)])
     return SpinResult(
-        chains=tuple(ordered),
+        chains=ordered,
         tau=tau,
         lambda2=lambda2,
         gamma=gamma,
@@ -196,7 +192,6 @@ def dirac_report(cs: ChainSet) -> tuple[Weight, int]:
     Returns the highest weight {tau - rho} (doubled) and the multiplicity
     2^floor((n-1)/2) with which it occurs.
     """
-    if cs.min_entry() != 1 or not is_interlaced(cs):
-        raise ValueError("not a scattered parameter: need interlaced chains with smallest entry 1")
+    _require_scattered(cs)
     res = spin_lowest_k_type(cs)
     return res.gamma, 2 ** ((cs.n - 1) // 2)

@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from collections.abc import Iterable
 from math import isqrt
 from typing import NamedTuple
 
 from .chains import (
     ChainSet,
-    _pairs_entries,
-    _pairs_interlaced,
-    _pairs_involution,
+    canonical_order,
+    extract_involution,
     involves_all_simple_reflections,
+    is_interlaced,
     is_involution,
     lambda_doubled,
 )
@@ -43,7 +44,7 @@ from .scattered import (
     is_u_small,
     spherical_family,
 )
-from .spin import _pairs_lowest_k_type, _rules, _spin_identity, lowest_k_type
+from .spin import _rules, _spin_identity, lowest_k_type
 from .weights import Weight, dominant, norm_sq, rho_doubled, spin_norm_sq, to_fundamental
 
 SPHERICAL_CAP = 9
@@ -117,14 +118,15 @@ def spin_norm_shell(n: int, coord_sum: int, norm: int):
             yield tuple(x // 2 for x in delta)
 
 
-def spin_minimal_candidates(cs: ChainSet) -> list[tuple[int, ...]]:
+def spin_minimal_candidates(cs: Iterable[tuple[int, int]]) -> list[tuple[int, ...]]:
     """All dominant weights achieving the minimal spin norm |2lambda| with
     positive multiplicity, doubled, in descending order."""
-    lam = lambda_doubled(cs)
+    ordered = canonical_order(cs)
+    lam = lambda_doubled(ordered)
     hits = []
-    for v in spin_norm_shell(cs.n, sum(lam), 4 * norm_sq(lam)):
+    for v in spin_norm_shell(len(lam), sum(lam), 4 * norm_sq(lam)):
         dv = tuple(2 * x for x in v)
-        if multiplicity_in_induced(cs, dv) > 0:
+        if multiplicity_in_induced(ordered, dv) > 0:
             hits.append(dv)
     return sorted(hits, reverse=True)
 
@@ -154,13 +156,14 @@ def _param(pairs: Pairs, vals: list[int]) -> Param:
     for _, length in pairs:
         rows.append(tuple(vals[start:start + length]))
         start += length
-    return Param(pairs, dominant([2 * x for x in vals]), _pairs_lowest_k_type(pairs), tuple(rows))
+    return Param(pairs, dominant([2 * x for x in vals]), lowest_k_type(pairs), tuple(rows))
 
 
 def build_ranks(n_max: int) -> dict[int, list[Param]]:
     """Every scattered parameter of rank 2..n_max, as Params keyed by rank in
     generate's order: one `_prefix_walk` per rank over the sorted leaves of
-    the branching tree.  A ChainSet is built only where a check needs one."""
+    the branching tree.  The checks read the pairs; a ChainSet is built
+    only to print a failing line's parameter."""
     ranks = {}
     for n, level in zip(range(2, n_max + 1), _levels(_BASE, _branch)):
         leaves = sorted(level)
@@ -199,7 +202,7 @@ def check_oracle(ranks, n_max):
 def check_equivalence(ranks, n_max):
     top = min(n_max, EQUIVALENCE_CAP)
     decompositions = (pairs for n in range(2, top + 1) for pairs in _pair_decompositions(n))
-    bad = next((pairs for pairs in decompositions if _pairs_interlaced(pairs) != involves_all_simple_reflections(_pairs_involution(pairs))), None)
+    bad = next((pairs for pairs in decompositions if is_interlaced(pairs) != involves_all_simple_reflections(extract_involution(pairs))), None)
     yield f"interlaced <=> involution uses all reflections, n<={top}", bad is None, ChainSet(bad).to_json() if bad else ""
 
 
@@ -249,13 +252,13 @@ def check_lr(ranks, n_max):
 
 
 def _involution_ok(p: Param) -> bool:
-    s = _pairs_involution(p.chains)
+    s = extract_involution(p.chains)
     return is_involution(s) and involves_all_simple_reflections(s)
 
 
 def _lambda2(p: Param) -> Weight:
     """2*lambda, doubled, from p's chains."""
-    return tuple(2 * e for e in _pairs_entries(p.chains))
+    return tuple(2 * e for e in lambda_doubled(p.chains))
 
 
 def _order_free_ok(p: Param) -> bool:
@@ -282,12 +285,12 @@ CHECKS = (
     _sweep("spin norm of tau equals |2lambda|", lambda p: spin_norm_sq(p.tau) == norm_sq(_lambda2(p))),
     _sweep("rules preserve the coordinate sum", lambda p: sum(p.tau) == sum(p.lowest)),
     _sweep("tau is u-small", lambda p: is_u_small(p.tau)),
-    _sweep("lambda fundamental coefficients are 1/2 or 1", lambda p: set(to_fundamental(_pairs_entries(p.chains))) <= {1, 2}),
+    _sweep("lambda fundamental coefficients are 1/2 or 1", lambda p: set(to_fundamental(lambda_doubled(p.chains))) <= {1, 2}),
     _sweep("reduce/expand round trip", _round_trip_ok),
     check_spherical,
     check_lr,
-    _sweep("tau has multiplicity one", lambda p: multiplicity_in_induced(ChainSet(p.chains), p.tau) == 1, MULTIPLICITY_CAP),
-    _sweep("tau is the unique spin-minimal K-type", lambda p: spin_minimal_candidates(ChainSet(p.chains)) == [p.tau], UNIQUENESS_CAP),
+    _sweep("tau has multiplicity one", lambda p: multiplicity_in_induced(p.chains, p.tau) == 1, MULTIPLICITY_CAP),
+    _sweep("tau is the unique spin-minimal K-type", lambda p: spin_minimal_candidates(p.chains) == [p.tau], UNIQUENESS_CAP),
 )
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from spinchains.chains import ChainSet
 from spinchains.cli import VERIFY_CAP
 from spinchains.verify import CHECKS, build_ranks
 
@@ -27,3 +28,17 @@ def check_lines(ranks):
         return cache[name]
 
     return lines_of
+
+
+@pytest.fixture
+def chain_sets_built(monkeypatch):
+    """The list of every ChainSet built while the test runs, in build order."""
+    built = []
+    post_init = ChainSet.__post_init__
+
+    def counting(cs):
+        built.append(cs)
+        post_init(cs)
+
+    monkeypatch.setattr(ChainSet, "__post_init__", counting)
+    return built

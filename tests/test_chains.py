@@ -6,8 +6,6 @@ from spinchains.chains import (
     Chain,
     ChainSet,
     OverlappingChainsError,
-    _pairs_interlaced,
-    _pairs_involution,
     canonical_order,
     extract_involution,
     involves_all_simple_reflections,
@@ -16,6 +14,8 @@ from spinchains.chains import (
     is_linked,
     lambda_doubled,
 )
+from spinchains.lr import multiplicity_in_induced
+from spinchains.spin import lowest_k_type, spin_lowest_k_type
 
 EX22 = ChainSet.from_lists([[10, 8], [9, 7, 5, 3, 1], [6], [4]])
 
@@ -164,16 +164,22 @@ def test_is_interlaced_matches_linked_pair_graph(cs):
             assert is_interlaced(ChainSet((a, b))) == is_linked(a, b)
 
 
-@given(st.data())
-def test_pairs_interlaced_ignores_input_order(data):
-    cs = data.draw(chain_sets())
-    pairs = data.draw(st.permutations(list(cs.chains)))
-    assert _pairs_interlaced(pairs) == is_interlaced_by_linked_pairs(cs)
+@given(chain_sets(), st.randoms())
+def test_a_chain_set_and_its_pairs_in_any_order_give_the_same_answers(cs, rng):
+    pairs = [tuple(c) for c in cs]
+    rng.shuffle(pairs)
+    assert is_interlaced(pairs) == is_interlaced(cs) == is_interlaced_by_linked_pairs(cs)
+    assert extract_involution(pairs) == extract_involution(cs)
+    assert lambda_doubled(pairs) == lambda_doubled(cs)
+    assert lowest_k_type(pairs) == lowest_k_type(cs)
+    assert canonical_order(pairs) == canonical_order(cs)
+    tau = spin_lowest_k_type(cs).tau
+    assert multiplicity_in_induced(pairs, tau) == multiplicity_in_induced(cs, tau)
 
 
 @given(chain_sets())
 def test_interlaced_sets_have_no_double_gap(cs):
-    entries = set(cs.all_entries())
+    entries = set(lambda_doubled(cs))
     low, top = min(entries), max(entries)
     if any(v not in entries and v + 1 not in entries for v in range(low, top - 1)):
         assert not is_interlaced(cs)
@@ -236,13 +242,6 @@ def test_extract_involution_rank_four_examples():
 @given(chain_sets())
 def test_extracted_permutation_is_always_an_involution(cs):
     assert is_involution(extract_involution(cs))
-
-
-@given(chain_sets(), st.randoms())
-def test_pairs_involution_ignores_the_order_of_the_pairs(cs, rng):
-    pairs = list(cs.chains)
-    rng.shuffle(pairs)
-    assert _pairs_involution(pairs) == extract_involution(cs)
 
 
 def test_involves_all_simple_reflections():

@@ -122,6 +122,11 @@ def test_enumerate_deterministic(capsys):
             2 + 32,
             "ad812d884d4476baa3c7aa2fd6f0ba91ff3ff4643a2dd582048a0de6e45024d6",
         ),
+        (
+            ["enumerate", "-n", "12", "--json", "--with-multiplicity"],
+            1024,
+            "633bee1a0595a2629d9469f5d450e35f9918d3e2dc5e4436bdfc0cc115153bde",
+        ),
     ],
 )
 def test_enumerate_output_is_pinned(argv, lines, sha256, capsys):

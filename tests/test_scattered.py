@@ -14,7 +14,6 @@ from spinchains.chains import (
     ChainSet,
     OverlappingChainsError,
     _canonical_key,
-    _pairs_interlaced,
     extract_involution,
     is_interlaced,
     is_involution,
@@ -167,7 +166,7 @@ def gap_free_walk(n: int) -> list:
     found = []
     for steps in product((1, 2), repeat=n - 1):
         entries = tuple(accumulate(steps, initial=1))
-        found.extend(tuple(sorted(pairs, reverse=True)) for pairs in split_entries(entries) if _pairs_interlaced(pairs))
+        found.extend(tuple(sorted(pairs, reverse=True)) for pairs in split_entries(entries) if is_interlaced(pairs))
     return sorted(found)
 
 
@@ -213,7 +212,7 @@ def test_interlaced_decompositions_with_larger_entries_are_generated():
     # neither the oracle's step walk, nor a gap filter, nor a search of
     # src/: every split of every entry set up to 2n + 1, kept when interlaced
     for n in range(2, 8):
-        found = [pairs for pairs in split_entry_sets(n, 2 * n + 1) if _pairs_interlaced(pairs)]
+        found = [pairs for pairs in split_entry_sets(n, 2 * n + 1) if is_interlaced(pairs)]
         assert sorted(found) == [cs.chains for cs in generate(n)], n
 
 
@@ -230,7 +229,7 @@ def test_every_decomposition_gives_an_involution_and_the_spin_identity():
             rows, trace, tau = tau_by_layout(cs)
             assert (res.rows, res.trace, res.tau) == (rows, trace, tau), cs.to_lists()
             ordered, pair_rows, pair_trace = _rules(cs.chains[::-1])
-            assert ordered == list(res.chains), cs.to_lists()
+            assert ordered == res.chains, cs.to_lists()
             assert (tuple(map(tuple, pair_rows)), tuple(pair_trace)) == (rows, trace), cs.to_lists()
 
 
@@ -342,19 +341,12 @@ def test_records_stream_in_a_fraction_of_the_sorted_leaves_memory():
     assert walk < tree / 4, (walk, tree)
 
 
-def test_assemble_builds_a_chain_set_only_when_its_caller_has_none(monkeypatch):
+def test_records_with_multiplicity_build_no_chain_set(chain_sets_built):
     sets = [ChainSet(pairs) for pairs in _interlaced_pairs(6)]
-    built = []
-
-    def counting(*args):
-        built.append(args)
-        return ChainSet(*args)
-
-    monkeypatch.setattr(scattered, "ChainSet", counting)
+    assert chain_sets_built == sets and len(sets) == 16
     records = [build_record(cs, with_multiplicity=True) for cs in sets]
-    assert built == []
     assert list(_records(6, with_multiplicity=True)) == records
-    assert len(built) == len(sets) == 16
+    assert chain_sets_built == sets  # the test's own 16, and no more
 
 
 @pytest.mark.parametrize(

@@ -249,16 +249,26 @@ def test_order_line_names_the_parameter_whose_canonical_rows_differ(monkeypatch)
     assert line == f"tau does not depend on the order the linked pairs are resolved in, n<=5: FAIL ({ChainSet(target.chains).to_json()})"
 
 
+def test_multiplicity_and_uniqueness_lines_build_no_chain_set(ranks, chain_sets_built):
+    checks = [c for c in verify.CHECKS if c.__name__ in ("tau_has_multiplicity_one", "tau_is_the_unique_spin_minimal_K_type")]
+    lines = [line for check in checks for line in check(ranks, 7)]
+    assert [(label, ok) for label, ok, _ in lines] == [
+        ("tau has multiplicity one, n<=7", True),
+        ("tau is the unique spin-minimal K-type, n<=7", True),
+    ]
+    assert chain_sets_built == []
+
+
 def test_equivalence_failure_names_the_first_offender(monkeypatch):
     # an involution that is the identity on every multi-chain set breaks the
     # equivalence on the first interlaced one; the offender is found on
     # ChainSets, as the check found it before it ran on pairs
-    real = verify._pairs_involution
+    real = verify.extract_involution
 
     def fake(pairs):
         return real(pairs) if len(pairs) == 1 else tuple(range(1, 1 + sum(length for _, length in pairs)))
 
-    monkeypatch.setattr(verify, "_pairs_involution", fake)
+    monkeypatch.setattr(verify, "extract_involution", fake)
     monkeypatch.setattr(verify, "CHECKS", [verify.check_equivalence])
     bad = next(
         cs
