@@ -143,19 +143,29 @@ def is_linked(c1: Chain, c2: Chain) -> bool:
 def is_interlaced(cs: Iterable[tuple[int, int]]) -> bool:
     """Whether the linkage graph on the chains is connected.
 
-    A single chain counts as interlaced.  One sweep by descending top
-    decides it: the set is interlaced iff each next top lies strictly above
-    the lowest bottom seen so far.
+    A single chain counts as interlaced; no chain raises ValueError.  One
+    sweep by descending top decides it: the set is interlaced iff each next
+    top lies strictly above the lowest bottom seen so far.
 
     Proof.  Take chain i before chain j in that order, so T_i > T_j.  They
-    are linked iff T_j > b_i, since T_j > T_i is impossible.  If
-    T_{k+1} <= min_{i<=k} b_i, every later top is lower still, so no later
-    chain links any of the first k chains and the graph is disconnected.
-    Otherwise each chain links an earlier one, and the graph is connected
-    by induction.
+    are linked iff T_j > b_i, since T_j > T_i is impossible.  Chain j links
+    at most one earlier chain: two earlier chains that both link it have
+    tops above T_j and the parity opposite to j's, so the same parity, and
+    both spans contain T_j, so they meet; two step-2 chains of the same
+    parity whose spans meet share an entry (`is_linked`), which
+    disjointness forbids.  So chain j links an earlier chain exactly when
+    T_j lies above the lowest bottom so far, and then it links the chain
+    with that bottom.  If T_{k+1} <= min_{i<=k} b_i, every later top is
+    lower still, so no later chain links any of the first k chains and the
+    graph is disconnected.  Otherwise each chain links exactly one earlier
+    one, and the graph is a tree, with k - 1 links for k chains.  In any
+    case the graph is a forest.
     """
     spans = iter(sorted(cs, reverse=True))
-    top, length = next(spans)
+    first = next(spans, None)
+    if first is None:
+        raise ValueError("chain set needs at least one chain")
+    top, length = first
     low = top - 2 * (length - 1)
     for top, length in spans:
         if top <= low:

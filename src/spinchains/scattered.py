@@ -236,44 +236,31 @@ def is_u_small(tau: Weight) -> bool:
 
 def build_record(cs: ChainSet, with_multiplicity: bool = False) -> dict:
     """The record of a scattered parameter, as the dict `enumerate` prints:
-    the rows of its spin_lowest_k_type run, assembled by `_assemble`."""
+    its entry lists and the rows of its spin_lowest_k_type run, assembled
+    by `_assemble`."""
     _require_scattered(cs)
     vals = [x for row in spin_lowest_k_type(cs).rows for x in row]
-    pieces = _NO_PIECES
-    for top, length in cs.chains:
-        pieces = _extend(pieces, top, length)
-    return _assemble(pieces, vals, rho_doubled(cs.n), with_multiplicity)
+    return _assemble(cs.to_lists(), vals, rho_doubled(cs.n), with_multiplicity)
 
 
-_NO_PIECES: tuple[list, list] = ([], [])  # the pieces of the empty chain set
-
-
-def _extend(pieces: tuple[list, list], top: int, length: int) -> tuple[list, list]:
-    """The pieces `_assemble` reads, after one more chain (top, length) of
-    positive entries: (mirror, chains), new lists.  mirror[e] is the entry
-    that takes e's slot when e's chain is flipped, 0 where e is no entry;
-    chains lists the chains' entries in the order added.
-    """
-    mirror, chains = pieces
-    bottom = top - 2 * (length - 1)
-    mirror = mirror + [0] * (top + 1 - len(mirror))
-    mirror[bottom:top + 1:2] = range(top, bottom - 1, -2)
-    return mirror, chains + [list(range(top, bottom - 1, -2))]
-
-
-def _assemble(pieces: tuple[list, list], vals: list[int], rho: Weight, with_multiplicity: bool) -> dict:
+def _assemble(chains: list[list[int]], vals: list[int], rho: Weight, with_multiplicity: bool) -> dict:
     """The record of a scattered parameter, as the dict `enumerate` prints,
-    from its `_extend` pieces (chains added by descending top) and the rows
-    its rules left in vals (standard scale, any order); rho is
-    rho_doubled(n), made once per rank by the caller.  The one place the
-    record's fields are computed: `_records` calls it on each leaf of
-    `_prefix_walk`, and `build_record` returns it as it is.
+    from its chains' entry lists (by descending top), which it prints as
+    they are, and the rows its rules left in vals (standard scale, any
+    order); rho is rho_doubled(n), made once per rank by the caller.  The
+    one place the record's fields are computed: `_records` calls it on each
+    leaf of `_prefix_walk`, and `build_record` returns it as it is.
 
-    The involution sends each entry's rank to its mirror's, the rule of
+    mirror[e] is the entry that takes e's slot when e's chain is flipped,
+    0 where e is no entry: one slice assignment per chain.  Read backwards
+    it gives the entries in descending order, and the involution sends
+    each entry's rank to its mirror's, the rule of
     chains.extract_involution.  With with_multiplicity,
     multiplicity_in_induced runs on the chains' (top, length) pairs.
     """
-    mirror, chains = pieces
+    mirror = [0] * (chains[0][0] + 1)
+    for c in chains:
+        mirror[c[-1]:c[0] + 1:2] = c
     entries = list(compress(range(len(mirror) - 1, 0, -1), reversed(mirror)))
     n = len(entries)
     rank = dict(zip(entries, range(1, n + 1)))
@@ -299,27 +286,28 @@ def _assemble(pieces: tuple[list, list], vals: list[int], rho: Weight, with_mult
 
 
 def _prefix_walk(leaves):
-    """(pieces, vals) of each scattered leaf, in the order given, from one
-    walk of the leaves as a trie of chain prefixes: the `_extend` pieces of
-    its record, and its rows as one flat list in the leaf's chain order.
-    Later leaves share both, so treat them as read-only.
+    """(chains, vals) of each scattered leaf, in the order given, from one
+    walk of the leaves as a trie of chain prefixes: the entry lists of its
+    chains, as its record prints them, and its rows as one flat list in the
+    leaf's chain order.  Later leaves share both, so treat them as
+    read-only.
 
     Each leaf lists its chains by descending top, and sorted leaves share
     prefixes with their neighbours.  The walk keeps a stack with the state
     after each chain of the current prefix: the rows as one flat list of
-    values, the write-once flags of `spin._step`, and the `_extend` pieces
-    of the record.  On each leaf it pops back to the prefix shared with the
-    previous leaf and pushes only the new chains, resolving each against
-    every earlier chain linked with it.  A chain below all earlier tops
-    links an earlier chain exactly when its top lies above that chain's
-    bottom, and it comes later in canonical order exactly when its average
-    is smaller: of two chains with equal averages, the one with the lower
-    top is the shorter, which comes first.  Every slot of a scattered
-    parameter is written at most once, so the rows do not depend on the
-    order the linked pairs are resolved in; a verify line checks it.
+    values, the write-once flags of `spin._step`, the entry lists, and the
+    prefix's chain with the lowest bottom.  On each leaf it pops back to
+    the prefix shared with the previous leaf and pushes only the new
+    chains.  A pushed chain lies below all earlier tops, so it links at
+    most one earlier chain (the proof is `chains.is_interlaced`'s): the
+    lowest-bottom one, when its top lies above that bottom.  One `_step`
+    resolves the pair; the new chain comes later in canonical order exactly
+    when its average is smaller: of two chains with equal averages, the one
+    with the lower top is the shorter, which comes first.  Every slot of a
+    scattered parameter is written at most once, so the rows do not depend
+    on the order the linked pairs are resolved in; a verify line checks it.
     """
-    chains: list[tuple] = []  # the current prefix's chains, as _step takes them
-    states = [([], [], _NO_PIECES)]  # (vals, written, pieces) after each chain of the prefix
+    states = [([], [], [], None)]  # (vals, written, chains, low) after each chain of the prefix
     prev: Pairs = ()
     for leaf in leaves:
         shared = 0
@@ -327,24 +315,24 @@ def _prefix_walk(leaves):
             if a != b:
                 break
             shared += 1
-        del chains[shared:], states[shared + 1:]
-        vals, written, pieces = states[-1]
+        del states[shared + 1:]
+        vals, written, chains, low = states[-1]
         for top, length in leaf[shared:]:
             avg = top - length + 1
             c = (top, top - 2 * (length - 1), length, avg, len(vals), len(chains))
             vals = vals + [avg] * length
             written = written + [False] * length
-            for x in chains:
-                if top > x[1]:
-                    if x[3] > avg:
-                        _step(vals, written, x, c)
-                    else:
-                        _step(vals, written, c, x)
-            chains.append(c)
-            pieces = _extend(pieces, top, length)
-            states.append((vals, written, pieces))
+            if low is not None and top > low[1]:
+                if low[3] > avg:
+                    _step(vals, written, low, c)
+                else:
+                    _step(vals, written, c, low)
+            if low is None or c[1] < low[1]:
+                low = c
+            chains = chains + [list(range(top, c[1] - 1, -2))]
+            states.append((vals, written, chains, low))
         prev = leaf
-        yield pieces, vals
+        yield chains, vals
 
 
 def _records(n: int, with_multiplicity: bool = False):
@@ -352,8 +340,8 @@ def _records(n: int, with_multiplicity: bool = False):
     that order, one at a time: `_prefix_walk` over `_interlaced_pairs(n)`,
     which yields them in that order with memory linear in n."""
     rho = rho_doubled(n)
-    for pieces, vals in _prefix_walk(_interlaced_pairs(n)):
-        yield _assemble(pieces, vals, rho, with_multiplicity)
+    for chains, vals in _prefix_walk(_interlaced_pairs(n)):
+        yield _assemble(chains, vals, rho, with_multiplicity)
 
 
 def spherical_family(a: int, b: int) -> ChainSet:

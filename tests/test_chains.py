@@ -162,6 +162,26 @@ def test_is_interlaced_matches_linked_pair_graph(cs):
     for i, a in enumerate(cs.chains):
         for b in cs.chains[i + 1 :]:
             assert is_interlaced(ChainSet((a, b))) == is_linked(a, b)
+    # the forest fact of is_interlaced's proof, by the pairwise test: at most
+    # one higher-topped chain links each chain, the one with the lowest
+    # bottom among them, so an interlaced set has k - 1 links
+    links = 0
+    for j, c in enumerate(cs.chains[1:], 1):
+        linking = [a for a in cs.chains[:j] if is_linked(a, c)]
+        assert len(linking) <= 1, cs.to_lists()
+        if linking:
+            assert linking[0] == min(cs.chains[:j], key=lambda a: a.bottom), cs.to_lists()
+        links += len(linking)
+    if is_interlaced(cs):
+        assert links == len(cs.chains) - 1, cs.to_lists()
+
+
+def test_is_interlaced_refuses_no_chains():
+    # an empty set must not end a surrounding iteration with StopIteration
+    with pytest.raises(ValueError, match="chain set needs at least one chain"):
+        list(map(is_interlaced, [[(3, 2)], [], [(5, 3), (4, 1)]]))
+    with pytest.raises(ValueError, match="chain set needs at least one chain"):
+        list(is_interlaced(pairs) for pairs in [[], [(3, 2)]])
 
 
 @given(st.data())
