@@ -48,16 +48,13 @@ def _branch(pairs: Pairs) -> tuple[Pairs, Pairs]:
         return tuple(sorted(pairs + ((entry, 1),), reverse=True))
 
     mo = pairs[odd][0]
-    if even is None:
+    me = None if even is None else pairs[even][0]
+    if me is None or mo > me + 1:
         children = (grow(odd), add_singleton(mo - 1))
+    elif mo == me + 1 or mo == me - 1:
+        children = (grow(odd), grow(even))
     else:
-        me = pairs[even][0]
-        if mo > me + 1:
-            children = (grow(odd), add_singleton(mo - 1))
-        elif mo == me + 1 or mo == me - 1:
-            children = (grow(odd), grow(even))
-        else:
-            children = (add_singleton(me - 1), grow(even))
+        children = (add_singleton(me - 1), grow(even))
     for child in children:
         if not is_interlaced(child):
             raise AssertionError(f"expansion produced a non-interlaced set: {child}")
@@ -65,9 +62,9 @@ def _branch(pairs: Pairs) -> tuple[Pairs, Pairs]:
 
 
 def expand(cs: ChainSet) -> tuple[ChainSet, ChainSet]:
-    """The two interlaced children with one extra entry; the rule is `_branch`'s."""
-    if cs.min_entry() != 1:
-        raise ValueError("expand needs smallest entry 1")
+    """The two interlaced children with one extra entry; the rule is `_branch`'s.
+    A set that is not scattered raises ValueError, as in reduce."""
+    _require_scattered(cs)
     return tuple(map(ChainSet, _branch(cs.chains)))
 
 
@@ -143,9 +140,10 @@ def reduce(cs: ChainSet) -> ChainSet:
 
 
 def _pair_decompositions(n: int):
-    """`all_chain_decompositions(n)` as pairs, searched as in
-    `_interlaced_pairs`: a top is at least the entries still due, and room
-    is kept for the entry 1."""
+    """Every disjoint chain decomposition with n entries and smallest entry
+    1, interlaced or not, as pairs; the largest entry is at most 2n - 1, the
+    bound of every interlaced one.  Searched as in `_interlaced_pairs`: a
+    top is at least the entries still due, and room is kept for the entry 1."""
     if n < 2:
         raise ValueError("need n >= 2")
     chosen: list[tuple[int, int]] = []
@@ -166,16 +164,6 @@ def _pair_decompositions(n: int):
                 bottom -= 2
 
     yield from grow(0, 0, 2 * n)
-
-
-def all_chain_decompositions(n: int):
-    """Every disjoint chain decomposition with n entries, smallest entry 1
-    and largest entry at most 2n - 1, the bound of every interlaced one.
-
-    No interlacing requirement; used to probe both directions of the
-    correspondence between interlacing and the extracted involution.
-    """
-    yield from map(ChainSet, _pair_decompositions(n))
 
 
 def _interlaced_pairs(n: int):

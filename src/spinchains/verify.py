@@ -140,34 +140,30 @@ def _is_horizontal_strip(outer, inner) -> bool:
 
 class Param(NamedTuple):
     """One scattered parameter as plain data: its (top, length) pairs, tops
-    descending; tau and the lowest K-type, doubled; and the prefix walk's
-    rows (standard scale), one per chain.  The sweeps take lambda from
+    descending; tau and the lowest K-type, doubled; and the rows of its
+    chains (standard scale) as the one flat list `_prefix_walk` yields, in
+    the pairs' order.  The walk never changes a list it has yielded, so
+    the table holds its lists as they are.  The sweeps take lambda from
     chains, so doctored chains are caught as a doctored tau is."""
 
     chains: Pairs
     tau: Weight
     lowest: Weight
-    rows: tuple[tuple[int, ...], ...]
-
-
-def _param(pairs: Pairs, vals: list[int]) -> Param:
-    """The Param of a leaf from the flat rows `_prefix_walk` gave it."""
-    rows, start = [], 0
-    for _, length in pairs:
-        rows.append(tuple(vals[start:start + length]))
-        start += length
-    return Param(pairs, dominant([2 * x for x in vals]), lowest_k_type(pairs), tuple(rows))
+    vals: list[int]
 
 
 def build_ranks(n_max: int) -> dict[int, list[Param]]:
     """Every scattered parameter of rank 2..n_max, as Params keyed by rank in
     generate's order: one `_prefix_walk` per rank over the sorted leaves of
-    the branching tree.  The checks read the pairs; a ChainSet is built
-    only to print a failing line's parameter."""
+    the branching tree, whose flat rows each Param keeps.  The checks read
+    the pairs; a ChainSet is built only to print a failing line's parameter."""
     ranks = {}
     for n, level in zip(range(2, n_max + 1), _levels(_BASE, _branch)):
         leaves = sorted(level)
-        ranks[n] = [_param(leaf, vals) for leaf, (_, vals) in zip(leaves, _prefix_walk(leaves))]
+        ranks[n] = [
+            Param(leaf, dominant([2 * x for x in vals]), lowest_k_type(leaf), vals)
+            for leaf, (_, vals) in zip(leaves, _prefix_walk(leaves))
+        ]
     return ranks
 
 
@@ -262,9 +258,11 @@ def _lambda2(p: Param) -> Weight:
 
 
 def _order_free_ok(p: Param) -> bool:
-    """`spin._rules` in canonical order gives each chain the walk's row."""
+    """`spin._rules` in canonical order gives each chain the walk's row: its
+    rows, laid out in the pairs' order, are the walk's flat list."""
     ordered, rows, _ = _rules(p.chains)
-    return dict(zip(ordered, map(tuple, rows))) == dict(zip(p.chains, p.rows))
+    row = dict(zip(ordered, rows))
+    return [x for pair in p.chains for x in row[pair]] == p.vals
 
 
 def _round_trip_ok(p: Param) -> bool:

@@ -28,7 +28,6 @@ from spinchains.scattered import (
     _prefix_walk,
     _records,
     _unbranch,
-    all_chain_decompositions,
     brute_force_enumerate,
     build_record,
     expand,
@@ -100,8 +99,9 @@ def test_unbranch_equals_reduce_on_chain_sets(ranks):
 
 def test_reduce_rejects_what_it_rejected_on_chain_sets():
     # every decomposition to rank 5, interlaced or not, and shifted copies
-    # whose smallest entry is not 1
-    sets = [cs for n in range(2, 6) for cs in all_chain_decompositions(n)]
+    # whose smallest entry is not 1; expand raises ValueError exactly on
+    # the sets that are not scattered, never _branch's AssertionError
+    sets = [ChainSet(pairs) for n in range(2, 6) for pairs in _pair_decompositions(n)]
     sets += [ChainSet(tuple(Chain(c.top + 2, c.length) for c in cs.chains)) for cs in sets]
     for cs in sets:
         try:
@@ -111,6 +111,11 @@ def test_reduce_rejects_what_it_rejected_on_chain_sets():
                 reduce(cs)
         else:
             assert reduce(cs) == expected, cs.to_lists()
+        if cs.min_entry() == 1 and is_interlaced(cs):
+            assert [reduce(child) for child in expand(cs)] == [cs, cs], cs.to_lists()
+        else:
+            with pytest.raises(ValueError, match="^not a scattered parameter"):
+                expand(cs)
 
 
 def test_brute_force_base_case():
@@ -222,7 +227,7 @@ def test_every_decomposition_gives_an_involution_and_the_spin_identity():
     # reference here on the rule paths that only non-interlaced sets take,
     # and sorts pairs given in any order.
     for n in range(2, 8):
-        for cs in all_chain_decompositions(n):
+        for cs in map(ChainSet, _pair_decompositions(n)):
             assert is_involution(extract_involution(cs)), cs.to_lists()
             res = spin_lowest_k_type(cs)
             assert verify_spin_identity(res), cs.to_lists()

@@ -10,7 +10,7 @@ from spinchains import verify
 from spinchains.cli import VERIFY_CAP
 from spinchains.chains import ChainSet, involves_all_simple_reflections, is_interlaced, lambda_doubled
 from spinchains.lr import multiplicity_in_induced
-from spinchains.scattered import _BASE, _branch, _levels, all_chain_decompositions, generate
+from spinchains.scattered import _BASE, _branch, _levels, _pair_decompositions, generate
 from spinchains.spin import lowest_k_type, spin_lowest_k_type
 from spinchains.verify import _strictly_decreasing, run_verification, spin_minimal_candidates, spin_norm_shell
 from spinchains.weights import norm_sq, rho_doubled, spin_norm_sq
@@ -24,8 +24,8 @@ def _bump_tau(p):
 
 
 def _bump_row(p):
-    first, *rest = p.rows
-    return p._replace(rows=((first[0] + 1,) + first[1:], *rest))
+    # a new list: the walk's lists are shared with later parameters
+    return p._replace(vals=[p.vals[0] + 1, *p.vals[1:]])
 
 
 # per-parameter check, by name -> a doctored copy of a multi-chain rank-4 parameter that it must reject
@@ -138,7 +138,7 @@ def test_shell_equals_ball_on_small_ranges():
 def test_shell_lifts_and_hits_equal_the_ball():
     # every chain decomposition to rank 5, interlaced or not (the scattered
     # parameters among them), and every scattered parameter of rank 6
-    for cs in [*(cs for n in range(2, 6) for cs in all_chain_decompositions(n)), *generate(6)]:
+    for cs in [*(ChainSet(pairs) for n in range(2, 6) for pairs in _pair_decompositions(n)), *generate(6)]:
         coord_sum, norm = sum(lambda_doubled(cs)), norm_sq(spin_lowest_k_type(cs).lambda2)
         points = ball_shell(cs.n, coord_sum, norm)
         lifts = list(spin_norm_shell(cs.n, coord_sum, norm))
@@ -273,7 +273,7 @@ def test_equivalence_failure_names_the_first_offender(monkeypatch):
     bad = next(
         cs
         for n in range(2, 8)
-        for cs in all_chain_decompositions(n)
+        for cs in map(ChainSet, _pair_decompositions(n))
         if is_interlaced(cs) != involves_all_simple_reflections(fake(cs.chains))
     )
     [(line, ok)] = run_verification(7)
