@@ -45,13 +45,14 @@ EXIT_BOUND = 4
 
 ENUM_CAP = 16
 # enumerate --with-multiplicity -n 12 makes 1,024 multiplicity_in_induced
-# calls and takes about 0.4 s in-process on a 2-CPU host
+# calls and takes about 0.2 s in-process on a 2-CPU host
 ENUM_MULT_CAP = 12
 VERIFY_CAP = 12
 # lr fills min(|inner|, |outer| - |inner|) cells, and its cost still grows
-# with that number, by about 1.3x a cell.  On staircase outers with staircase
-# or near-staircase content, the slowest triple measured took 0.17 s at 40
-# cells, 0.8 s at 46 and 1.0-1.1 s at 47; random triples are cheaper
+# with that number, by about 1.3x a cell.  On staircase outers with
+# near-staircase inner and content, the slowest triple measured took
+# 0.11-0.19 s at 40 cells, 0.7-0.9 s at 46 and 0.9-1.0 s at 47 (CPU time,
+# 2-CPU host); random triples are cheaper
 LR_CELL_CAP = 46
 # tau tests every pair of chains, and a chain holds at least one entry:
 # 5,000 singleton chains take 1.1-1.3 s

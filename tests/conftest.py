@@ -1,10 +1,18 @@
 import pytest
 
+from spinchains import lr
 from spinchains.chains import ChainSet
 from spinchains.cli import VERIFY_CAP
 from spinchains.verify import CHECKS, build_ranks
 
 _BY_NAME = {check.__name__: check for check in CHECKS}
+
+
+@pytest.fixture(autouse=True)
+def empty_rectangle_memo():
+    """Each test starts with lr's rectangle memo empty, so a test that patches
+    `lr._count_tableaux` sees every count that its own calls make."""
+    lr._rectangle_coefficient.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -530,3 +530,53 @@ def test_memo_counter_matches_cell_by_cell_counter_in_both_orientations(triple):
     count = count_tableaux_by_cells(outer, inner, weight)
     assert _count_tableaux(outer, inner, weight) == count
     assert _count_tableaux(outer, weight, inner) == count
+
+
+def test_rectangle_memo_keys_on_the_whole_rectangle():
+    """Two rectangles of equal area on the same (nu, mu), asked in both
+    orders: a memo keyed on (nu, mu) alone would hand the second the first's
+    answer.  Both 2^3 and 3^2 fit inside (3,3,2), as they do for every
+    rectangle that multiplicity_in_induced asks about."""
+    nu = (3, 3, 2)
+    for mu in [(1, 1), (2,)]:
+        expected = {(k, d): lr_coefficient(nu, mu, (k,) * d) for k, d in [(2, 3), (3, 2)]}
+        assert sorted(expected.values()) == [0, 1], mu
+        for order in [[(2, 3), (3, 2)], [(3, 2), (2, 3)]]:
+            lr._rectangle_coefficient.cache_clear()
+            for k, d in order:
+                assert lr._rectangle_coefficient(nu, mu, k, d) == expected[k, d], (mu, order, k, d)
+
+    # a rank-9 sweep gives the same answers cold, warm and in reverse order
+    queries = [(cs, spin_lowest_k_type(cs).tau) for cs in generate(9)]
+    lr._rectangle_coefficient.cache_clear()
+    cold = [multiplicity_in_induced(cs, tau) for cs, tau in queries]
+    hits = lr._rectangle_coefficient.cache_info().hits
+    warm = [multiplicity_in_induced(cs, tau) for cs, tau in queries]
+    info = lr._rectangle_coefficient.cache_info()
+    assert info.hits > hits  # the warm sweep reads the memo
+    assert 0 < info.currsize <= info.maxsize
+    lr._rectangle_coefficient.cache_clear()
+    backward = [multiplicity_in_induced(cs, tau) for cs, tau in reversed(queries)][::-1]
+    assert cold == warm == backward == [1] * len(queries)
+
+
+def test_memo_counter_matches_cell_by_cell_counter_on_multiplicity_shapes(monkeypatch):
+    """Every distinct triple the multiplicity of tau counts at ranks <= 9,
+    up to 36 cells and many letters, in both orientations: lr_triples(9)
+    stops at 9 cells."""
+    triples = set()
+
+    def recording(outer, inner, weight):
+        triples.add((outer, inner, weight))
+        return _count_tableaux(outer, inner, weight)
+
+    monkeypatch.setattr(lr, "_count_tableaux", recording)
+    for n in range(2, 10):
+        for cs in generate(n):
+            multiplicity_in_induced(cs, spin_lowest_k_type(cs).tau)
+    monkeypatch.undo()
+    assert len(triples) > 200 and max(sum(o) - sum(i) for o, i, _ in triples) >= 30
+    for outer, inner, weight in triples:
+        assert _count_tableaux(outer, inner, weight) == count_tableaux_by_cells(outer, inner, weight), (outer, inner, weight)
+        if contains(outer, weight):
+            assert _count_tableaux(outer, weight, inner) == count_tableaux_by_cells(outer, weight, inner), (outer, inner, weight)
