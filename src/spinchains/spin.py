@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from operator import sub
 from typing import NamedTuple
 
 from .chains import Chain, ChainSet, _require_scattered, canonical_order, lambda_doubled
@@ -176,9 +177,7 @@ def _spin_identity(tau: Weight, lambda2: Weight) -> bool:
     2*lambda, both doubled.  2*lambda - rho is weakly decreasing, so its
     side needs no sort."""
     rho = rho_doubled(len(tau))
-    lhs = dominant(t - r for t, r in zip(tau, rho))
-    rhs = tuple(l - r for l, r in zip(lambda2, rho))
-    return lhs == rhs
+    return sorted(map(sub, tau, rho), reverse=True) == list(map(sub, lambda2, rho))
 
 
 def verify_spin_identity(res: SpinResult) -> bool:

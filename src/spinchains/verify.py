@@ -3,8 +3,9 @@
 `CHECKS` is the registry, run in order: each check is a generator
 ``check(ranks, n_max)`` of ``(label, ok, detail)`` lines, where ``ranks[n]``
 lists the rank-n parameters as `Param`s, made by `scattered._prefix_walk`,
-the walk `enumerate` prints.  Per-parameter checks come from `_sweep`; the
-heavyweight checks carry the caps below.
+the walk `enumerate` prints.  Per-parameter checks come from `_sweep`, but
+the round trip walks the branching tree; the heavyweight checks carry the
+caps below.
 """
 
 from __future__ import annotations
@@ -12,7 +13,10 @@ from __future__ import annotations
 import re
 from collections import Counter
 from collections.abc import Iterable
+from functools import lru_cache
+from itertools import accumulate, filterfalse, zip_longest
 from math import isqrt
+from operator import le
 from typing import NamedTuple
 
 from .chains import (
@@ -86,14 +90,17 @@ def _rearrangements(gamma: list[int], rho: Weight):
     decreasing, that is sigma[i + 1] <= sigma[i] + 2; yields sigma + rho."""
     left = Counter(gamma)
     vec = [0] * len(gamma)
+    last = len(gamma) - 1
 
     def rec(i: int, cap: int):
-        if i == len(vec):
-            yield tuple(vec)
-            return
-        for value in [v for v, k in left.items() if k and v <= cap]:
-            left[value] -= 1
+        for value in left:  # the loop changes counts, never keys
+            if not left[value] or value > cap:
+                continue
             vec[i] = value + rho[i]
+            if i == last:
+                yield tuple(vec)
+                continue
+            left[value] -= 1
             yield from rec(i + 1, value + 2)
             left[value] += 1
 
@@ -118,13 +125,41 @@ def spin_norm_shell(n: int, coord_sum: int, norm: int):
             yield tuple(x // 2 for x in delta)
 
 
+def _dominated(a, b) -> bool:
+    """Whether a <= b in dominance order: no partial sum of a exceeds b's."""
+    return all(map(le, accumulate(a), accumulate(b)))
+
+
 def spin_minimal_candidates(cs: Iterable[tuple[int, int]]) -> list[tuple[int, ...]]:
     """All dominant weights achieving the minimal spin norm |2lambda| with
-    positive multiplicity, doubled, in descending order."""
+    positive multiplicity, doubled, in descending order.
+
+    A shell lift v is asked for its multiplicity only if nu = v + t, t as
+    in `multiplicity_in_induced`, passes two necessary tests for a
+    constituent of the product of the rectangles (k_i + t)^(d_i).  Every
+    constituent nu of s_lam s_mu contains lam and mu, and lam u mu <= nu <=
+    lam + mu in dominance order: an LR filling of nu/lam puts letter i only
+    in rows >= i, and conjugation, which reverses dominance, takes lam u mu
+    to lam' + mu'.  The factors commute, and + and u keep dominance, so nu
+    holds each rectangle, v[d_i - 1] >= k_i, and lies between the sorted
+    union and the row-wise sum of the rectangles.  Neither containment nor
+    the lower bound needs a shift; the latter gives v[-1] <= min k_i, so t
+    = max(0, -v[-1]).
+    """
     ordered = canonical_order(cs)
     lam = lambda_doubled(ordered)
+    n = len(lam)
+    factors = [(top - length + 1, length) for top, length in ordered]
+    union = sorted((k for k, d in factors for _ in range(d)), reverse=True)
+    widths = [sum(k for k, d in factors if d > j) for j in range(n)]
+    heights = [sum(d > j for _, d in factors) for j in range(n)]
     hits = []
-    for v in spin_norm_shell(len(lam), sum(lam), 4 * norm_sq(lam)):
+    for v in spin_norm_shell(n, sum(lam), 4 * norm_sq(lam)):
+        if not _dominated(union, v) or any(v[d - 1] < k for k, d in factors):
+            continue
+        t = max(0, -v[-1])
+        if not _dominated([x + t for x in v], [w + t * h for w, h in zip(widths, heights)]):
+            continue
         dv = tuple(2 * x for x in v)
         if multiplicity_in_induced(ordered, dv) > 0:
             hits.append(dv)
@@ -156,7 +191,8 @@ def build_ranks(n_max: int) -> dict[int, list[Param]]:
     """Every scattered parameter of rank 2..n_max, as Params keyed by rank in
     generate's order: one `_prefix_walk` per rank over the sorted leaves of
     the branching tree, whose flat rows each Param keeps.  The checks read
-    the pairs; a ChainSet is built only to print a failing line's parameter."""
+    the pairs; a ChainSet is built only to print a failing line's parameter.
+    `reduce_expand_round_trip` grows the same tree once more."""
     ranks = {}
     for n, level in zip(range(2, n_max + 1), _levels(_BASE, _branch)):
         leaves = sorted(level)
@@ -173,7 +209,7 @@ def _sweep(label: str, predicate, cap: int | None = None):
     def check(ranks, n_max):
         top = min(n_max, cap) if cap else n_max
         params = [p for n in range(2, top + 1) for p in ranks[n]]
-        bad = next((p for p in params if not predicate(p)), None)
+        bad = next(filterfalse(predicate, params), None)
         yield f"{label}, n<={top}", bad is None, ChainSet(bad.chains).to_json() if bad else f"{len(params)} parameters"
 
     check.__name__ = re.sub(r"\W+", "_", label).strip("_")
@@ -252,9 +288,10 @@ def _involution_ok(p: Param) -> bool:
     return is_involution(s) and involves_all_simple_reflections(s)
 
 
-def _lambda2(p: Param) -> Weight:
-    """2*lambda, doubled, from p's chains."""
-    return tuple(2 * e for e in lambda_doubled(p.chains))
+@lru_cache(maxsize=2048)  # the 2,047 parameters of ranks 2..12
+def _lambda2(chains: Pairs) -> Weight:
+    """2*lambda, doubled, from a parameter's chains, once for three sweeps."""
+    return tuple(2 * e for e in lambda_doubled(chains))
 
 
 def _order_free_ok(p: Param) -> bool:
@@ -265,11 +302,29 @@ def _order_free_ok(p: Param) -> bool:
     return [x for pair in p.chains for x in row[pair]] == p.vals
 
 
-def _round_trip_ok(p: Param) -> bool:
-    """_unbranch undoes both children of _branch(p), and p is a child of
-    _unbranch(p) unless p is the root: the rules of reduce and expand, on pairs."""
-    pairs = p.chains
-    return all(_unbranch(k) == pairs for k in _branch(pairs)) and (pairs == _BASE or pairs in _branch(_unbranch(pairs)))
+def reduce_expand_round_trip(ranks, n_max):
+    """_unbranch sends both children of every parameter back to it, and each
+    parameter p of rank >= 3 is a child of _unbranch(p): the tree is grown
+    once, as `build_ranks` grows it, each level, sorted, must be the table's
+    rank, and p's tree parent q is checked to be _unbranch(p)."""
+    label = f"reduce/expand round trip, n<={n_max}"
+    level, walked = [_BASE], 0
+    for n in range(2, n_max + 1):
+        nodes = [p.chains for p in ranks[n]]
+        if nodes != sorted(level):
+            bad = next(a or b for a, b in zip_longest(nodes, sorted(level)) if a != b)
+            yield label, False, ChainSet(bad).to_json()
+            return
+        level = []
+        for q in nodes:
+            kids = _branch(q)
+            if _unbranch(kids[0]) != q or _unbranch(kids[1]) != q:
+                yield label, False, ChainSet(q).to_json()
+                return
+            if n < n_max:
+                level += kids
+        walked += len(nodes)
+    yield label, True, f"{walked} parameters"
 
 
 CHECKS = (
@@ -278,13 +333,14 @@ CHECKS = (
     check_equivalence,
     _sweep("involutions use all simple reflections", _involution_ok),
     _sweep("tau does not depend on the order the linked pairs are resolved in", _order_free_ok),
-    _sweep("spin identity {tau-rho} = 2lambda-rho", lambda p: _spin_identity(p.tau, _lambda2(p))),
+    _sweep("spin identity {tau-rho} = 2lambda-rho", lambda p: _spin_identity(p.tau, _lambda2(p.chains))),
     _sweep("tau differs from lowest K-type on multi-chain parameters", lambda p: len(p.chains) == 1 or p.tau != p.lowest),
-    _sweep("spin norm of tau equals |2lambda|", lambda p: spin_norm_sq(p.tau) == norm_sq(_lambda2(p))),
+    _sweep("spin norm of tau equals |2lambda|", lambda p: spin_norm_sq(p.tau) == norm_sq(_lambda2(p.chains))),
     _sweep("rules preserve the coordinate sum", lambda p: sum(p.tau) == sum(p.lowest)),
     _sweep("tau is u-small", lambda p: is_u_small(p.tau)),
-    _sweep("lambda fundamental coefficients are 1/2 or 1", lambda p: set(to_fundamental(lambda_doubled(p.chains))) <= {1, 2}),
-    _sweep("reduce/expand round trip", _round_trip_ok),
+    # 2*lambda, doubled, has coefficients 2 and 4 where lambda has 1/2 and 1
+    _sweep("lambda fundamental coefficients are 1/2 or 1", lambda p: set(to_fundamental(_lambda2(p.chains))) <= {2, 4}),
+    reduce_expand_round_trip,
     check_spherical,
     check_lr,
     _sweep("tau has multiplicity one", lambda p: multiplicity_in_induced(p.chains, p.tau) == 1, MULTIPLICITY_CAP),

@@ -10,9 +10,13 @@ doubled values with doubled values.  No floats anywhere.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from operator import add, mul, sub
+
 Weight = tuple[int, ...]
 
 
+@lru_cache(maxsize=64)
 def rho_doubled(n: int) -> Weight:
     """Half sum of positive roots of gl(n), doubled: (n-1, n-3, ..., 1-n)."""
     if n < 1:
@@ -27,14 +31,14 @@ def dominant(v) -> Weight:
 
 def norm_sq(v) -> int:
     """Squared euclidean norm, a positive multiple of the Killing norm."""
-    return sum(x * x for x in v)
+    v = tuple(v)
+    return sum(map(mul, v, v))
 
 
 def spin_norm_sq(delta: Weight) -> int:
     """Squared spin norm ||{delta - rho} + rho||^2 of a doubled weight."""
     rho = rho_doubled(len(delta))
-    shifted = dominant(x - r for x, r in zip(delta, rho))
-    return norm_sq(s + r for s, r in zip(shifted, rho))
+    return norm_sq(map(add, sorted(map(sub, delta, rho), reverse=True), rho))
 
 
 def fundamental_pairing_signs(v: Weight) -> tuple[int, ...]:

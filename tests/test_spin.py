@@ -2,18 +2,20 @@ import dataclasses
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from spinchains.chains import ChainSet, is_linked
 from spinchains.spin import (
     AlgorithmViolation,
     AppliedRule,
     _rules,
+    _spin_identity,
     dirac_report,
     lowest_k_type,
     spin_lowest_k_type,
     verify_spin_identity,
 )
-from spinchains.weights import norm_sq, spin_norm_sq
+from spinchains.weights import dominant, norm_sq, rho_doubled, spin_norm_sq
 
 from test_chains import EX22, chain_sets, reordered_chain_sets
 
@@ -171,6 +173,28 @@ def test_identity_fails_on_perturbed_tau():
     res = spin_lowest_k_type(EX22)
     perturbed = dataclasses.replace(res, tau=(res.tau[0] + 2,) + res.tau[1:])
     assert not verify_spin_identity(perturbed)
+
+
+def spin_identity_by_generator(tau, lambda2) -> bool:
+    """_spin_identity before its map form, kept as its oracle."""
+    rho = rho_doubled(len(tau))
+    lhs = dominant(t - r for t, r in zip(tau, rho))
+    rhs = tuple(l - r for l, r in zip(lambda2, rho))
+    return lhs == rhs
+
+
+@given(st.lists(st.integers(-30, 30), min_size=1, max_size=10), st.randoms())
+def test_spin_identity_equals_its_generator_form(tau, rng):
+    # any integer tau, dominant or not, against the lambda2 that makes the
+    # identity hold, a shuffle of it and a copy with one coordinate moved
+    rho = rho_doubled(len(tau))
+    holds = [g + r for g, r in zip(sorted((t - r for t, r in zip(tau, rho)), reverse=True), rho)]
+    shuffled = rng.sample(holds, len(holds))
+    moved = holds.copy()
+    moved[rng.randrange(len(moved))] += rng.choice((-2, 2))
+    for lambda2 in (holds, shuffled, moved):
+        assert _spin_identity(tuple(tau), tuple(lambda2)) == spin_identity_by_generator(tau, lambda2)
+    assert _spin_identity(tuple(tau), tuple(holds))
 
 
 def test_identity_on_non_interlaced_parameter():

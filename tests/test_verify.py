@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from spinchains import verify
 from spinchains.cli import VERIFY_CAP
-from spinchains.chains import ChainSet, involves_all_simple_reflections, is_interlaced, lambda_doubled
+from spinchains.chains import ChainSet, canonical_order, involves_all_simple_reflections, is_interlaced, lambda_doubled
 from spinchains.lr import multiplicity_in_induced
 from spinchains.scattered import _BASE, _branch, _levels, _pair_decompositions, generate
 from spinchains.spin import lowest_k_type, spin_lowest_k_type
@@ -148,6 +148,38 @@ def test_shell_lifts_and_hits_equal_the_ball():
         assert spin_minimal_candidates(cs) == hits, cs.to_lists()
 
 
+def spin_minimal_candidates_unfiltered(cs) -> list:
+    """spin_minimal_candidates before its prefilter, kept as its oracle:
+    every lift of the shell is asked for its multiplicity."""
+    ordered = canonical_order(cs)
+    lam = lambda_doubled(ordered)
+    lifts = (tuple(2 * x for x in v) for v in spin_norm_shell(len(lam), sum(lam), 4 * norm_sq(lam)))
+    return sorted((dv for dv in lifts if multiplicity_in_induced(ordered, dv) > 0), reverse=True)
+
+
+def test_prefilter_keeps_every_hit(ranks):
+    # every chain decomposition to rank 5, interlaced or not, also moved
+    # down by 6 so that multiplicity_in_induced must shift, and every
+    # scattered parameter to rank 7
+    decompositions = [pairs for n in range(2, 6) for pairs in _pair_decompositions(n)]
+    lowered = [tuple((top - 6, length) for top, length in pairs) for pairs in decompositions]
+    for pairs in [*decompositions, *lowered, *(p.chains for n in range(2, 8) for p in ranks[n])]:
+        assert spin_minimal_candidates(pairs) == spin_minimal_candidates_unfiltered(pairs), pairs
+
+
+def test_prefilter_asks_for_266_of_the_1623_lifts_to_rank_7(ranks, monkeypatch):
+    params = [p.chains for n in range(2, 8) for p in ranks[n]]
+    lifts = 0
+    for pairs in params:
+        lam = lambda_doubled(pairs)
+        lifts += sum(1 for _ in spin_norm_shell(len(lam), sum(lam), 4 * norm_sq(lam)))
+    asked = []
+    monkeypatch.setattr(verify, "multiplicity_in_induced", lambda cs, dv: asked.append(dv) or multiplicity_in_induced(cs, dv))
+    for pairs in params:
+        spin_minimal_candidates(pairs)
+    assert (lifts, len(asked)) == (1623, 266)
+
+
 def test_build_ranks_is_generate_at_every_rank(ranks):
     assert list(ranks) == list(range(2, VERIFY_CAP + 1))
     for n, params in ranks.items():
@@ -211,10 +243,40 @@ def test_sweep_fails_on_a_doctored_parameter(name, monkeypatch):
 
 
 def test_every_per_parameter_check_has_a_doctored_parameter():
-    # the round trip reads only the chains, and a doctored set breaks the
-    # branching rule's own assertions before the check can say FAIL
     swept = {c.__name__ for c in verify.CHECKS if c.__qualname__.startswith("_sweep.")}
-    assert swept - {"reduce_expand_round_trip"} == set(DOCTORED)
+    assert swept == set(DOCTORED)
+
+
+def test_round_trip_line_names_the_node_whose_child_unbranches_wrong(monkeypatch):
+    # one child of one rank-5 node sent to the root instead of its parent
+    target = verify.build_ranks(5)[5][3]
+    child = _branch(target.chains)[1]
+    real = verify._unbranch
+    monkeypatch.setattr(verify, "_unbranch", lambda pairs: _BASE if pairs == child else real(pairs))
+    monkeypatch.setattr(verify, "CHECKS", [verify.reduce_expand_round_trip])
+    [(line, ok)] = run_verification(5)
+    assert not ok
+    assert line == f"reduce/expand round trip, n<=5: FAIL ({ChainSet(target.chains).to_json()})"
+
+
+def _drop_last(ranks):
+    return ranks[5].pop().chains
+
+
+def _insert_stranger(ranks):
+    ranks[4].insert(0, DOCTORED["involutions_use_all_simple_reflections"](ranks[4][1]))
+    return ranks[4][0].chains
+
+
+@pytest.mark.parametrize("edit", [_drop_last, _insert_stranger])
+def test_round_trip_line_names_a_parameter_missing_from_or_foreign_to_the_tree(edit, monkeypatch):
+    ranks = verify.build_ranks(5)
+    named = edit(ranks)
+    monkeypatch.setattr(verify, "build_ranks", lambda n_max: ranks)
+    monkeypatch.setattr(verify, "CHECKS", [verify.reduce_expand_round_trip])
+    [(line, ok)] = run_verification(5)
+    assert not ok
+    assert line == f"reduce/expand round trip, n<=5: FAIL ({ChainSet(named).to_json()})"
 
 
 @pytest.mark.parametrize("name", ["spin_identity_tau_rho_2lambda_rho", "spin_norm_of_tau_equals_2lambda"])

@@ -15,6 +15,18 @@ from spinchains.weights import (
 vectors = st.lists(st.integers(-30, 30), min_size=1, max_size=10).map(tuple)
 
 
+def norm_sq_by_generator(v) -> int:
+    """norm_sq before its map form, kept as its oracle."""
+    return sum(x * x for x in v)
+
+
+def spin_norm_sq_by_generator(delta) -> int:
+    """spin_norm_sq before its map form, kept as its oracle."""
+    rho = rho_doubled(len(delta))
+    shifted = dominant(x - r for x, r in zip(delta, rho))
+    return norm_sq_by_generator(s + r for s, r in zip(shifted, rho))
+
+
 def test_rho_doubled_small_ranks():
     assert rho_doubled(1) == (0,)
     assert rho_doubled(2) == (1, -1)
@@ -114,3 +126,15 @@ def test_spin_norm_dominates_distance_to_rho(v):
 def test_fundamental_round_trip(v):
     w = dominant(v)
     assert from_fundamental(to_fundamental(w), last=w[-1]) == w
+
+
+@given(vectors)
+def test_norm_sq_equals_its_generator_form(v):
+    # a tuple, a list and a one-pass iterator, as callers hand it any iterable
+    assert norm_sq(v) == norm_sq(list(v)) == norm_sq(x for x in v) == norm_sq_by_generator(v)
+
+
+@given(vectors)
+def test_spin_norm_sq_equals_its_generator_form(v):
+    # any integer vector, dominant or not
+    assert spin_norm_sq(v) == spin_norm_sq_by_generator(v)
