@@ -34,7 +34,7 @@ from .chains import (
 from .lr import lr_coefficient
 from .scattered import _records, count, spherical_family
 from .spin import SpinResult, lowest_k_type, spin_lowest_k_type, verify_spin_identity
-from .verify import run_verification
+from .verify import VERIFY_CAP, run_verification
 from .weights import to_fundamental
 
 EXIT_OK = 0
@@ -47,7 +47,6 @@ ENUM_CAP = 16
 # enumerate --with-multiplicity -n 12 makes 1,024 multiplicity_in_induced
 # calls and takes about 0.2 s in-process on a 2-CPU host
 ENUM_MULT_CAP = 12
-VERIFY_CAP = 12
 # lr fills min(|inner|, |outer| - |inner|) cells, and its cost still grows
 # with that number, by about 1.3x a cell.  On staircase outers with
 # near-staircase inner and content, the slowest triple measured took

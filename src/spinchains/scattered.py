@@ -79,18 +79,6 @@ def _levels(root, branch):
         level = [child for node in level for child in branch(node)]
 
 
-def _walk(n: int, root, branch) -> list:
-    """The nodes at depth n - 2 below root, in branching order."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    return next(islice(_levels(root, branch), n - 2, None))
-
-
-def _leaves(n: int) -> list[Pairs]:
-    """Leaves of the branching tree at depth n - 2, as pairs, in branching order."""
-    return _walk(n, _BASE, _branch)
-
-
 def generate(n: int) -> list[ChainSet]:
     """All interlaced chain sets with n entries and smallest entry 1.
 
@@ -103,13 +91,17 @@ def generate(n: int) -> list[ChainSet]:
     different tops compare by their tops.  Lists with equal tops agree as
     far as the shorter one goes, so the shorter is a prefix of the longer
     and sorts first, as its pair does.  Equal pairs mean equal chains.
+    It holds the whole tree level; `count` and `enumerate` read the search.
     """
-    return sorted(_walk(n, ChainSet(_BASE), expand), key=attrgetter("chains"))
+    if n < 2:
+        raise ValueError("need n >= 2")
+    return sorted(next(islice(_levels(ChainSet(_BASE), expand), n - 2, None)), key=attrgetter("chains"))
 
 
 def count(n: int) -> int:
-    """Number of distinct scattered parameters of SL(n)."""
-    return len(set(_leaves(n)))
+    """Number of scattered parameters of SL(n): the length of the stream
+    `enumerate` prints, `_interlaced_pairs(n)`, in memory linear in n."""
+    return sum(1 for _ in _interlaced_pairs(n))
 
 
 def _unbranch(pairs: Pairs) -> Pairs:
@@ -183,8 +175,9 @@ def _interlaced_pairs(n: int):
       low = 1, and the first top is at most 2n - 1, as its bottom is at
       most 2(n - length) + 1.
     For 3 <= n <= 16 it visits 5 * 2^(n-3) - 1 partial sets, the empty one
-    too.  `enumerate` prints what it yields; verify's oracle line and the
-    tests hold it to the sorted leaves of the branching tree.
+    too.  `enumerate` prints what it yields and `count` counts it; verify's
+    oracle line and the tests hold it to the sorted leaves of the branching
+    tree.
     """
     if n < 2:
         raise ValueError("need n >= 2")

@@ -4,8 +4,8 @@
 ``check(ranks, n_max)`` of ``(label, ok, detail)`` lines, where ``ranks[n]``
 lists the rank-n parameters as `Param`s, made by `scattered._prefix_walk`,
 the walk `enumerate` prints.  Per-parameter checks come from `_sweep`, but
-the round trip walks the branching tree; the heavyweight checks carry the
-caps below.
+the round trip walks the branching tree.  The caps below bound the rank
+`spinchains verify` accepts and the heavyweight checks.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from .scattered import (
 from .spin import _rules, _spin_identity, lowest_k_type
 from .weights import Weight, dominant, norm_sq, rho_doubled, spin_norm_sq, to_fundamental
 
+VERIFY_CAP = 12
 SPHERICAL_CAP = 9
 EQUIVALENCE_CAP = 7
 MULTIPLICITY_CAP = 9
@@ -288,9 +289,10 @@ def _involution_ok(p: Param) -> bool:
     return is_involution(s) and involves_all_simple_reflections(s)
 
 
-@lru_cache(maxsize=2048)  # the 2,047 parameters of ranks 2..12
+@lru_cache(maxsize=2 ** (VERIFY_CAP - 1))
 def _lambda2(chains: Pairs) -> Weight:
-    """2*lambda, doubled, from a parameter's chains, once for three sweeps."""
+    """2*lambda, doubled, from a parameter's chains, once for three sweeps;
+    the memo holds every parameter up to rank VERIFY_CAP."""
     return tuple(2 * e for e in lambda_doubled(chains))
 
 

@@ -2,7 +2,7 @@ import functools
 import json
 import tracemalloc
 from collections import Counter
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations, islice, product
 
 import pytest
 from hypothesis import given
@@ -21,15 +21,18 @@ from spinchains.chains import (
 )
 from spinchains.lr import multiplicity_in_induced
 from spinchains.scattered import (
+    _BASE,
     _assemble,
+    _branch,
     _interlaced_pairs,
-    _leaves,
+    _levels,
     _pair_decompositions,
     _prefix_walk,
     _records,
     _unbranch,
     brute_force_enumerate,
     build_record,
+    count,
     expand,
     generate,
     is_u_small,
@@ -41,6 +44,11 @@ from spinchains.verify import CHECKS
 from spinchains.weights import rho_doubled, to_fundamental
 
 from test_spin import tau_by_layout
+
+
+def tree_leaves(n: int) -> list:
+    """The leaves of the branching tree at depth n - 2, as pairs, in branching order."""
+    return next(islice(_levels(_BASE, _branch), n - 2, None))
 
 
 @pytest.mark.parametrize("name", [check.__name__ for check in CHECKS])
@@ -184,7 +192,7 @@ def test_top_down_search_equals_the_branching_tree():
     # at every rank enumerate prints, beyond VERIFY_CAP, where verify's
     # oracle stops: enumerate prints the search, so the tree is its oracle
     for n in range(2, 17):
-        assert list(_interlaced_pairs(n)) == sorted(_leaves(n)), n
+        assert list(_interlaced_pairs(n)) == sorted(tree_leaves(n)), n
 
 
 def split_entry_sets(n: int, top: int):
@@ -207,7 +215,7 @@ def test_record_order_is_the_to_lists_order():
     # sorting on the entry lists defines the record order; it is the oracle
     # of the (top, length) pair key that generate and brute_force_enumerate use
     for n in range(2, 13):
-        assert generate(n) == sorted(map(ChainSet, _leaves(n)), key=ChainSet.to_lists)
+        assert generate(n) == sorted(map(ChainSet, tree_leaves(n)), key=ChainSet.to_lists)
     for n in range(2, 10):
         found = brute_force_enumerate(n)
         assert found == sorted(found, key=ChainSet.to_lists)
@@ -269,7 +277,7 @@ def test_pair_path_records_equal_build_record():
 
 @functools.cache
 def sorted_leaves(n: int) -> list:
-    return sorted(_leaves(n))
+    return sorted(tree_leaves(n))
 
 
 @st.composite
@@ -311,20 +319,30 @@ def test_prefix_walk_resolves_each_linked_pair_once_per_prefix(monkeypatch):
     monkeypatch.setattr(scattered, "_step", counted("walk", in_canonical_order))
     assert len(list(_records(12))) == 1024
     monkeypatch.setattr(spin, "_step", counted("per leaf", spin._step))
-    for pairs in _leaves(12):
+    for pairs in tree_leaves(12):
         _rules(pairs)
     assert calls == {"walk": 1756, "per leaf": 2816}
 
 
 def test_records_stream_without_the_branching_tree(monkeypatch):
-    first = min(_leaves(16))
+    first = min(tree_leaves(16))
 
     def refuse(*args):
         raise AssertionError("enumerate's path builds the branching tree")
 
-    monkeypatch.setattr(scattered, "_leaves", refuse)
     monkeypatch.setattr(scattered, "_branch", refuse)
     assert next(_records(16)) == record_on_chain_sets(ChainSet(first))
+
+
+def test_count_counts_the_search_without_the_branching_tree(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("count builds the branching tree")
+
+    monkeypatch.setattr(scattered, "_branch", refuse)
+    monkeypatch.setattr(scattered, "expand", refuse)
+    assert [count(n) for n in range(2, 13)] == [2 ** (n - 2) for n in range(2, 13)]
+    with pytest.raises(ValueError):
+        count(1)
 
 
 def test_records_stream_in_a_fraction_of_the_sorted_leaves_memory():
@@ -338,7 +356,7 @@ def test_records_stream_in_a_fraction_of_the_sorted_leaves_memory():
         walk = tracemalloc.get_traced_memory()[1] - start
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
-        leaves = sorted(_leaves(n))
+        leaves = sorted(tree_leaves(n))
         tree = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spinchains import verify
+from spinchains import cli, verify
 from spinchains.cli import VERIFY_CAP
 from spinchains.chains import ChainSet, canonical_order, involves_all_simple_reflections, is_interlaced, lambda_doubled
 from spinchains.lr import multiplicity_in_induced
@@ -290,6 +290,20 @@ def test_sweeps_take_lambda_from_the_chains(name, monkeypatch):
     [(line, ok)] = run_verification(4)
     assert not ok
     assert line.endswith(', n<=4: FAIL ({"chains": [[7, 5, 3, 1]]})')
+
+
+def test_lambda_memo_holds_every_parameter_to_verify_cap(ranks):
+    # cli reads the cap from verify, and the memo is sized from it: the three
+    # lambda lines at the cap miss once per parameter and hit twice
+    assert cli.VERIFY_CAP is verify.VERIFY_CAP
+    assert verify._lambda2.cache_info().maxsize == 2 ** (VERIFY_CAP - 1)
+    names = ("spin_identity_tau_rho_2lambda_rho", "spin_norm_of_tau_equals_2lambda", "lambda_fundamental_coefficients_are_1_2_or_1")
+    params = sum(map(len, ranks.values()))
+    verify._lambda2.cache_clear()
+    lines = [line for check in verify.CHECKS if check.__name__ in names for line in check(ranks, VERIFY_CAP)]
+    assert len(lines) == 3 and all(ok for _, ok, _ in lines), lines
+    info = verify._lambda2.cache_info()
+    assert (info.misses, info.hits) == (params, 2 * params)
 
 
 def test_order_line_names_the_parameter_whose_canonical_rows_differ(monkeypatch):
