@@ -4,13 +4,13 @@ Subcommands: tau, perm, enumerate, count, verify, lr, spherical.
 Exit codes: 0 success, 1 verification failure, 2 parse error, 3 invalid
 chain set, 4 size bound exceeded; a reader that closes stdout early, as
 `enumerate | head` does, ends the command with 0 and nothing on stderr.
-The bounds: 2 <= n <= 16 for enumerate (n <= 12 with --with-multiplicity)
-and count, 2 <= n <= 12 for verify, a + b <= 16 for spherical, at most 46
-filled cells, min(|inner|, |outer| - |inner|), for lr, and at most 5,000
-entries for tau, with no printed integer past the interpreter's
-integer-to-string limit.  Every failure (exit 2, 3 or 4), a command line
-the parser refuses included, prints exactly one `error:` line on stderr
-and nothing on stdout.
+The bounds: 2 <= n <= {ENUM_CAP} for enumerate (n <= {ENUM_MULT_CAP} with
+--with-multiplicity) and count, 2 <= n <= {VERIFY_CAP} for verify, a + b <=
+{ENUM_CAP} for spherical, at most {LR_CELL_CAP} filled cells, min(|inner|,
+|outer| - |inner|), for lr, and at most {TAU_ENTRY_CAP:,} entries for tau,
+with no printed integer past the interpreter's integer-to-string limit.
+Every failure (exit 2, 3 or 4), a command line the parser refuses
+included, prints exactly one `error:` line on stderr and nothing on stdout.
 Weights are printed in doubled coordinates wherever the standard value
 could be half-integral; halve to recover the standard scale.
 """
@@ -18,6 +18,7 @@ could be half-integral; halve to recover the standard scale.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from functools import cache
@@ -32,7 +33,7 @@ from .chains import (
     lambda_doubled,
 )
 from .lr import lr_coefficient
-from .scattered import _records, count, spherical_family
+from .scattered import _record_dict, _records, count, spherical_family
 from .spin import SpinResult, lowest_k_type, spin_lowest_k_type, verify_spin_identity
 from .verify import VERIFY_CAP, run_verification
 from .weights import to_fundamental
@@ -93,30 +94,24 @@ def _fmt_trace(res: SpinResult) -> str:
 
 
 @cache
-def _line_template(n: int) -> str:
-    """The %-template of the JSON line of a rank-n record, one %d per int."""
+def _line_template(n: int, u_small: bool, multiplicity) -> str:
+    """The %-template of the JSON line of a rank-n record whose last two
+    fields are these: %s for the chains and one %d per int, then the two
+    values as JSON, each followed by a %.0s that takes the field and
+    prints nothing."""
     ints = "[" + ", ".join(["%d"] * n) + "]"
     short = "[" + ", ".join(["%d"] * (n - 1)) + "]"
     return (
-        f'{{"n": %d, "chains": %s, "lambda2_fund": {short}, "s": {ints}, '
-        f'"tau_fund": {short}, "gamma": {ints}, "u_small": %s, "multiplicity": %s}}'
+        f'{{"n": %d, "chains": %s, "lambda2_fund": {short}, "s": {ints}, "tau_fund": {short}, '
+        f'"gamma": {ints}, "u_small": {json.dumps(u_small)}%.0s, "multiplicity": {json.dumps(multiplicity)}%.0s}}'
     )
 
 
-def _json_line(rec: dict) -> str:
-    """json.dumps(rec) for a record of `scattered._assemble`, written by one %
-    formatting: %d of an int, and str of a list of int lists, are their JSON."""
-    n, mult = rec["n"], rec["multiplicity"]
-    return _line_template(n) % (
-        n,
-        rec["chains"],
-        *rec["lambda2_fund"],
-        *rec["s"],
-        *rec["tau_fund"],
-        *rec["gamma"],
-        "true" if rec["u_small"] else "false",
-        "null" if mult is None else mult,
-    )
+def _json_line(fields: tuple) -> str:
+    """json.dumps of the record of `scattered._assemble`'s fields, written by
+    one % formatting of the fields as they are: %d of an int, and str of
+    the chains, are their JSON."""
+    return _line_template(fields[0], fields[-2], fields[-1]) % fields
 
 
 def _load_chain_set(path: str) -> ChainSet:
@@ -178,16 +173,17 @@ def _cmd_enumerate(args) -> int:
     records = _records(args.n, args.with_multiplicity)
     if args.json:
         write = sys.stdout.write
-        for rec in records:
-            write(_json_line(rec) + "\n")
+        for _, fields in records:
+            write(_json_line(fields) + "\n")
         return EXIT_OK
     print("n | chains | 2lambda' | s | tau | 2gamma | u-small | mult")
     print("(fundamental coefficients of 2lambda' and the vector 2gamma are doubled; halve for standard scale)")
-    for rec in records:
+    for pairs, fields in records:
+        rec = _record_dict(fields)
         mult = "-" if rec["multiplicity"] is None else str(rec["multiplicity"])
         print(
-            f"{rec['n']} | {_fmt_chains(rec['chains'])} | {rec['lambda2_fund']} | "
-            f"{_fmt_vec(rec['s'])} | {rec['tau_fund']} | {_fmt_vec(rec['gamma'])} | "
+            f"{rec['n']} | {_fmt_chains(range(top, top - 2 * length, -2) for top, length in pairs)} | "
+            f"{rec['lambda2_fund']} | {_fmt_vec(rec['s'])} | {rec['tau_fund']} | {_fmt_vec(rec['gamma'])} | "
             f"{'yes' if rec['u_small'] else 'no'} | {mult}"
         )
     return EXIT_OK
@@ -252,7 +248,8 @@ def _cmd_spherical(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="spinchains", description=__doc__)
+    # the module docstring, its bounds read from the caps, is the description
+    parser = _Parser(prog="spinchains", description=__doc__.format_map(globals()))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("tau", help="spin-lowest K-type of a chain set")

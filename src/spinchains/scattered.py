@@ -10,8 +10,9 @@ order; `enumerate` prints it, so the search and the tree certify each other.
 
 from __future__ import annotations
 
-from itertools import accumulate, compress, islice, repeat
-from operator import add, attrgetter, mul, sub
+from functools import lru_cache
+from itertools import accumulate, compress, islice
+from operator import add, attrgetter, le, sub
 
 from .chains import ChainSet, _require_scattered, is_interlaced
 from .lr import multiplicity_in_induced
@@ -216,79 +217,106 @@ def is_u_small(tau: Weight) -> bool:
 
 
 def build_record(cs: ChainSet, with_multiplicity: bool = False) -> dict:
-    """The record of a scattered parameter, as the dict `enumerate` prints:
-    its entry lists and the rows of its spin_lowest_k_type run, assembled
-    by `_assemble`."""
+    """The record of a scattered parameter, as the dict whose `json.dumps` is
+    the line `enumerate` prints: `_record_dict` of the fields `_assemble`
+    computes from its pairs and the rows of its spin_lowest_k_type run."""
     _require_scattered(cs)
     vals = [x for row in spin_lowest_k_type(cs).rows for x in row]
-    return _assemble(cs.to_lists(), vals, rho_doubled(cs.n), with_multiplicity)
+    return _record_dict(_assemble(cs.chains, cs.to_lists(), vals, rho_doubled(cs.n), with_multiplicity))
 
 
-def _assemble(chains: list[list[int]], vals: list[int], rho: Weight, with_multiplicity: bool) -> dict:
-    """The record of a scattered parameter, as the dict `enumerate` prints,
-    from its chains' entry lists (by descending top), which it prints as
-    they are, and the rows its rules left in vals (standard scale, any
-    order); rho is rho_doubled(n), made once per rank by the caller.  The
-    one place the record's fields are computed: `_records` calls it on each
-    leaf of `_prefix_walk`, and `build_record` returns it as it is.
+def _record_dict(fields: tuple) -> dict:
+    """The record dict of `_assemble`'s fields: its lists are slices of the
+    flat run of ints, whose lengths n - 1, n, n - 1 and n follow from n."""
+    n = fields[0]
+    return {
+        "n": n,
+        "chains": fields[1],
+        "lambda2_fund": list(fields[2:n + 1]),
+        "s": list(fields[n + 1:2 * n + 1]),
+        "tau_fund": list(fields[2 * n + 1:3 * n]),
+        "gamma": list(fields[3 * n:4 * n]),
+        "u_small": fields[-2],
+        "multiplicity": fields[-1],
+    }
+
+
+@lru_cache(maxsize=1024)
+def _u_small_bounds(n: int, total: int) -> tuple[int, ...]:
+    """The bounds of `_assemble`'s u-small test at rank n for a tau (standard
+    scale, descending) of sum total: the partial sums of rho_doubled(n)
+    plus floor(i * total / n).  is_u_small(2 tau) asks n * S_i - i * S_n <= 0
+    of the partial sums S_i of tau - rho, that is S_i <= floor(i * S_n / n),
+    and S_n = total, as rho sums to 0.  At rank 16, tau takes 116 sums."""
+    return tuple(r + i * total // n for i, r in enumerate(accumulate(rho_doubled(n)), 1))
+
+
+def _assemble(pairs: Pairs, chains, vals: list[int], rho: Weight, with_multiplicity: bool) -> tuple:
+    """The fields of a scattered parameter's record as one flat tuple, in the
+    order its line prints them: n, chains, the ints of lambda2_fund, s,
+    tau_fund and gamma, then u_small and multiplicity.  pairs are its
+    (top, length) pairs by descending top; chains is passed through, any
+    value whose str is the chains' JSON (the walk's text, build_record's
+    lists); vals holds the rows its rules left (standard scale, any order);
+    rho is rho_doubled(n), made once per rank by the caller.  The one place
+    the record's fields are computed: the line `enumerate --json` prints,
+    its table row and build_record's dict (`_record_dict`) read this tuple.
 
     mirror[e] is the entry that takes e's slot when e's chain is flipped,
-    0 where e is no entry: one slice assignment per chain.  Read backwards
-    it gives the entries in descending order, and the involution sends
-    each entry's rank to its mirror's, the rule of
-    chains.extract_involution.  With with_multiplicity,
-    multiplicity_in_induced runs on the chains' (top, length) pairs.
+    0 where e is no entry: one assignment per chain, a range read off its
+    pair (an item for a singleton).  Read backwards it gives the entries in
+    descending order, and the involution sends each entry's rank to its
+    mirror's, the rule of chains.extract_involution.  The u-small test is
+    inline, against `_u_small_bounds`.  With with_multiplicity,
+    multiplicity_in_induced runs on the pairs.
     """
-    mirror = [0] * (chains[0][0] + 1)
-    for c in chains:
-        mirror[c[-1]:c[0] + 1:2] = c
+    mirror = [0] * (pairs[0][0] + 1)
+    for top, length in pairs:
+        if length == 1:
+            mirror[top] = top
+        else:
+            mirror[top - 2 * length + 2:top + 1:2] = range(top, top - 2 * length, -2)
     entries = list(compress(range(len(mirror) - 1, 0, -1), reversed(mirror)))
     n = len(entries)
     rank = dict(zip(entries, range(1, n + 1)))
     tau = sorted(vals, reverse=True)
-    shifted = list(map(sub, tau, rho))
-    total = sum(shifted)
-    mult = None
-    if with_multiplicity:
-        mult = multiplicity_in_induced([(c[0], len(c)) for c in chains], tuple(2 * t for t in tau))
-    return {
-        "n": n,
-        "chains": chains,
-        "lambda2_fund": list(map(sub, entries, entries[1:])),
-        "s": list(map(rank.__getitem__, filter(None, reversed(mirror)))),
-        "tau_fund": list(map(sub, tau, tau[1:])),
-        "gamma": sorted(map(add, tau, shifted), reverse=True),  # 2 tau - rho
-        # is_u_small(2 tau): tau - rho pairs with the signs of 2 tau - 2 rho,
-        # n * S_i - i * S_n on the partial sums S_i of tau - rho, which are the
-        # partial sums of n * (tau - rho) - S_n; the last one is 0
-        "u_small": max(accumulate(map(sub, map(mul, shifted, repeat(n)), repeat(total)))) <= 0,
-        "multiplicity": mult,
-    }
+    return (
+        n,
+        chains,
+        *map(sub, entries, entries[1:]),  # lambda2_fund
+        *map(rank.__getitem__, filter(None, reversed(mirror))),  # s
+        *map(sub, tau, tau[1:]),  # tau_fund
+        *sorted(map(sub, map(add, tau, tau), rho), reverse=True),  # gamma = 2 tau - rho
+        all(map(le, accumulate(tau), _u_small_bounds(n, sum(tau)))),  # u_small
+        multiplicity_in_induced(pairs, tuple(2 * t for t in tau)) if with_multiplicity else None,
+    )
 
 
 def _prefix_walk(leaves):
-    """(chains, vals) of each scattered leaf, in the order given, from one
-    walk of the leaves as a trie of chain prefixes: the entry lists of its
-    chains, as its record prints them, and its rows as one flat list in the
-    leaf's chain order.  Later leaves share both, so treat them as
-    read-only.
+    """(leaf, text, vals) for each scattered leaf, in the order given, from
+    one walk of the leaves as a trie of chain prefixes: its pairs, the str
+    of its entry lists (`ChainSet.to_lists`), which its line prints, and its
+    rows as one flat list in the leaf's chain order.  Later leaves share
+    the rows, so treat them as read-only.
 
     Each leaf lists its chains by descending top, and sorted leaves share
     prefixes with their neighbours.  The walk keeps a stack with the state
     after each chain of the current prefix: the rows as one flat list of
-    values, the write-once flags of `spin._step`, the entry lists, and the
-    prefix's chain with the lowest bottom.  On each leaf it pops back to
-    the prefix shared with the previous leaf and pushes only the new
-    chains.  A pushed chain lies below all earlier tops, so it links at
-    most one earlier chain (the proof is `chains.is_interlaced`'s): the
-    lowest-bottom one, when its top lies above that bottom.  One `_step`
+    values, the write-once flags of `spin._step`, the chains' text, and
+    the prefix's chain with the lowest bottom.  On each leaf it pops back
+    to the prefix shared with the previous leaf and pushes only the new
+    chains, each with its text, made once per walk and pair.  A pushed
+    chain lies below all earlier tops, so it links at most one earlier
+    chain (the proof is `chains.is_interlaced`'s): the lowest-bottom one,
+    when its top lies above that bottom.  One `_step`
     resolves the pair; the new chain comes later in canonical order exactly
     when its average is smaller: of two chains with equal averages, the one
     with the lower top is the shorter, which comes first.  Every slot of a
     scattered parameter is written at most once, so the rows do not depend
     on the order the linked pairs are resolved in; a verify line checks it.
     """
-    states = [([], [], [], None)]  # (vals, written, chains, low) after each chain of the prefix
+    states = [([], [], "", None)]  # (vals, written, text, low) after each chain of the prefix
+    pieces = {}  # str of each pair's entry list
     prev: Pairs = ()
     for leaf in leaves:
         shared = 0
@@ -297,10 +325,11 @@ def _prefix_walk(leaves):
                 break
             shared += 1
         del states[shared + 1:]
-        vals, written, chains, low = states[-1]
-        for top, length in leaf[shared:]:
+        vals, written, text, low = states[-1]
+        for pair in leaf[shared:]:
+            top, length = pair
             avg = top - length + 1
-            c = (top, top - 2 * (length - 1), length, avg, len(vals), len(chains))
+            c = (top, top - 2 * (length - 1), length, avg, len(vals), len(states) - 1)
             vals = vals + [avg] * length
             written = written + [False] * length
             if low is not None and top > low[1]:
@@ -308,21 +337,24 @@ def _prefix_walk(leaves):
                     _step(vals, written, low, c)
                 else:
                     _step(vals, written, c, low)
+            piece = pieces.get(pair)
+            if piece is None:
+                piece = pieces[pair] = str(list(range(top, c[1] - 1, -2)))
+            text = f"[{piece}]" if low is None else f"{text[:-1]}, {piece}]"
             if low is None or c[1] < low[1]:
                 low = c
-            chains = chains + [list(range(top, c[1] - 1, -2))]
-            states.append((vals, written, chains, low))
+            states.append((vals, written, text, low))
         prev = leaf
-        yield chains, vals
+        yield leaf, text, vals
 
 
 def _records(n: int, with_multiplicity: bool = False):
-    """build_record(cs, with_multiplicity) for each cs of generate(n), in
-    that order, one at a time: `_prefix_walk` over `_interlaced_pairs(n)`,
-    which yields them in that order with memory linear in n."""
+    """(pairs, fields) of each parameter of generate(n), in that order, one
+    at a time: `_assemble`'s fields, the walk's text as chains, from
+    `_prefix_walk` over `_interlaced_pairs(n)`, in memory linear in n."""
     rho = rho_doubled(n)
-    for chains, vals in _prefix_walk(_interlaced_pairs(n)):
-        yield _assemble(chains, vals, rho, with_multiplicity)
+    for leaf, text, vals in _prefix_walk(_interlaced_pairs(n)):
+        yield leaf, _assemble(leaf, text, vals, rho, with_multiplicity)
 
 
 def spherical_family(a: int, b: int) -> ChainSet:

@@ -196,10 +196,9 @@ def build_ranks(n_max: int) -> dict[int, list[Param]]:
     `reduce_expand_round_trip` grows the same tree once more."""
     ranks = {}
     for n, level in zip(range(2, n_max + 1), _levels(_BASE, _branch)):
-        leaves = sorted(level)
         ranks[n] = [
             Param(leaf, dominant([2 * x for x in vals]), lowest_k_type(leaf), vals)
-            for leaf, (_, vals) in zip(leaves, _prefix_walk(leaves))
+            for leaf, _, vals in _prefix_walk(sorted(level))
         ]
     return ranks
 

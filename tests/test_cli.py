@@ -14,6 +14,8 @@ from spinchains.chains import ChainSet
 from spinchains.scattered import build_record
 from spinchains.spin import spin_lowest_k_type, verify_spin_identity
 
+from test_scattered import record_on_chain_sets, reference_records
+
 EX22_JSON = '{"chains": [[10,8],[9,7,5,3,1],[6],[4]]}'
 
 
@@ -154,13 +156,53 @@ def test_enumerate_writes_each_record_before_building_the_next(monkeypatch, fmt,
     assert lines_at_build == [header_lines + k for k in range(16)]
 
 
-def test_json_line_is_json_dumps():
-    records = [rec for n in range(2, 14) for rec in scattered._records(n)]
-    records += [rec for n in range(2, 8) for rec in scattered._records(n, True)]
-    last = records[-1]
-    records += [dict(last, u_small=False), dict(last, multiplicity=0), dict(last, multiplicity=2)]
-    for rec in records:
-        assert cli._json_line(rec) == json.dumps(rec), rec
+def test_json_line_is_json_dumps(capsys):
+    # every line enumerate prints is json.dumps of the field-by-field reference
+    runs = [*((k, False) for k in range(2, 14)), *((k, True) for k in range(2, 8))]
+    for k, with_multiplicity in runs:
+        assert cli.main(["enumerate", "-n", str(k), "--json", *["--with-multiplicity"] * with_multiplicity]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [json.dumps(rec) for rec in reference_records(k, with_multiplicity)], (k, with_multiplicity)
+    # and so is the line of fields whose last two values no rank above prints
+    pairs, fields = list(scattered._records(7, True))[-1]
+    rec = record_on_chain_sets(ChainSet(pairs), True)
+    for u_small, mult in [(False, 1), (True, 0), (True, 2), (False, None)]:
+        line = cli._json_line(fields[:-2] + (u_small, mult))
+        assert line == json.dumps(dict(rec, u_small=u_small, multiplicity=mult)), (u_small, mult)
+
+
+@pytest.mark.parametrize(
+    "cap, value, argv, bound, message",
+    [
+        ("ENUM_CAP", 5, ["count", "-n", "6"], "2 <= n <= 5 for enumerate", "n must satisfy 2 <= n <= 5"),
+        ("ENUM_CAP", 5, ["spherical", "-a", "4", "-b", "3"], "a + b <= 5 for spherical", "a + b must be at most 5"),
+        (
+            "ENUM_MULT_CAP",
+            3,
+            ["enumerate", "-n", "4", "--with-multiplicity"],
+            "n <= 3 with --with-multiplicity",
+            "n must satisfy 2 <= n <= 3",
+        ),
+        ("VERIFY_CAP", 14, ["verify", "-n", "15"], "2 <= n <= 14 for verify", "n must satisfy 2 <= n <= 14"),
+        (
+            "LR_CELL_CAP",
+            2,
+            ["lr", "--outer", "3,2,1", "--inner", "2,1", "--weight", "2,1"],
+            "at most 2 filled cells",
+            "lr would fill 3 cells, at most 2 allowed",
+        ),
+        ("TAU_ENTRY_CAP", 8, ["tau", "-f", None], "at most 8 entries for tau", "tau would run on 9 entries, at most 8 allowed"),
+    ],
+    ids=["enumerate", "spherical", "with-multiplicity", "verify", "lr", "tau"],
+)
+def test_help_and_the_bound_error_read_the_caps(monkeypatch, capsys, ex22_file, cap, value, argv, bound, message):
+    monkeypatch.setattr(cli, cap, value)
+    with pytest.raises(SystemExit) as done:
+        cli.main(["--help"])
+    assert done.value.code == 0
+    assert bound in " ".join(capsys.readouterr().out.split())
+    assert cli.main([ex22_file if arg is None else arg for arg in argv]) == cli.EXIT_BOUND
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 class ReaderGoneAfter(io.StringIO):

@@ -28,6 +28,7 @@ from spinchains.scattered import (
     _levels,
     _pair_decompositions,
     _prefix_walk,
+    _record_dict,
     _records,
     _unbranch,
     brute_force_enumerate,
@@ -265,14 +266,26 @@ def record_on_chain_sets(cs: ChainSet, with_multiplicity: bool = False) -> dict:
     }
 
 
+@functools.cache
+def reference_records(n: int, with_multiplicity: bool = False) -> tuple:
+    """record_on_chain_sets of each parameter of generate(n), in that order."""
+    return tuple(record_on_chain_sets(cs, with_multiplicity) for cs in generate(n))
+
+
+def as_walked(rec: dict) -> dict:
+    """rec with its chains as the prefix walk carries them: the text of the lists."""
+    return dict(rec, chains=str(rec["chains"]))
+
+
 def test_pair_path_records_equal_build_record():
-    # both record paths against the field-by-field reference: the records
-    # `enumerate` prints, and build_record's
-    for n, with_multiplicity in [*((n, False) for n in range(2, 14)), *((n, True) for n in range(2, 8))]:
-        expected = [record_on_chain_sets(cs, with_multiplicity) for cs in generate(n)]
-        assert list(_records(n, with_multiplicity)) == expected, (n, with_multiplicity)
-        if n <= 10:
-            assert [build_record(cs, with_multiplicity) for cs in generate(n)] == expected, (n, with_multiplicity)
+    # both record paths against the field-by-field reference: the dict view
+    # of the fields `enumerate` prints, and build_record's; every printed
+    # line, to rank 13, is test_cli's test_json_line_is_json_dumps
+    for n, with_multiplicity in [*((n, False) for n in range(2, 11)), *((n, True) for n in range(2, 8))]:
+        expected = reference_records(n, with_multiplicity)
+        records = [_record_dict(fields) for _, fields in _records(n, with_multiplicity)]
+        assert records == list(map(as_walked, expected)), (n, with_multiplicity)
+        assert [build_record(cs, with_multiplicity) for cs in generate(n)] == list(expected), (n, with_multiplicity)
 
 
 @functools.cache
@@ -294,8 +307,20 @@ def leaf_subsets(draw):
 def test_prefix_walk_on_any_sorted_subset_equals_the_reference(drawn):
     n, leaves = drawn
     rho = rho_doubled(n)
-    records = [_assemble(pieces, vals, rho, False) for pieces, vals in _prefix_walk(leaves)]
-    assert records == [record_on_chain_sets(ChainSet(p)) for p in leaves]
+    walked = list(_prefix_walk(leaves))
+    # the chains' text, after each pop back across a gap, is str of the lists
+    assert [(leaf, text) for leaf, text, _ in walked] == [(p, str(ChainSet(p).to_lists())) for p in leaves]
+    records = [_record_dict(_assemble(leaf, text, vals, rho, False)) for leaf, text, vals in walked]
+    assert records == [as_walked(record_on_chain_sets(ChainSet(p))) for p in leaves]
+
+
+@given(st.integers(2, 12).flatmap(lambda n: st.lists(st.integers(-3 * n, 3 * n), min_size=n, max_size=n)))
+def test_inline_u_small_test_is_is_u_small(vals):
+    # every scattered parameter to rank 16 is u-small, so the records never
+    # reach the other answer; here any rows do, on the one-chain parameter
+    n = len(vals)
+    fields = _assemble(((2 * n - 1, n),), None, vals, rho_doubled(n), False)
+    assert fields[-2] == is_u_small(tuple(2 * t for t in sorted(vals, reverse=True)))
 
 
 def test_prefix_walk_resolves_each_linked_pair_once_per_prefix(monkeypatch):
@@ -331,7 +356,9 @@ def test_records_stream_without_the_branching_tree(monkeypatch):
         raise AssertionError("enumerate's path builds the branching tree")
 
     monkeypatch.setattr(scattered, "_branch", refuse)
-    assert next(_records(16)) == record_on_chain_sets(ChainSet(first))
+    pairs, fields = next(_records(16))
+    assert pairs == first
+    assert _record_dict(fields) == as_walked(record_on_chain_sets(ChainSet(first)))
 
 
 def test_count_counts_the_search_without_the_branching_tree(monkeypatch):
@@ -368,7 +395,7 @@ def test_records_with_multiplicity_build_no_chain_set(chain_sets_built):
     sets = [ChainSet(pairs) for pairs in _interlaced_pairs(6)]
     assert chain_sets_built == sets and len(sets) == 16
     records = [build_record(cs, with_multiplicity=True) for cs in sets]
-    assert list(_records(6, with_multiplicity=True)) == records
+    assert [_record_dict(fields) for _, fields in _records(6, with_multiplicity=True)] == list(map(as_walked, records))
     assert chain_sets_built == sets  # the test's own 16, and no more
 
 
