@@ -1,11 +1,11 @@
 """One-shot verification suite over all enumerated scattered parameters.
 
 `CHECKS` is the registry, run in order: each check is a generator
-``check(ranks, n_max)`` of ``(label, ok, detail)`` lines, where ``ranks[n]``
-lists the rank-n parameters as `Param`s, made by `scattered._prefix_walk`,
-the walk `enumerate` prints.  Per-parameter checks come from `_sweep`, but
-the round trip walks the branching tree.  The caps below bound the rank
-`spinchains verify` accepts and the heavyweight checks.
+``check(n_max)`` of ``(label, ok, detail)`` lines that reads what it
+certifies, the branching tree, the definition search or the prefix walk
+`enumerate` prints.  `_sweep` runs per-parameter predicates in one pass
+per rank, holding one rank's `Param`s at a time.  The caps below bound the
+rank `spinchains verify` accepts and the heavyweight checks.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import re
 from collections import Counter
 from collections.abc import Iterable
-from functools import lru_cache
 from itertools import accumulate, filterfalse, zip_longest
 from math import isqrt
 from operator import le
@@ -176,74 +175,81 @@ def _is_horizontal_strip(outer, inner) -> bool:
 
 class Param(NamedTuple):
     """One scattered parameter as plain data: its (top, length) pairs, tops
-    descending; tau and the lowest K-type, doubled; and the rows of its
-    chains (standard scale) as the one flat list `_prefix_walk` yields, in
-    the pairs' order.  The walk never changes a list it has yielded, so
-    the table holds its lists as they are.  The sweeps take lambda from
-    chains, so doctored chains are caught as a doctored tau is."""
+    descending; tau, the lowest K-type and 2*lambda, doubled; and the rows
+    of its chains (standard scale) as the one flat list `_prefix_walk`
+    yields, in the pairs' order, read-only as the walk shares it."""
 
     chains: Pairs
     tau: Weight
     lowest: Weight
     vals: list[int]
+    lambda2: Weight
 
 
-def build_ranks(n_max: int) -> dict[int, list[Param]]:
-    """Every scattered parameter of rank 2..n_max, as Params keyed by rank in
-    generate's order: one `_prefix_walk` per rank over the sorted leaves of
-    the branching tree, whose flat rows each Param keeps.  The checks read
-    the pairs; a ChainSet is built only to print a failing line's parameter.
-    `reduce_expand_round_trip` grows the same tree once more."""
-    ranks = {}
-    for n, level in zip(range(2, n_max + 1), _levels(_BASE, _branch)):
-        ranks[n] = [
-            Param(leaf, dominant([2 * x for x in vals]), lowest_k_type(leaf), vals)
-            for leaf, _, vals in _prefix_walk(sorted(level))
-        ]
-    return ranks
+def _param(leaf: Pairs, vals: list[int]) -> Param:
+    """The Param of a walked leaf: tau from its rows, the lowest K-type and
+    lambda from its chains, so doctored chains are caught as a doctored tau
+    is.  Build a doctored Param here, not by replacing its chains."""
+    return Param(leaf, dominant([2 * x for x in vals]), lowest_k_type(leaf), vals, tuple(2 * e for e in lambda_doubled(leaf)))
 
 
-def _sweep(label: str, predicate, cap: int | None = None):
-    """A check that predicate(p) holds for every Param p up to rank min(n_max, cap)."""
+def _tree(top: int):
+    """(n, level) of the branching tree for n = 2..top; sorted, a level is
+    generate(n)."""
+    return zip(range(2, top + 1), _levels(_BASE, _branch))
 
-    def check(ranks, n_max):
+
+def _sweep(*specs, cap: int | None = None):
+    """A check that predicate(p) holds for every Param p up to rank
+    min(n_max, cap), for each (label, predicate) spec: one pass per rank
+    over the walk of its sorted tree level, then one line per spec, named
+    in `names`, each with its first offender."""
+
+    def check(n_max):
         top = min(n_max, cap) if cap else n_max
-        params = [p for n in range(2, top + 1) for p in ranks[n]]
-        bad = next(filterfalse(predicate, params), None)
-        yield f"{label}, n<={top}", bad is None, ChainSet(bad.chains).to_json() if bad else f"{len(params)} parameters"
+        bad, total = [None] * len(specs), 0
+        for _, level in _tree(top):
+            params = [_param(leaf, vals) for leaf, _, vals in _prefix_walk(sorted(level))]
+            total += len(params)
+            bad = [b or next(filterfalse(predicate, params), None) for b, (_, predicate) in zip(bad, specs)]
+        for (label, _), b in zip(specs, bad):
+            yield f"{label}, n<={top}", b is None, ChainSet(b.chains).to_json() if b else f"{total} parameters"
 
-    check.__name__ = re.sub(r"\W+", "_", label).strip("_")
+    check.names = [re.sub(r"\W+", "_", label).strip("_") for label, _ in specs]
     return check
 
 
-def check_count(ranks, n_max):
-    for n in range(2, n_max + 1):
-        sets = {p.chains for p in ranks[n]}
-        ok = len(ranks[n]) == len(sets) == 2 ** (n - 2)
+def check_count(n_max):
+    for n, level in _tree(n_max):
+        sets = set(level)
+        ok = len(level) == len(sets) == 2 ** (n - 2)
         yield f"count n={n}", ok, f"{len(sets)} parameters"
         if not ok:
             return
 
 
-def check_oracle(ranks, n_max):
-    for n in range(2, n_max + 1):
-        found = list(_interlaced_pairs(n))
-        yield f"definition search equals branching tree, n={n}", found == [p.chains for p in ranks[n]], f"{len(found)} parameters"
+def check_oracle(n_max):
+    """The search equals the sorted tree level; a failing line names the
+    first parameter where the two lists differ."""
+    for n, level in _tree(n_max):
+        found, level = list(_interlaced_pairs(n)), sorted(level)
+        bad = found != level and next(a or b for a, b in zip_longest(found, level) if a != b)
+        yield f"definition search equals branching tree, n={n}", not bad, ChainSet(bad).to_json() if bad else f"{len(found)} parameters"
 
 
-def check_equivalence(ranks, n_max):
+def check_equivalence(n_max):
     top = min(n_max, EQUIVALENCE_CAP)
     decompositions = (pairs for n in range(2, top + 1) for pairs in _pair_decompositions(n))
     bad = next((pairs for pairs in decompositions if is_interlaced(pairs) != involves_all_simple_reflections(extract_involution(pairs))), None)
     yield f"interlaced <=> involution uses all reflections, n<={top}", bad is None, ChainSet(bad).to_json() if bad else ""
 
 
-def check_spherical(ranks, n_max):
+def check_spherical(n_max):
     top = min(n_max, SPHERICAL_CAP)
     label = f"spherical family pattern and membership, a+b<={top}"
     pairs = 0
     for total in range(3, top + 1, 2):
-        sets = {p.chains for p in ranks[total]}
+        sets = set(_interlaced_pairs(total))
         for b in range(1, total // 2 + 1):
             a = total - b
             cs = spherical_family(a, b)
@@ -259,7 +265,7 @@ def check_spherical(ranks, n_max):
     yield label, True, f"{pairs} pairs"
 
 
-def check_lr(ranks, n_max):
+def check_lr(n_max):
     label = f"LR Pieri and symmetry, |shape|<={LR_SANITY_CAP}"
     for outer in partitions_up_to(LR_SANITY_CAP):
         if not outer:
@@ -288,13 +294,6 @@ def _involution_ok(p: Param) -> bool:
     return is_involution(s) and involves_all_simple_reflections(s)
 
 
-@lru_cache(maxsize=2 ** (VERIFY_CAP - 1))
-def _lambda2(chains: Pairs) -> Weight:
-    """2*lambda, doubled, from a parameter's chains, once for three sweeps;
-    the memo holds every parameter up to rank VERIFY_CAP."""
-    return tuple(2 * e for e in lambda_doubled(chains))
-
-
 def _order_free_ok(p: Param) -> bool:
     """`spin._rules` in canonical order gives each chain the walk's row: its
     rows, laid out in the pairs' order, are the walk's flat list."""
@@ -303,28 +302,23 @@ def _order_free_ok(p: Param) -> bool:
     return [x for pair in p.chains for x in row[pair]] == p.vals
 
 
-def reduce_expand_round_trip(ranks, n_max):
-    """_unbranch sends both children of every parameter back to it, and each
-    parameter p of rank >= 3 is a child of _unbranch(p): the tree is grown
-    once, as `build_ranks` grows it, each level, sorted, must be the table's
-    rank, and p's tree parent q is checked to be _unbranch(p)."""
+def reduce_expand_round_trip(n_max):
+    """_unbranch sends both children of every node of the branching tree
+    back to it, so each node p of rank >= 3 is a child of _unbranch(p); the
+    oracle line holds the tree's levels equal to the parameters."""
     label = f"reduce/expand round trip, n<={n_max}"
     level, walked = [_BASE], 0
     for n in range(2, n_max + 1):
-        nodes = [p.chains for p in ranks[n]]
-        if nodes != sorted(level):
-            bad = next(a or b for a, b in zip_longest(nodes, sorted(level)) if a != b)
-            yield label, False, ChainSet(bad).to_json()
-            return
-        level = []
-        for q in nodes:
+        below = []
+        for q in level:
             kids = _branch(q)
             if _unbranch(kids[0]) != q or _unbranch(kids[1]) != q:
                 yield label, False, ChainSet(q).to_json()
                 return
             if n < n_max:
-                level += kids
-        walked += len(nodes)
+                below += kids
+        walked += len(level)
+        level = below
     yield label, True, f"{walked} parameters"
 
 
@@ -332,20 +326,22 @@ CHECKS = (
     check_count,
     check_oracle,
     check_equivalence,
-    _sweep("involutions use all simple reflections", _involution_ok),
-    _sweep("tau does not depend on the order the linked pairs are resolved in", _order_free_ok),
-    _sweep("spin identity {tau-rho} = 2lambda-rho", lambda p: _spin_identity(p.tau, _lambda2(p.chains))),
-    _sweep("tau differs from lowest K-type on multi-chain parameters", lambda p: len(p.chains) == 1 or p.tau != p.lowest),
-    _sweep("spin norm of tau equals |2lambda|", lambda p: spin_norm_sq(p.tau) == norm_sq(_lambda2(p.chains))),
-    _sweep("rules preserve the coordinate sum", lambda p: sum(p.tau) == sum(p.lowest)),
-    _sweep("tau is u-small", lambda p: is_u_small(p.tau)),
-    # 2*lambda, doubled, has coefficients 2 and 4 where lambda has 1/2 and 1
-    _sweep("lambda fundamental coefficients are 1/2 or 1", lambda p: set(to_fundamental(_lambda2(p.chains))) <= {2, 4}),
+    _sweep(
+        ("involutions use all simple reflections", _involution_ok),
+        ("tau does not depend on the order the linked pairs are resolved in", _order_free_ok),
+        ("spin identity {tau-rho} = 2lambda-rho", lambda p: _spin_identity(p.tau, p.lambda2)),
+        ("tau differs from lowest K-type on multi-chain parameters", lambda p: len(p.chains) == 1 or p.tau != p.lowest),
+        ("spin norm of tau equals |2lambda|", lambda p: spin_norm_sq(p.tau) == norm_sq(p.lambda2)),
+        ("rules preserve the coordinate sum", lambda p: sum(p.tau) == sum(p.lowest)),
+        ("tau is u-small", lambda p: is_u_small(p.tau)),
+        # 2*lambda, doubled, has coefficients 2 and 4 where lambda has 1/2 and 1
+        ("lambda fundamental coefficients are 1/2 or 1", lambda p: set(to_fundamental(p.lambda2)) <= {2, 4}),
+    ),
     reduce_expand_round_trip,
     check_spherical,
     check_lr,
-    _sweep("tau has multiplicity one", lambda p: multiplicity_in_induced(p.chains, p.tau) == 1, MULTIPLICITY_CAP),
-    _sweep("tau is the unique spin-minimal K-type", lambda p: spin_minimal_candidates(p.chains) == [p.tau], UNIQUENESS_CAP),
+    _sweep(("tau has multiplicity one", lambda p: multiplicity_in_induced(p.chains, p.tau) == 1), cap=MULTIPLICITY_CAP),
+    _sweep(("tau is the unique spin-minimal K-type", lambda p: spin_minimal_candidates(p.chains) == [p.tau]), cap=UNIQUENESS_CAP),
 )
 
 
@@ -359,8 +355,7 @@ def run_verification(n_max: int):
     """
     if n_max < 2:
         raise ValueError("need n_max >= 2")
-    ranks = build_ranks(n_max)
     for check in CHECKS:
-        for label, ok, detail in check(ranks, n_max):
+        for label, ok, detail in check(n_max):
             suffix = f" ({detail})" if detail else ""
             yield f"{label}: {'PASS' if ok else 'FAIL'}{suffix}", ok

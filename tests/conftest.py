@@ -3,9 +3,10 @@ import pytest
 from spinchains import lr
 from spinchains.chains import ChainSet
 from spinchains.cli import VERIFY_CAP
-from spinchains.verify import CHECKS, build_ranks
+from spinchains.verify import CHECKS
 
-_BY_NAME = {check.__name__: check for check in CHECKS}
+# every line's own name: a sweep's spec names, each of one line, or a check's name
+NAMES = {name: check for check in CHECKS for name in getattr(check, "names", [check.__name__])}
 
 
 @pytest.fixture(autouse=True)
@@ -16,24 +17,20 @@ def empty_rectangle_memo():
 
 
 @pytest.fixture(scope="session")
-def ranks():
-    """Every scattered parameter up to rank VERIFY_CAP, as `spinchains verify`
-    builds them; built once and shared by every registry check."""
-    return build_ranks(VERIFY_CAP)
-
-
-@pytest.fixture(scope="session")
-def check_lines(ranks):
+def check_lines():
     """`check_lines(name)`: the (label, ok, detail) lines of the registry check
     `name` at VERIFY_CAP, exactly as `spinchains verify -n VERIFY_CAP` prints
-    them.  Each check runs at most once per test session, however many tests
-    read its lines; an unknown name raises KeyError."""
+    them; a sweep's spec name gives that spec's one line.  Each check runs
+    at most once per test session, however many tests read its lines; an
+    unknown name raises KeyError."""
     cache = {}
 
     def lines_of(name):
-        if name not in cache:
-            cache[name] = list(_BY_NAME[name](ranks, VERIFY_CAP))
-        return cache[name]
+        check = NAMES[name]
+        if check not in cache:
+            cache[check] = list(check(VERIFY_CAP))
+        names = getattr(check, "names", None)
+        return [cache[check][names.index(name)]] if names else cache[check]
 
     return lines_of
 

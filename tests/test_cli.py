@@ -258,7 +258,7 @@ def test_verify_small_rank_passes(capsys):
 
 
 def test_verify_failure_exits_1(monkeypatch, capsys):
-    def failing(ranks, n_max):
+    def failing(n_max):
         yield "always fails", False, ""
 
     monkeypatch.setattr(verify, "CHECKS", (failing,))
@@ -270,7 +270,7 @@ def test_verify_prints_each_line_before_the_next_check_runs(monkeypatch):
     out = io.StringIO()
     printed_before = []
 
-    def doctored(ranks, n_max):
+    def doctored(n_max):
         printed_before.append(out.getvalue())
         yield "doctored check", False, "first offender"
 

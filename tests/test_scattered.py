@@ -41,9 +41,10 @@ from spinchains.scattered import (
     spherical_family,
 )
 from spinchains.spin import _rules, spin_lowest_k_type, verify_spin_identity
-from spinchains.verify import CHECKS
+from spinchains.verify import VERIFY_CAP
 from spinchains.weights import rho_doubled, to_fundamental
 
+from conftest import NAMES
 from test_spin import tau_by_layout
 
 
@@ -52,10 +53,11 @@ def tree_leaves(n: int) -> list:
     return next(islice(_levels(_BASE, _branch), n - 2, None))
 
 
-@pytest.mark.parametrize("name", [check.__name__ for check in CHECKS])
+@pytest.mark.parametrize("name", list(NAMES))
 def test_verify_check_passes(name, check_lines):
-    """Every registry check passes at VERIFY_CAP; the lines come from the
-    session's one run of each check, which criteria 4 and 6-10 also read."""
+    """Every registry check, and each sweep line by its own name, passes at
+    VERIFY_CAP; the lines come from the session's one run of each check,
+    which criteria 4 and 6-10 also read."""
     lines = check_lines(name)
     assert lines and all(ok for _, ok, _ in lines), lines
 
@@ -100,10 +102,10 @@ def reduce_on_chain_sets(cs: ChainSet) -> ChainSet:
     return out
 
 
-def test_unbranch_equals_reduce_on_chain_sets(ranks):
-    for n, params in ranks.items():
-        for p in params if n > 2 else ():
-            assert _unbranch(p.chains) == reduce_on_chain_sets(ChainSet(p.chains)).chains, p.chains
+def test_unbranch_equals_reduce_on_chain_sets():
+    for n in range(3, VERIFY_CAP + 1):
+        for pairs in _interlaced_pairs(n):
+            assert _unbranch(pairs) == reduce_on_chain_sets(ChainSet(pairs)).chains, pairs
 
 
 def test_reduce_rejects_what_it_rejected_on_chain_sets():

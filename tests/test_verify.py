@@ -6,15 +6,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spinchains import cli, verify
+from spinchains import verify
 from spinchains.cli import VERIFY_CAP
 from spinchains.chains import ChainSet, canonical_order, involves_all_simple_reflections, is_interlaced, lambda_doubled
 from spinchains.lr import multiplicity_in_induced
-from spinchains.scattered import _BASE, _branch, _levels, _pair_decompositions, generate
+from spinchains.scattered import _BASE, _branch, _interlaced_pairs, _levels, _pair_decompositions, _prefix_walk, generate
 from spinchains.spin import lowest_k_type, spin_lowest_k_type
 from spinchains.verify import _strictly_decreasing, run_verification, spin_minimal_candidates, spin_norm_shell
 from spinchains.weights import norm_sq, rho_doubled, spin_norm_sq
 
+from conftest import NAMES
 
 ORDER = "tau_does_not_depend_on_the_order_the_linked_pairs_are_resolved_in"
 
@@ -28,16 +29,18 @@ def _bump_row(p):
     return p._replace(vals=[p.vals[0] + 1, *p.vals[1:]])
 
 
-# per-parameter check, by name -> a doctored copy of a multi-chain rank-4 parameter that it must reject
+# per-parameter check, by name -> a doctored copy of a multi-chain rank-4
+# parameter that it must reject; doctored chains go through verify._param,
+# which builds lambda from them
 DOCTORED = {
-    "involutions_use_all_simple_reflections": lambda p: p._replace(chains=((7, 2), (3, 2))),  # {7,5} {3,1}
+    "involutions_use_all_simple_reflections": lambda p: verify._param(((7, 2), (3, 2)), p.vals),  # {7,5} {3,1}
     ORDER: _bump_row,
     "spin_identity_tau_rho_2lambda_rho": _bump_tau,
     "tau_differs_from_lowest_K_type_on_multi_chain_parameters": lambda p: p._replace(tau=p.lowest),
     "spin_norm_of_tau_equals_2lambda": _bump_tau,
     "rules_preserve_the_coordinate_sum": _bump_tau,
     "tau_is_u_small": _bump_tau,
-    "lambda_fundamental_coefficients_are_1_2_or_1": lambda p: p._replace(chains=((9, 2), (3, 2))),  # {9,7} {3,1}
+    "lambda_fundamental_coefficients_are_1_2_or_1": lambda p: verify._param(((9, 2), (3, 2)), p.vals),  # {9,7} {3,1}
     "tau_has_multiplicity_one": _bump_tau,
     "tau_is_the_unique_spin_minimal_K_type": _bump_tau,
 }
@@ -46,10 +49,10 @@ DOCTORED = {
 VERIFY_12_SHA256 = "60ce884126d53e662db8a60c6b662402d11c6e6b9af07bb5a0017d075f072d40"
 
 
-def build_ranks_by_chain_sets(n_max: int) -> dict:
-    """build_ranks as it was before the prefix walk, kept as its oracle:
-    (ChainSet, spin_lowest_k_type run, lowest_k_type) of each parameter of
-    rank 2..n_max, keyed by rank in generate's order."""
+def params_by_chain_sets(n_max: int) -> dict:
+    """The parameters as verify built them before the prefix walk, kept as
+    its oracle: (ChainSet, spin_lowest_k_type run, lowest_k_type) of each
+    parameter of rank 2..n_max, keyed by rank in generate's order."""
     levels = zip(range(2, n_max + 1), _levels(_BASE, _branch))
     return {n: [(cs, spin_lowest_k_type(cs), lowest_k_type(cs)) for cs in map(ChainSet, sorted(level))] for n, level in levels}
 
@@ -157,18 +160,18 @@ def spin_minimal_candidates_unfiltered(cs) -> list:
     return sorted((dv for dv in lifts if multiplicity_in_induced(ordered, dv) > 0), reverse=True)
 
 
-def test_prefilter_keeps_every_hit(ranks):
+def test_prefilter_keeps_every_hit():
     # every chain decomposition to rank 5, interlaced or not, also moved
     # down by 6 so that multiplicity_in_induced must shift, and every
     # scattered parameter to rank 7
     decompositions = [pairs for n in range(2, 6) for pairs in _pair_decompositions(n)]
     lowered = [tuple((top - 6, length) for top, length in pairs) for pairs in decompositions]
-    for pairs in [*decompositions, *lowered, *(p.chains for n in range(2, 8) for p in ranks[n])]:
+    for pairs in [*decompositions, *lowered, *(pairs for n in range(2, 8) for pairs in _interlaced_pairs(n))]:
         assert spin_minimal_candidates(pairs) == spin_minimal_candidates_unfiltered(pairs), pairs
 
 
-def test_prefilter_asks_for_266_of_the_1623_lifts_to_rank_7(ranks, monkeypatch):
-    params = [p.chains for n in range(2, 8) for p in ranks[n]]
+def test_prefilter_asks_for_266_of_the_1623_lifts_to_rank_7(monkeypatch):
+    params = [pairs for n in range(2, 8) for pairs in _interlaced_pairs(n)]
     lifts = 0
     for pairs in params:
         lam = lambda_doubled(pairs)
@@ -180,20 +183,28 @@ def test_prefilter_asks_for_266_of_the_1623_lifts_to_rank_7(ranks, monkeypatch):
     assert (lifts, len(asked)) == (1623, 266)
 
 
-def test_build_ranks_is_generate_at_every_rank(ranks):
-    assert list(ranks) == list(range(2, VERIFY_CAP + 1))
-    for n, params in ranks.items():
-        assert [p.chains for p in params] == [cs.chains for cs in generate(n)], n
+def sweep_line(name, n_max):
+    """The one (label, ok, detail) line that the sweep spec `name` gives at n_max."""
+    check = NAMES[name]
+    return list(check(n_max))[check.names.index(name)]
 
 
-def test_build_ranks_equals_the_chain_set_build(ranks):
-    # chains, tau and lowest K-type of every parameter the walk's table
-    # holds, against a ChainSet and a spin_lowest_k_type run for each
-    expected = build_ranks_by_chain_sets(VERIFY_CAP)
-    assert list(ranks) == list(expected)
-    for n, params in ranks.items():
-        found = [(p.chains, p.tau, p.lowest) for p in params]
-        assert found == [(cs.chains, res.tau, lowest) for cs, res, lowest in expected[n]], n
+def test_tree_is_generate_at_every_rank():
+    tree = list(verify._tree(VERIFY_CAP))
+    assert [n for n, _ in tree] == list(range(2, VERIFY_CAP + 1))
+    for n, level in tree:
+        assert sorted(level) == [cs.chains for cs in generate(n)], n
+
+
+def test_params_equal_the_chain_set_build():
+    # chains, tau, lowest K-type and lambda of every parameter the sweeps
+    # build, against a ChainSet and a spin_lowest_k_type run for each
+    expected = params_by_chain_sets(VERIFY_CAP)
+    for n, level in verify._tree(VERIFY_CAP):
+        found = [verify._param(leaf, vals) for leaf, _, vals in _prefix_walk(sorted(level))]
+        assert [(p.chains, p.tau, p.lowest, p.lambda2) for p in found] == [
+            (cs.chains, res.tau, lowest, res.lambda2) for cs, res, lowest in expected[n]
+        ], n
 
 
 def test_verify_output_is_pinned(check_lines):
@@ -201,8 +212,8 @@ def test_verify_output_is_pinned(check_lines):
     # VERIFY_CAP` prints them; re-pin when VERIFY_CAP or a line changes
     lines = [
         f"{label}: {'PASS' if ok else 'FAIL'}{f' ({detail})' if detail else ''}"
-        for check in verify.CHECKS
-        for label, ok, detail in check_lines(check.__name__)
+        for name in NAMES
+        for label, ok, detail in check_lines(name)
     ]
     passed = all(line.split(": ", 1)[1].startswith("PASS") for line in lines)
     text = "".join(f"{line}\n" for line in [*lines, f"RESULT: {'PASS' if passed else 'FAIL'}"])
@@ -218,11 +229,30 @@ def test_oracle_and_spherical_lines_count_their_items(check_lines):
     assert detail == f"{sum(total // 2 for total in range(3, top + 1, 2))} pairs"
 
 
-def test_oracle_fails_on_a_rank_out_of_order():
+def test_oracle_fails_on_a_rank_out_of_order(monkeypatch):
     # the oracle compares lists, so the right sets in the wrong order fail
-    ranks = verify.build_ranks(5)
-    ranks[5].reverse()
-    assert [ok for _, ok, _ in verify.check_oracle(ranks, 5)] == [True, True, True, False]
+    real = verify._interlaced_pairs
+    monkeypatch.setattr(verify, "_interlaced_pairs", lambda n: list(real(n))[::-1] if n == 5 else real(n))
+    assert [ok for _, ok, _ in verify.check_oracle(5)] == [True, True, True, False]
+
+
+def _drop_last(found):
+    return 5, found[5].pop()
+
+
+def _insert_stranger(found):
+    found[4].insert(0, ((7, 2), (3, 2)))  # {7,5} {3,1}: not interlaced
+    return 4, found[4][0]
+
+
+@pytest.mark.parametrize("edit", [_drop_last, _insert_stranger])
+def test_oracle_line_names_a_parameter_missing_from_or_foreign_to_the_tree(edit, monkeypatch):
+    found = {n: list(_interlaced_pairs(n)) for n in range(2, 6)}
+    rank, named = edit(found)
+    monkeypatch.setattr(verify, "_interlaced_pairs", found.__getitem__)
+    lines = list(verify.check_oracle(5))
+    assert [ok for _, ok, _ in lines] == [n != rank for n in range(2, 6)]
+    assert lines[rank - 2] == (f"definition search equals branching tree, n={rank}", False, ChainSet(named).to_json())
 
 
 def test_run_verification_rejects_tiny_rank():
@@ -232,102 +262,65 @@ def test_run_verification_rejects_tiny_rank():
 
 @pytest.mark.parametrize("name", DOCTORED)
 def test_sweep_fails_on_a_doctored_parameter(name, monkeypatch):
-    ranks = verify.build_ranks(4)
-    bad = DOCTORED[name](next(p for p in ranks[4] if len(p.chains) > 1))
-    ranks[4].insert(0, bad)
-    monkeypatch.setattr(verify, "build_ranks", lambda n_max: ranks)
-    monkeypatch.setattr(verify, "CHECKS", [c for c in verify.CHECKS if c.__name__ == name])
-    [(line, ok)] = run_verification(4)
-    assert not ok
-    assert line.endswith(f", n<=4: FAIL ({ChainSet(bad.chains).to_json()})")
+    target = next(cs.chains for cs in generate(4) if len(cs.chains) > 1)
+    real, doctored = verify._param, []
+
+    def build(leaf, vals):
+        p = real(leaf, vals)
+        if leaf == target:
+            doctored.append(p := DOCTORED[name](p))
+        return p
+
+    monkeypatch.setattr(verify, "_param", build)
+    label, ok, detail = sweep_line(name, 4)
+    assert label.endswith(", n<=4") and not ok
+    assert detail == ChainSet(doctored[0].chains).to_json()
 
 
 def test_every_per_parameter_check_has_a_doctored_parameter():
-    swept = {c.__name__ for c in verify.CHECKS if c.__qualname__.startswith("_sweep.")}
+    swept = {name for check in verify.CHECKS for name in getattr(check, "names", [])}
     assert swept == set(DOCTORED)
 
 
 def test_round_trip_line_names_the_node_whose_child_unbranches_wrong(monkeypatch):
     # one child of one rank-5 node sent to the root instead of its parent
-    target = verify.build_ranks(5)[5][3]
-    child = _branch(target.chains)[1]
+    target = generate(5)[3].chains
+    child = _branch(target)[1]
     real = verify._unbranch
     monkeypatch.setattr(verify, "_unbranch", lambda pairs: _BASE if pairs == child else real(pairs))
     monkeypatch.setattr(verify, "CHECKS", [verify.reduce_expand_round_trip])
     [(line, ok)] = run_verification(5)
     assert not ok
-    assert line == f"reduce/expand round trip, n<=5: FAIL ({ChainSet(target.chains).to_json()})"
-
-
-def _drop_last(ranks):
-    return ranks[5].pop().chains
-
-
-def _insert_stranger(ranks):
-    ranks[4].insert(0, DOCTORED["involutions_use_all_simple_reflections"](ranks[4][1]))
-    return ranks[4][0].chains
-
-
-@pytest.mark.parametrize("edit", [_drop_last, _insert_stranger])
-def test_round_trip_line_names_a_parameter_missing_from_or_foreign_to_the_tree(edit, monkeypatch):
-    ranks = verify.build_ranks(5)
-    named = edit(ranks)
-    monkeypatch.setattr(verify, "build_ranks", lambda n_max: ranks)
-    monkeypatch.setattr(verify, "CHECKS", [verify.reduce_expand_round_trip])
-    [(line, ok)] = run_verification(5)
-    assert not ok
-    assert line == f"reduce/expand round trip, n<=5: FAIL ({ChainSet(named).to_json()})"
+    assert line == f"reduce/expand round trip, n<=5: FAIL ({ChainSet(target).to_json()})"
 
 
 @pytest.mark.parametrize("name", ["spin_identity_tau_rho_2lambda_rho", "spin_norm_of_tau_equals_2lambda"])
 def test_sweeps_take_lambda_from_the_chains(name, monkeypatch):
-    # {5,3,1} {4} with its own tau, but the chains of {7,5,3,1}
-    ranks = verify.build_ranks(4)
-    real = next(p for p in ranks[4] if p.chains == ((5, 3), (4, 1)))
-    ranks[4].insert(0, real._replace(chains=((7, 4),)))
-    monkeypatch.setattr(verify, "build_ranks", lambda n_max: ranks)
-    monkeypatch.setattr(verify, "CHECKS", [c for c in verify.CHECKS if c.__name__ == name])
-    [(line, ok)] = run_verification(4)
-    assert not ok
-    assert line.endswith(', n<=4: FAIL ({"chains": [[7, 5, 3, 1]]})')
-
-
-def test_lambda_memo_holds_every_parameter_to_verify_cap(ranks):
-    # cli reads the cap from verify, and the memo is sized from it: the three
-    # lambda lines at the cap miss once per parameter and hit twice
-    assert cli.VERIFY_CAP is verify.VERIFY_CAP
-    assert verify._lambda2.cache_info().maxsize == 2 ** (VERIFY_CAP - 1)
-    names = ("spin_identity_tau_rho_2lambda_rho", "spin_norm_of_tau_equals_2lambda", "lambda_fundamental_coefficients_are_1_2_or_1")
-    params = sum(map(len, ranks.values()))
-    verify._lambda2.cache_clear()
-    lines = [line for check in verify.CHECKS if check.__name__ in names for line in check(ranks, VERIFY_CAP)]
-    assert len(lines) == 3 and all(ok for _, ok, _ in lines), lines
-    info = verify._lambda2.cache_info()
-    assert (info.misses, info.hits) == (params, 2 * params)
+    # {5,3,1} {4} with its own rows, so its own tau, but the chains of {7,5,3,1}
+    real = verify._param
+    monkeypatch.setattr(verify, "_param", lambda leaf, vals: real(((7, 4),) if leaf == ((5, 3), (4, 1)) else leaf, vals))
+    assert sweep_line(name, 4)[1:] == (False, '{"chains": [[7, 5, 3, 1]]}')
 
 
 def test_order_line_names_the_parameter_whose_canonical_rows_differ(monkeypatch):
     # the canonical-order rules, made to change one row of one rank-5
     # parameter: the walk's rows no longer match there, and only there
-    target = [p for p in verify.build_ranks(5)[5] if len(p.chains) > 1][2]
+    target = [cs.chains for cs in generate(5) if len(cs.chains) > 1][2]
     real = verify._rules
 
     def perturbed(pairs):
         ordered, rows, trace = real(pairs)
-        if pairs == target.chains:
+        if pairs == target:
             rows[-1] = [rows[-1][0] + 1, *rows[-1][1:]]
         return ordered, rows, trace
 
     monkeypatch.setattr(verify, "_rules", perturbed)
-    monkeypatch.setattr(verify, "CHECKS", [c for c in verify.CHECKS if c.__name__ == ORDER])
-    [(line, ok)] = run_verification(5)
-    assert not ok
-    assert line == f"tau does not depend on the order the linked pairs are resolved in, n<=5: FAIL ({ChainSet(target.chains).to_json()})"
+    label = "tau does not depend on the order the linked pairs are resolved in, n<=5"
+    assert sweep_line(ORDER, 5) == (label, False, ChainSet(target).to_json())
 
 
-def test_multiplicity_and_uniqueness_lines_build_no_chain_set(ranks, chain_sets_built):
-    checks = [c for c in verify.CHECKS if c.__name__ in ("tau_has_multiplicity_one", "tau_is_the_unique_spin_minimal_K_type")]
-    lines = [line for check in checks for line in check(ranks, 7)]
+def test_multiplicity_and_uniqueness_lines_build_no_chain_set(chain_sets_built):
+    lines = [sweep_line(name, 7) for name in ("tau_has_multiplicity_one", "tau_is_the_unique_spin_minimal_K_type")]
     assert [(label, ok) for label, ok, _ in lines] == [
         ("tau has multiplicity one, n<=7", True),
         ("tau is the unique spin-minimal K-type, n<=7", True),
@@ -356,3 +349,36 @@ def test_equivalence_failure_names_the_first_offender(monkeypatch):
     assert not ok
     assert line == f"interlaced <=> involution uses all reflections, n<=7: FAIL ({bad.to_json()})"
     assert bad.to_json() == '{"chains": [[3, 1], [2]]}'
+
+
+class _ParamBuilt(Exception):
+    pass
+
+
+def test_count_oracle_and_equivalence_lines_come_before_any_param(monkeypatch):
+    # the benchmark's verify query_p50_ms is the arrival of line 19, an
+    # oracle line, so no Param may be built before the oracle lines
+    def build(leaf, vals):
+        raise _ParamBuilt
+
+    monkeypatch.setattr(verify, "_param", build)
+    labels = []
+    with pytest.raises(_ParamBuilt):
+        for line, _ in run_verification(12):
+            labels.append(line.split(": ", 1)[0])
+    assert labels == [
+        *(f"count n={n}" for n in range(2, 13)),
+        *(f"definition search equals branching tree, n={n}" for n in range(2, 13)),
+        "interlaced <=> involution uses all reflections, n<=7",
+    ]
+
+
+def test_verify_walks_each_rank_once_per_sweep(monkeypatch):
+    # ranks 2..12, 2..MULTIPLICITY_CAP and 2..UNIQUENESS_CAP: 11 + 8 + 6 = 25
+    # walks at today's caps, each of one whole rank
+    walked = []
+    real = verify._prefix_walk
+    monkeypatch.setattr(verify, "_prefix_walk", lambda leaves: walked.append(len(leaves)) or real(leaves))
+    assert all(ok for _, ok in run_verification(12))
+    tops = (12, verify.MULTIPLICITY_CAP, verify.UNIQUENESS_CAP)
+    assert walked == [2 ** (n - 2) for top in tops for n in range(2, top + 1)]
