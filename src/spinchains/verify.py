@@ -1,16 +1,15 @@
 """One-shot verification suite over all enumerated scattered parameters.
 
 `CHECKS` is the registry, run in order: each check is a generator
-``check(n_max)`` of ``(label, ok, detail)`` lines that reads what it
-certifies, the branching tree, the definition search or the prefix walk
-`enumerate` prints.  `_sweep` runs per-parameter predicates in one pass
-per rank, holding one rank's `Param`s at a time.  The caps below bound the
-rank `spinchains verify` accepts and the heavyweight checks.
+``check(n_max)`` of ``(label, ok, detail)`` lines.  Count, oracle and round
+trip grow the branching tree they certify; `check_params` states each claim
+of `SPECS` on every parameter in one pass per rank over the walk of the
+search `enumerate` prints.  The caps bound the rank `spinchains verify`
+accepts and the heavyweight checks.
 """
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from collections.abc import Iterable
 from itertools import accumulate, filterfalse, zip_longest
@@ -199,26 +198,6 @@ def _tree(top: int):
     return zip(range(2, top + 1), _levels(_BASE, _branch))
 
 
-def _sweep(*specs, cap: int | None = None):
-    """A check that predicate(p) holds for every Param p up to rank
-    min(n_max, cap), for each (label, predicate) spec: one pass per rank
-    over the walk of its sorted tree level, then one line per spec, named
-    in `names`, each with its first offender."""
-
-    def check(n_max):
-        top = min(n_max, cap) if cap else n_max
-        bad, total = [None] * len(specs), 0
-        for _, level in _tree(top):
-            params = [_param(leaf, vals) for leaf, _, vals in _prefix_walk(sorted(level))]
-            total += len(params)
-            bad = [b or next(filterfalse(predicate, params), None) for b, (_, predicate) in zip(bad, specs)]
-        for (label, _), b in zip(specs, bad):
-            yield f"{label}, n<={top}", b is None, ChainSet(b.chains).to_json() if b else f"{total} parameters"
-
-    check.names = [re.sub(r"\W+", "_", label).strip("_") for label, _ in specs]
-    return check
-
-
 def check_count(n_max):
     for n, level in _tree(n_max):
         sets = set(level)
@@ -322,27 +301,39 @@ def reduce_expand_round_trip(n_max):
     yield label, True, f"{walked} parameters"
 
 
-CHECKS = (
-    check_count,
-    check_oracle,
-    check_equivalence,
-    _sweep(
-        ("involutions use all simple reflections", _involution_ok),
-        ("tau does not depend on the order the linked pairs are resolved in", _order_free_ok),
-        ("spin identity {tau-rho} = 2lambda-rho", lambda p: _spin_identity(p.tau, p.lambda2)),
-        ("tau differs from lowest K-type on multi-chain parameters", lambda p: len(p.chains) == 1 or p.tau != p.lowest),
-        ("spin norm of tau equals |2lambda|", lambda p: spin_norm_sq(p.tau) == norm_sq(p.lambda2)),
-        ("rules preserve the coordinate sum", lambda p: sum(p.tau) == sum(p.lowest)),
-        ("tau is u-small", lambda p: is_u_small(p.tau)),
-        # 2*lambda, doubled, has coefficients 2 and 4 where lambda has 1/2 and 1
-        ("lambda fundamental coefficients are 1/2 or 1", lambda p: set(to_fundamental(p.lambda2)) <= {2, 4}),
-    ),
-    reduce_expand_round_trip,
-    check_spherical,
-    check_lr,
-    _sweep(("tau has multiplicity one", lambda p: multiplicity_in_induced(p.chains, p.tau) == 1), cap=MULTIPLICITY_CAP),
-    _sweep(("tau is the unique spin-minimal K-type", lambda p: spin_minimal_candidates(p.chains) == [p.tau]), cap=UNIQUENESS_CAP),
+# (label, predicate, cap): a claim checked on each Param up to rank cap, or n_max if cap is None
+SPECS = (
+    ("involutions use all simple reflections", _involution_ok, None),
+    ("tau does not depend on the order the linked pairs are resolved in", _order_free_ok, None),
+    ("spin identity {tau-rho} = 2lambda-rho", lambda p: _spin_identity(p.tau, p.lambda2), None),
+    ("tau differs from lowest K-type on multi-chain parameters", lambda p: len(p.chains) == 1 or p.tau != p.lowest, None),
+    ("spin norm of tau equals |2lambda|", lambda p: spin_norm_sq(p.tau) == norm_sq(p.lambda2), None),
+    ("rules preserve the coordinate sum", lambda p: sum(p.tau) == sum(p.lowest), None),
+    ("tau is u-small", lambda p: is_u_small(p.tau), None),
+    # 2*lambda, doubled, has coefficients 2 and 4 where lambda has 1/2 and 1
+    ("lambda fundamental coefficients are 1/2 or 1", lambda p: set(to_fundamental(p.lambda2)) <= {2, 4}, None),
+    ("tau has multiplicity one", lambda p: multiplicity_in_induced(p.chains, p.tau) == 1, MULTIPLICITY_CAP),
+    ("tau is the unique spin-minimal K-type", lambda p: spin_minimal_candidates(p.chains) == [p.tau], UNIQUENESS_CAP),
 )
+
+
+def check_params(n_max):
+    """Every predicate of SPECS on each Param up to its cap: one pass per
+    rank over the walk of the search `enumerate` prints, then one line per
+    spec, with its own parameter count and its first offender."""
+    bad, totals = [None] * len(SPECS), [0] * len(SPECS)
+    for n in range(2, n_max + 1):
+        params = [_param(leaf, vals) for leaf, _, vals in _prefix_walk(_interlaced_pairs(n))]
+        for i, (_, predicate, cap) in enumerate(SPECS):
+            if n <= (cap or n_max):
+                totals[i] += len(params)
+                bad[i] = bad[i] or next(filterfalse(predicate, params), None)
+        del params  # free them before the next rank's are built
+    for (label, _, cap), total, b in zip(SPECS, totals, bad):
+        yield f"{label}, n<={min(n_max, cap or n_max)}", b is None, ChainSet(b.chains).to_json() if b else f"{total} parameters"
+
+
+CHECKS = (check_count, check_oracle, check_equivalence, check_params, reduce_expand_round_trip, check_spherical, check_lr)
 
 
 def run_verification(n_max: int):

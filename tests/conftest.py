@@ -1,12 +1,17 @@
+import re
+
 import pytest
 
 from spinchains import lr
 from spinchains.chains import ChainSet
 from spinchains.cli import VERIFY_CAP
-from spinchains.verify import CHECKS
+from spinchains.verify import CHECKS, SPECS, check_params
 
-# every line's own name: a sweep's spec names, each of one line, or a check's name
-NAMES = {name: check for check in CHECKS for name in getattr(check, "names", [check.__name__])}
+# each per-parameter spec's name: its label's words joined by underscores
+SPEC_NAMES = [re.sub(r"\W+", "_", label).strip("_") for label, _, _ in SPECS]
+# every line's own name: a spec's name, for its one line of `check_params`,
+# or a check's name, in `verify` order
+NAMES = {name: check for check in CHECKS for name in (SPEC_NAMES if check is check_params else [check.__name__])}
 
 
 @pytest.fixture(autouse=True)
@@ -20,7 +25,7 @@ def empty_rectangle_memo():
 def check_lines():
     """`check_lines(name)`: the (label, ok, detail) lines of the registry check
     `name` at VERIFY_CAP, exactly as `spinchains verify -n VERIFY_CAP` prints
-    them; a sweep's spec name gives that spec's one line.  Each check runs
+    them; a spec's name gives that spec's one line.  Each check runs
     at most once per test session, however many tests read its lines; an
     unknown name raises KeyError."""
     cache = {}
@@ -29,8 +34,7 @@ def check_lines():
         check = NAMES[name]
         if check not in cache:
             cache[check] = list(check(VERIFY_CAP))
-        names = getattr(check, "names", None)
-        return [cache[check][names.index(name)]] if names else cache[check]
+        return [cache[check][SPEC_NAMES.index(name)]] if check is check_params else cache[check]
 
     return lines_of
 

@@ -15,7 +15,7 @@ from spinchains.spin import lowest_k_type, spin_lowest_k_type
 from spinchains.verify import _strictly_decreasing, run_verification, spin_minimal_candidates, spin_norm_shell
 from spinchains.weights import norm_sq, rho_doubled, spin_norm_sq
 
-from conftest import NAMES
+from conftest import NAMES, SPEC_NAMES
 
 ORDER = "tau_does_not_depend_on_the_order_the_linked_pairs_are_resolved_in"
 
@@ -46,7 +46,7 @@ DOCTORED = {
 }
 
 # sha256 of the stdout of `spinchains verify -n 12`, at VERIFY_CAP = 12
-VERIFY_12_SHA256 = "60ce884126d53e662db8a60c6b662402d11c6e6b9af07bb5a0017d075f072d40"
+VERIFY_12_SHA256 = "725c1e99254a7a694dc531c2a479647fa145227746dc01b4eb6197e61ff0735e"
 
 
 def params_by_chain_sets(n_max: int) -> dict:
@@ -184,9 +184,9 @@ def test_prefilter_asks_for_266_of_the_1623_lifts_to_rank_7(monkeypatch):
 
 
 def sweep_line(name, n_max):
-    """The one (label, ok, detail) line that the sweep spec `name` gives at n_max."""
-    check = NAMES[name]
-    return list(check(n_max))[check.names.index(name)]
+    """The one (label, ok, detail) line that the spec `name` of verify.SPECS
+    gives at n_max."""
+    return list(verify.check_params(n_max))[SPEC_NAMES.index(name)]
 
 
 def test_tree_is_generate_at_every_rank():
@@ -197,11 +197,12 @@ def test_tree_is_generate_at_every_rank():
 
 
 def test_params_equal_the_chain_set_build():
-    # chains, tau, lowest K-type and lambda of every parameter the sweeps
-    # build, against a ChainSet and a spin_lowest_k_type run for each
+    # chains, tau, lowest K-type and lambda of every parameter the sweep
+    # builds from the search, against a ChainSet and a spin_lowest_k_type
+    # run for each parameter of the sorted tree level
     expected = params_by_chain_sets(VERIFY_CAP)
-    for n, level in verify._tree(VERIFY_CAP):
-        found = [verify._param(leaf, vals) for leaf, _, vals in _prefix_walk(sorted(level))]
+    for n in range(2, VERIFY_CAP + 1):
+        found = [verify._param(leaf, vals) for leaf, _, vals in _prefix_walk(_interlaced_pairs(n))]
         assert [(p.chains, p.tau, p.lowest, p.lambda2) for p in found] == [
             (cs.chains, res.tau, lowest, res.lambda2) for cs, res, lowest in expected[n]
         ], n
@@ -278,8 +279,7 @@ def test_sweep_fails_on_a_doctored_parameter(name, monkeypatch):
 
 
 def test_every_per_parameter_check_has_a_doctored_parameter():
-    swept = {name for check in verify.CHECKS for name in getattr(check, "names", [])}
-    assert swept == set(DOCTORED)
+    assert set(SPEC_NAMES) == set(DOCTORED)
 
 
 def test_round_trip_line_names_the_node_whose_child_unbranches_wrong(monkeypatch):
@@ -373,12 +373,55 @@ def test_count_oracle_and_equivalence_lines_come_before_any_param(monkeypatch):
     ]
 
 
-def test_verify_walks_each_rank_once_per_sweep(monkeypatch):
-    # ranks 2..12, 2..MULTIPLICITY_CAP and 2..UNIQUENESS_CAP: 11 + 8 + 6 = 25
-    # walks at today's caps, each of one whole rank
-    walked = []
+def test_verify_walks_each_rank_once(monkeypatch):
+    # one walk of each whole rank 2..12, whatever the specs' caps; each
+    # rank's Params are freed before the next rank is walked, so every walk
+    # starts with none alive and the pass peaks at one rank's Params
+    live, walked = [0], []
+
+    class Counted(verify.Param):
+        def __new__(cls, *fields):
+            live[0] += 1
+            return super().__new__(cls, *fields)
+
+        def __del__(self):
+            live[0] -= 1
+
     real = verify._prefix_walk
-    monkeypatch.setattr(verify, "_prefix_walk", lambda leaves: walked.append(len(leaves)) or real(leaves))
+
+    def walk(leaves):
+        leaves = list(leaves)
+        walked.append((len(leaves), live[0]))
+        return real(leaves)
+
+    monkeypatch.setattr(verify, "Param", Counted)
+    monkeypatch.setattr(verify, "_prefix_walk", walk)
     assert all(ok for _, ok in run_verification(12))
-    tops = (12, verify.MULTIPLICITY_CAP, verify.UNIQUENESS_CAP)
-    assert walked == [2 ** (n - 2) for top in tops for n in range(2, top + 1)]
+    assert walked == [(2 ** (n - 2), 0) for n in range(2, 13)]
+
+
+def test_verify_grows_the_branching_tree_three_times(monkeypatch):
+    # count and oracle branch ranks 2..11 (1,023 nodes each), the round
+    # trip every node of ranks 2..12 (2,047); no per-parameter line grows it
+    calls = []
+    monkeypatch.setattr(verify, "_branch", lambda pairs: calls.append(pairs) or _branch(pairs))
+    assert all(ok for _, ok in run_verification(12))
+    assert len(calls) == 1023 + 1023 + 2047
+
+
+def test_each_spec_runs_on_the_parameters_up_to_its_cap(monkeypatch):
+    calls = {label: 0 for label, _, _ in verify.SPECS}
+
+    def counted(label, predicate):
+        def run(p):
+            calls[label] += 1
+            return predicate(p)
+
+        return run
+
+    monkeypatch.setattr(verify, "SPECS", tuple((label, counted(label, predicate), cap) for label, predicate, cap in verify.SPECS))
+    assert all(ok for _, ok in run_verification(12))
+    # ranks <= 9, ranks <= 7, and every rank <= 12 for the uncapped eight
+    assert list(calls.values()) == [2047] * 8 + [255, 63]
+    labels = [label for label, _, _ in verify.check_params(8)]
+    assert labels[-2:] == ["tau has multiplicity one, n<=8", "tau is the unique spin-minimal K-type, n<=7"]
