@@ -43,6 +43,8 @@ DOCTORED = {
     "lambda_fundamental_coefficients_are_1_2_or_1": lambda p: verify._param(((9, 2), (3, 2)), p.vals),  # {9,7} {3,1}
     "tau_has_multiplicity_one": _bump_tau,
     "tau_is_the_unique_spin_minimal_K_type": _bump_tau,
+    # not scattered, so _branch raises; the line fails on it all the same
+    "reduce_expand_round_trip": lambda p: verify._param(((7, 2), (3, 2)), p.vals),  # {7,5} {3,1}
 }
 
 # sha256 of the stdout of `spinchains verify -n 12`, at VERIFY_CAP = 12
@@ -288,10 +290,7 @@ def test_round_trip_line_names_the_node_whose_child_unbranches_wrong(monkeypatch
     child = _branch(target)[1]
     real = verify._unbranch
     monkeypatch.setattr(verify, "_unbranch", lambda pairs: _BASE if pairs == child else real(pairs))
-    monkeypatch.setattr(verify, "CHECKS", [verify.reduce_expand_round_trip])
-    [(line, ok)] = run_verification(5)
-    assert not ok
-    assert line == f"reduce/expand round trip, n<=5: FAIL ({ChainSet(target).to_json()})"
+    assert sweep_line("reduce_expand_round_trip", 5) == ("reduce/expand round trip, n<=5", False, ChainSet(target).to_json())
 
 
 @pytest.mark.parametrize("name", ["spin_identity_tau_rho_2lambda_rho", "spin_norm_of_tau_equals_2lambda"])
@@ -400,9 +399,10 @@ def test_verify_walks_each_rank_once(monkeypatch):
     assert walked == [(2 ** (n - 2), 0) for n in range(2, 13)]
 
 
-def test_verify_grows_the_branching_tree_three_times(monkeypatch):
-    # count and oracle branch ranks 2..11 (1,023 nodes each), the round
-    # trip every node of ranks 2..12 (2,047); no per-parameter line grows it
+def test_count_and_oracle_grow_the_tree_and_the_round_trip_branches_each_parameter(monkeypatch):
+    # count and oracle branch ranks 2..11 (1,023 nodes each) to grow the
+    # tree; the round-trip row branches each parameter of ranks 2..12
+    # (2,047) once, and no other line branches
     calls = []
     monkeypatch.setattr(verify, "_branch", lambda pairs: calls.append(pairs) or _branch(pairs))
     assert all(ok for _, ok in run_verification(12))
@@ -421,7 +421,7 @@ def test_each_spec_runs_on_the_parameters_up_to_its_cap(monkeypatch):
 
     monkeypatch.setattr(verify, "SPECS", tuple((label, counted(label, predicate), cap) for label, predicate, cap in verify.SPECS))
     assert all(ok for _, ok in run_verification(12))
-    # ranks <= 9, ranks <= 7, and every rank <= 12 for the uncapped eight
-    assert list(calls.values()) == [2047] * 8 + [255, 63]
+    # ranks <= 9, ranks <= 7, and every rank <= 12 for the uncapped nine
+    assert list(calls.values()) == [2047] * 8 + [255, 63, 2047]
     labels = [label for label, _, _ in verify.check_params(8)]
-    assert labels[-2:] == ["tau has multiplicity one, n<=8", "tau is the unique spin-minimal K-type, n<=7"]
+    assert labels[-3:] == ["tau has multiplicity one, n<=8", "tau is the unique spin-minimal K-type, n<=7", "reduce/expand round trip, n<=8"]
