@@ -45,9 +45,11 @@ EXIT_INVALID_CHAINS = 3
 EXIT_BOUND = 4
 
 ENUM_CAP = 16
-# enumerate --with-multiplicity -n 12 makes 1,024 multiplicity_in_induced
-# calls and takes about 0.2 s in-process on a 2-CPU host
-ENUM_MULT_CAP = 12
+# enumerate --with-multiplicity -n 14 makes 4,096 multiplicity_in_induced
+# calls, which count 4,926 distinct rectangle coefficients, and takes
+# 0.8-0.9 s as a process on a 2-CPU host (-n 12: 1,024 calls, 1,148
+# counts, 0.26-0.38 s)
+ENUM_MULT_CAP = 14
 # lr fills min(|inner|, |outer| - |inner|) cells, and its cost still grows
 # with that number, by about 1.3x a cell.  On staircase outers with
 # near-staircase inner and content, the slowest triple measured took

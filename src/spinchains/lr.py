@@ -29,6 +29,19 @@ Pieri rule.  Any other rectangle goes to the raw counter through
 recently used first out, it lets the parameters of one rank share their
 counts.  Only `multiplicity_in_induced` calls it; `lr_coefficient` and
 verify's LR line call the raw counter and keep no count between calls.
+
+Like `lr_coefficient`, the multiplicity counts whichever of two equal
+problems is smaller.  A query with factors det^(k_i) on GL(d_i) and target
+delta, in standard scale, has the multiplicity of its dual twist: factors
+C - k_i and target (C - delta[n-1], ..., C - delta[0]), for any integer
+C.  Taking the contragredient negates every character and sends the
+K-type delta to -w0.delta; twisting by det^C then adds C to every
+coordinate.  On partitions this is the complement in a box, under which
+an LR product of rectangles keeps its value (Fulton, *Young Tableaux*,
+sections 5 and 9).  The engine counts the side whose target has strictly
+fewer cells, the given one on a tie, and runs the dual's factors in
+reverse, so that their averages still decrease: in the canonical order
+the dual costs far more.
 """
 
 from __future__ import annotations
@@ -269,8 +282,8 @@ def _grow_candidates(mu: Partition, k: int, d: int, limit: Partition):
     yield from rec(0, goal, goal)
 
 
-# Asking tau's multiplicity for every parameter of one rank counts 354
-# distinct (nu, mu, k, d) at rank 10, 1,562 at rank 12 and 7,026 at rank 14,
+# Asking tau's multiplicity for every parameter of one rank counts 258
+# distinct (nu, mu, k, d) at rank 10, 1,148 at rank 12 and 4,926 at rank 14,
 # so rank 14 fits.  An entry holds about 420 bytes with its nu and mu
 # (tracemalloc, Python 3.11), so a full memo holds about 3.4 MB.
 _RECTANGLE_MEMO_SIZE = 8192
@@ -291,11 +304,26 @@ def multiplicity_in_induced(cs: Iterable[tuple[int, int]], delta: Weight) -> int
 
     The module is induced from the unitary characters det^(k_i) of GL(d_i)
     factors given by the chains: k_i = top - length + 1 is a chain's average
-    and d_i its length.  A uniform shift t makes every k_i + t non-negative
-    and delta + t a partition; the answer is independent of the choice of
-    t.  The iterated product of the rectangles k^d = (k_i + t)^(d_i) is
-    evaluated state by state, every intermediate shape confined below the
-    target and grown by `_grow_candidates`.
+    and d_i its length.  In the standard scale delta_std = delta / 2 the
+    answer is an iterated product of rectangles, counted on one of two
+    orientations with the same answer:
+    - given: a uniform shift t = max(0, -min k_i, -delta_std[n-1]) makes
+      every k_i + t non-negative and delta_std + t a partition, of
+      |delta_std| + n*t cells; the answer is independent of t.  The
+      rectangles are (k_i + t)^(d_i).
+    - dual: with C = max(max k_i, delta_std[0]), the rectangles are
+      (C - k_i)^(d_i) and the target is (C - delta_std[n-1], ..., C -
+      delta_std[0]), of n*C - |delta_std| cells, with no shift.  Restrict
+      the K-type to the product of the U(d_i): dualising sends each
+      det^(k_i) to det^(-k_i) and delta to -w0.delta, and the twist by
+      det^C adds C to every coordinate, so the multiplicity is unchanged.
+    The dual is counted only when its target has strictly fewer cells; on
+    a tie the query stays as given.  Either way the factors run with
+    averages decreasing, so the dual's run in the reverse of the canonical
+    order: the order of the product changes no answer, but it does change
+    the cost (the dual factors in canonical order made the tau sweep of
+    rank 12 over 100 times slower).  Every intermediate shape is confined
+    below the target and grown by `_grow_candidates`.
 
     Each candidate nu of a state mu is a partition with mu <= nu, no zero
     part, |nu| = |mu| + k*d and the caps and floors of `_grow_candidates`,
@@ -326,14 +354,20 @@ def multiplicity_in_induced(cs: Iterable[tuple[int, int]], delta: Weight) -> int
         if a < b:
             raise ValueError("delta must be dominant")
     delta_std = tuple(x // 2 for x in delta)
-    if sum(delta_std) != sum(k * d for k, d in factors):
+    total = sum(delta_std)
+    if total != sum(k * d for k, d in factors):
         return 0
     shift = max(0, -min(k for k, _ in factors), -delta_std[-1])
-    target = normalize_partition(x + shift for x in delta_std)
+    twist = max(max(k for k, _ in factors), delta_std[0])  # the docstring's C
+    if n * twist - total < total + n * shift:  # the dual target has fewer cells
+        factors = [(twist - k, d) for k, d in reversed(factors)]
+        target = normalize_partition(twist - x for x in reversed(delta_std))
+    else:
+        factors = [(k + shift, d) for k, d in factors]
+        target = normalize_partition(x + shift for x in delta_std)
 
     states: dict[Partition, int] = {(): 1}
     for k, d in factors:
-        k += shift
         if k == 0:  # det^0 is the trivial character: every state stays
             continue
         new: dict[Partition, int] = {}

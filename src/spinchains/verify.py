@@ -133,9 +133,9 @@ def spin_minimal_candidates(cs: Iterable[tuple[int, int]]) -> list[tuple[int, ..
     """All dominant weights achieving the minimal spin norm |2lambda| with
     positive multiplicity, doubled, in descending order.
 
-    A shell lift v is asked for its multiplicity only if nu = v + t, t as
-    in `multiplicity_in_induced`, passes two necessary tests for a
-    constituent of the product of the rectangles (k_i + t)^(d_i).  Every
+    A shell lift v is asked for its multiplicity only if nu = v + t passes
+    two necessary tests for a constituent of the product of the rectangles
+    (k_i + t)^(d_i), the query in its given orientation shifted by t.  Every
     constituent nu of s_lam s_mu contains lam and mu, and lam u mu <= nu <=
     lam + mu in dominance order: an LR filling of nu/lam puts letter i only
     in rows >= i, and conjugation, which reverses dominance, takes lam u mu
@@ -143,7 +143,11 @@ def spin_minimal_candidates(cs: Iterable[tuple[int, int]]) -> list[tuple[int, ..
     holds each rectangle, v[d_i - 1] >= k_i, and lies between the sorted
     union and the row-wise sum of the rectangles.  Neither containment nor
     the lower bound needs a shift; the latter gives v[-1] <= min k_i, so t
-    = max(0, -v[-1]).
+    = max(0, -v[-1]) makes nu and every k_i + t non-negative.
+
+    `multiplicity_in_induced` may count the dual twist of the query
+    instead; the two have the same multiplicity, so a lift cut here has
+    multiplicity 0 whichever side the engine counts.
     """
     ordered = canonical_order(cs)
     lam = lambda_doubled(ordered)

@@ -129,6 +129,11 @@ def test_enumerate_deterministic(capsys):
             1024,
             "633bee1a0595a2629d9469f5d450e35f9918d3e2dc5e4436bdfc0cc115153bde",
         ),
+        (
+            ["enumerate", "-n", "14", "--json", "--with-multiplicity"],
+            4096,
+            "23542d2a94159605293738bf296c77dbe8bd1ac188fb0b5aec3ae703d2b2dda1",
+        ),
     ],
 )
 def test_enumerate_output_is_pinned(argv, lines, sha256, capsys):

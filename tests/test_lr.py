@@ -157,17 +157,37 @@ def grow_candidates_unpruned(mu, k, d, limit):
     yield from rec(0, goal, goal)
 
 
+def shifted_target(cs, delta):
+    """The target of cs and delta in their given orientation: delta_std
+    moved up by the least shift that makes it and every average
+    non-negative."""
+    delta_std = tuple(x // 2 for x in delta)
+    shift = max(0, -min(c.avg for c in cs), -delta_std[-1])
+    return normalize_partition(x + shift for x in delta_std), shift
+
+
+def dual_query(cs, delta):
+    """The dual twist of (cs, delta) that multiplicity_in_induced may count
+    instead: with C the larger of the top average and delta_std[0], each
+    chain of average k and length d becomes one of average C - k and length
+    d, and delta_std becomes (C - delta_std[n-1], ..., C - delta_std[0]).
+    Its averages and target need no shift."""
+    C = max(max(c.avg for c in cs), delta[0] // 2)
+    chains = tuple(Chain(C - c.avg + c.length - 1, c.length) for c in cs)
+    return chains, tuple(2 * C - x for x in reversed(delta))
+
+
 def multiplicity_by_lr_coefficient(cs, delta):
     """The reference for multiplicity_in_induced, and its slow predecessor:
     the same iterated product over the same candidates, each coefficient
-    taken from the public lr_coefficient with all of its checks.  It takes
-    only input that multiplicity_in_induced accepts."""
+    taken from the public lr_coefficient with all of its checks, always in
+    the given orientation.  It takes only input that
+    multiplicity_in_induced accepts, as Chains."""
     delta_std = tuple(x // 2 for x in delta)
     ordered = canonical_order(cs)
     if sum(delta_std) != sum(c.avg * c.length for c in ordered):
         return 0
-    shift = max(0, -min(c.avg for c in ordered), -delta_std[-1])
-    target = normalize_partition(x + shift for x in delta_std)
+    target, shift = shifted_target(ordered, delta)
 
     states = {(): 1}
     for c in ordered:
@@ -318,8 +338,9 @@ def test_multiplicity_of_lowest_k_type_over_enumeration():
 
 def test_multiplicity_shift_invariance():
     # moving every chain by 2t moves each average, and so tau, by 2t (4t
-    # doubled).  The shift multiplicity_in_induced picks is 0 for t >= 0
-    # and 4 and 12 for t = -3 and -7
+    # doubled).  multiplicity_in_induced counts the 35-cell target of the
+    # given side for t = -7 and -3, shifted by 12 and 4, and the 37-cell
+    # dual for t >= 0, where the given side's target has 53 to 179 cells
     tau = spin_lowest_k_type(EX22).tau
     assert multiplicity_in_induced(EX22, tau) == 1
     for t in (-7, -3, 1, 3, 7):
@@ -354,16 +375,61 @@ def shell_queries(cs):
     return queries + [spin_lowest_k_type(cs).tau]
 
 
-def test_multiplicity_matches_lr_coefficient_path_on_every_shell():
-    nonzero = 0
+def test_multiplicity_matches_lr_coefficient_path_on_every_shell(monkeypatch):
+    """Every shell query of every decomposition to rank 5.  The engine grows
+    its candidates under the target with fewer cells, the given one on a
+    tie, and counts some queries as given and some as their dual twist."""
+    limits = []
+
+    def recording(mu, k, d, limit):
+        limits.append(limit)
+        return _grow_candidates(mu, k, d, limit)
+
+    monkeypatch.setattr(lr, "_grow_candidates", recording)
+    nonzero, ties, sides = 0, 0, set()
     for n in range(2, 6):
         for pairs in _pair_decompositions(n):
             cs = ChainSet(pairs)
             for delta in shell_queries(cs):
+                limits.clear()
                 got = multiplicity_in_induced(cs, delta)
                 assert got == multiplicity_by_lr_coefficient(cs, delta), (pairs, delta)
                 nonzero += got > 0
+                given, dual = shifted_target(cs, delta)[0], shifted_target(*dual_query(cs, delta))[0]
+                if limits:
+                    assert set(limits) == {dual if sum(dual) < sum(given) else given}, (pairs, delta)
+                    sides.add(sum(dual) < sum(given))
+                    ties += sum(dual) == sum(given) and dual != given
     assert nonzero > 100  # the sweep reaches the product, not just the early 0
+    assert sides == {False, True}  # a rule that never flips, or always does, fails here
+    assert ties  # and one that flips on a tie
+
+
+def test_dual_twist_keeps_the_multiplicity_by_the_slow_path():
+    """The lemma behind multiplicity_in_induced's choice of side, checked by
+    the reference, which never swaps: tau of every scattered parameter to
+    rank 9 has the multiplicity of its dual twist."""
+    for n in range(2, 10):
+        for cs in generate(n):
+            tau = spin_lowest_k_type(cs).tau
+            assert multiplicity_by_lr_coefficient(cs, tau) == multiplicity_by_lr_coefficient(*dual_query(cs, tau)) == 1, cs.to_lists()
+
+
+def test_tau_sweep_at_rank_10_makes_258_raw_counts(monkeypatch):
+    """The work counter of the multiplicity engine: tau's multiplicity for
+    every rank-10 parameter, from an empty memo, calls the raw counter 258
+    times (counting every query as given makes 354)."""
+    queries = [(cs, spin_lowest_k_type(cs).tau) for cs in generate(10)]
+    calls = []
+
+    def recording(outer, inner, weight):
+        calls.append(None)
+        return _count_tableaux(outer, inner, weight)
+
+    lr._rectangle_coefficient.cache_clear()
+    monkeypatch.setattr(lr, "_count_tableaux", recording)
+    assert all(multiplicity_in_induced(cs, tau) == 1 for cs, tau in queries)
+    assert len(calls) == 258
 
 
 @st.composite
@@ -389,8 +455,11 @@ def induced_queries(draw):
 @settings(deadline=None)
 @given(induced_queries())
 def test_multiplicity_matches_lr_coefficient_path_off_the_shell(query):
+    """The engine against the reference, and the reference against itself
+    on the dual twist: the lemma off the shell and off the scattered set."""
     cs, delta = query
-    assert multiplicity_in_induced(cs, delta) == multiplicity_by_lr_coefficient(cs, delta)
+    expected = multiplicity_by_lr_coefficient(cs, delta)
+    assert multiplicity_in_induced(cs, delta) == expected == multiplicity_by_lr_coefficient(*dual_query(cs, delta))
 
 
 def test_one_row_and_one_column_candidates_have_coefficient_one():
@@ -561,8 +630,8 @@ def test_rectangle_memo_keys_on_the_whole_rectangle():
 
 
 def test_memo_counter_matches_cell_by_cell_counter_on_multiplicity_shapes(monkeypatch):
-    """Every distinct triple the multiplicity of tau counts at ranks <= 9,
-    up to 36 cells and many letters, in both orientations: lr_triples(9)
+    """Every distinct triple the multiplicity of tau counts at ranks <= 10,
+    up to 30 cells and many letters, in both orientations: lr_triples(9)
     stops at 9 cells."""
     triples = set()
 
@@ -571,7 +640,7 @@ def test_memo_counter_matches_cell_by_cell_counter_on_multiplicity_shapes(monkey
         return _count_tableaux(outer, inner, weight)
 
     monkeypatch.setattr(lr, "_count_tableaux", recording)
-    for n in range(2, 10):
+    for n in range(2, 11):
         for cs in generate(n):
             multiplicity_in_induced(cs, spin_lowest_k_type(cs).tau)
     monkeypatch.undo()

@@ -164,7 +164,7 @@ def spin_minimal_candidates_unfiltered(cs) -> list:
 
 def test_prefilter_keeps_every_hit():
     # every chain decomposition to rank 5, interlaced or not, also moved
-    # down by 6 so that multiplicity_in_induced must shift, and every
+    # down by 6 so that the prefilter must shift, and every
     # scattered parameter to rank 7
     decompositions = [pairs for n in range(2, 6) for pairs in _pair_decompositions(n)]
     lowered = [tuple((top - 6, length) for top, length in pairs) for pairs in decompositions]
