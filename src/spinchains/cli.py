@@ -4,11 +4,11 @@ Subcommands: tau, perm, enumerate, count, verify, lr, spherical.
 Exit codes: 0 success, 1 verification failure, 2 parse error, 3 invalid
 chain set, 4 size bound exceeded; a reader that closes stdout early, as
 `enumerate | head` does, ends the command with 0 and nothing on stderr.
-The bounds: 2 <= n <= {ENUM_CAP} for enumerate (n <= {ENUM_MULT_CAP} with
---with-multiplicity) and count, 2 <= n <= {VERIFY_CAP} for verify, a + b <=
-{ENUM_CAP} for spherical, at most {LR_CELL_CAP} filled cells, min(|inner|,
-|outer| - |inner|), for lr, and at most {TAU_ENTRY_CAP:,} entries for tau,
-with no printed integer past the interpreter's integer-to-string limit.
+The bounds: 2 <= n <= {ENUM_CAP} for enumerate and count, 2 <= n <=
+{VERIFY_CAP} for verify, a + b <= {ENUM_CAP} for spherical, at most
+{LR_CELL_CAP} filled cells, min(|inner|, |outer| - |inner|), for lr, and at
+most {TAU_ENTRY_CAP:,} entries for tau, with no printed integer past the
+interpreter's integer-to-string limit.
 Every failure (exit 2, 3 or 4), a command line the parser refuses
 included, prints exactly one `error:` line on stderr and nothing on stdout.
 Weights are printed in doubled coordinates wherever the standard value
@@ -45,11 +45,6 @@ EXIT_INVALID_CHAINS = 3
 EXIT_BOUND = 4
 
 ENUM_CAP = 16
-# enumerate --with-multiplicity -n 14 makes 4,096 multiplicity_in_induced
-# calls, which count 4,926 distinct rectangle coefficients, and takes
-# 0.8-0.9 s as a process on a 2-CPU host (-n 12: 1,024 calls, 1,148
-# counts, 0.26-0.38 s)
-ENUM_MULT_CAP = 14
 # lr fills min(|inner|, |outer| - |inner|) cells, and its cost still grows
 # with that number, by about 1.3x a cell.  On staircase outers with
 # near-staircase inner and content, the slowest triple measured took
@@ -170,7 +165,7 @@ def _cmd_perm(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    _check_rank(args.n, ENUM_MULT_CAP if args.with_multiplicity else ENUM_CAP)
+    _check_rank(args.n, ENUM_CAP)
     # built lazily, so each line is written as soon as its record exists
     records = _records(args.n, args.with_multiplicity)
     if args.json:
@@ -267,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="one JSON record per line")
     fmt.add_argument("--table", action="store_true", help="human-readable table (default)")
-    p.add_argument("--with-multiplicity", action="store_true")
+    p.add_argument("--with-multiplicity", action="store_true", help="add tau's multiplicity in the induced module")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("count", help="number of scattered parameters of SL(n)")

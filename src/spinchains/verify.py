@@ -50,7 +50,6 @@ from .spin import _rules, _spin_identity, lowest_k_type
 from .weights import Weight, dominant, norm_sq, rho_doubled, spin_norm_sq, to_fundamental
 
 VERIFY_CAP = 12
-SPHERICAL_CAP = 9
 EQUIVALENCE_CAP = 7
 MULTIPLICITY_CAP = 9
 UNIQUENESS_CAP = 7
@@ -228,10 +227,9 @@ def check_equivalence(n_max):
 
 
 def check_spherical(n_max):
-    top = min(n_max, SPHERICAL_CAP)
-    label = f"spherical family pattern and membership, a+b<={top}"
+    label = f"spherical family pattern and membership, a+b<={n_max}"
     pairs = 0
-    for total in range(3, top + 1, 2):
+    for total in range(3, n_max + 1, 2):
         sets = set(_interlaced_pairs(total))
         for b in range(1, total // 2 + 1):
             a = total - b

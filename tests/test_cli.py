@@ -181,13 +181,7 @@ def test_json_line_is_json_dumps(capsys):
     [
         ("ENUM_CAP", 5, ["count", "-n", "6"], "2 <= n <= 5 for enumerate", "n must satisfy 2 <= n <= 5"),
         ("ENUM_CAP", 5, ["spherical", "-a", "4", "-b", "3"], "a + b <= 5 for spherical", "a + b must be at most 5"),
-        (
-            "ENUM_MULT_CAP",
-            3,
-            ["enumerate", "-n", "4", "--with-multiplicity"],
-            "n <= 3 with --with-multiplicity",
-            "n must satisfy 2 <= n <= 3",
-        ),
+        ("ENUM_CAP", 5, ["enumerate", "-n", "6", "--with-multiplicity"], "2 <= n <= 5 for enumerate", "n must satisfy 2 <= n <= 5"),
         ("VERIFY_CAP", 14, ["verify", "-n", "15"], "2 <= n <= 14 for verify", "n must satisfy 2 <= n <= 14"),
         (
             "LR_CELL_CAP",
@@ -347,7 +341,7 @@ TOO_MANY_ENTRIES = json.dumps({"chains": [[2 * k + 1] for k in range(cli.TAU_ENT
         ),
         pytest.param("enumerate -n 17", None, 4, "error: n must satisfy 2 <= n <= 16", id="enumerate-17"),
         pytest.param(
-            f"enumerate -n {cli.ENUM_MULT_CAP + 1} --with-multiplicity", None, 4, None, id="enumerate-past-multiplicity-cap"
+            "enumerate -n 17 --with-multiplicity", None, 4, "error: n must satisfy 2 <= n <= 16", id="enumerate-17-with-multiplicity"
         ),
         pytest.param("enumerate -n 1", None, 4, None, id="enumerate-1"),
         pytest.param("count -n 17", None, 4, None, id="count-17"),

@@ -48,7 +48,7 @@ DOCTORED = {
 }
 
 # sha256 of the stdout of `spinchains verify -n 12`, at VERIFY_CAP = 12
-VERIFY_12_SHA256 = "725c1e99254a7a694dc531c2a479647fa145227746dc01b4eb6197e61ff0735e"
+VERIFY_12_SHA256 = "94388ba69f4598a9ff235ba83c7bd1bb13f4911fd09ba8d2bf7a6d4f0f27b6f7"
 
 
 def params_by_chain_sets(n_max: int) -> dict:
@@ -228,6 +228,7 @@ def test_oracle_and_spherical_lines_count_their_items(check_lines):
     assert oracle == [(f"definition search equals branching tree, n={n}", f"{2 ** (n - 2)} parameters") for n in range(2, VERIFY_CAP + 1)]
     [(label, _, detail)] = check_lines("check_spherical")
     top = int(label.rsplit("a+b<=", 1)[1])
+    assert top == VERIFY_CAP
     # a > b > 0 with a + b odd and at most top
     assert detail == f"{sum(total // 2 for total in range(3, top + 1, 2))} pairs"
 
