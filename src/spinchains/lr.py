@@ -21,9 +21,17 @@ On top of the counter sits the multiplicity of a dominant weight in a
 module induced from unitary characters of a product of GL factors: an
 iterated LR product of rectangles k_i^(d_i), one per chain.  Its shapes are
 its own, built valid by `_grow_candidates`, so it skips `lr_coefficient`'s
-checks.  A one-row or one-column rectangle needs no count at all: every
-candidate is a horizontal or vertical strip, with coefficient 1 by the
-Pieri rule.  Any other rectangle goes to the raw counter through
+checks.  Neither end of the product searches: the first rectangle's only
+candidate is the rectangle itself, and the last one's is the target, which
+`_is_candidate` tests against each state by the search's own bounds.  A
+one-row or one-column rectangle needs no count at all: every candidate is a
+horizontal or vertical strip, with coefficient 1 by the Pieri rule.  Nor
+does a rectangle on a rectangle state a^b, as every state of the second
+factor is: a product of two rectangles is multiplicity-free, and
+`_two_rectangles` reads its 0 or 1 from a closed rule (Okada, J. Algebra
+205 (1998); Stembridge, Ann. Comb. 5 (2001)), checked against the raw
+counter on every triple with a, b, k, d <= 5.  Any other rectangle goes to
+the raw counter through
 `_rectangle_coefficient`, a second memo that outlives the call: keyed by
 (nu, mu, k, d) and bounded by `_RECTANGLE_MEMO_SIZE` entries, least
 recently used first out, it lets the parameters of one rank share their
@@ -221,6 +229,41 @@ def _count_tableaux(outer: Partition, inner: Partition, weight: Partition) -> in
     return total
 
 
+def _row_bounds(mu: Partition, k: int, d: int, limit: Partition) -> tuple[list[int], list[int]]:
+    """The caps and floors of `_grow_candidates` on each row a candidate may
+    have, min(len(limit), len(mu) + d) of them: the bounds on row i that do
+    not depend on the rows above."""
+    nmu = len(mu)
+    caps, floors = [], []
+    for i in range(min(len(limit), nmu + d)):
+        row = mu[i] if i < nmu else 0
+        cap = row + k
+        if limit[i] < cap:
+            cap = limit[i]
+        # i < len(mu) + d, so mu[i - d] is in range whenever i >= d
+        if i >= d and mu[i - d] < cap:
+            cap = mu[i - d]
+        caps.append(cap)
+        floor = k if i < d else 1
+        floors.append(row if row > floor else floor)
+    return caps, floors
+
+
+def _is_candidate(nu: Partition, mu: Partition, k: int, d: int) -> bool:
+    """Whether `_grow_candidates(mu, k, d, nu)` yields nu, for a partition nu
+    of |mu| + k*d cells with no zero part.
+
+    Every candidate under the limit nu has |nu| cells and lies inside nu, so
+    nu is the only one there can be, and the search yields it exactly when
+    it covers mu, has no more rows than the bounds and keeps every row
+    between its floor and its cap.  The search's other bounds hold for any
+    such nu: its rows decrease, each is at most the cells left, and room
+    never asks of a row more than the rows below it leave over.
+    """
+    caps, floors = _row_bounds(mu, k, d, nu)
+    return len(mu) <= len(nu) <= len(caps) and all(lo <= x <= hi for x, lo, hi in zip(nu, floors, caps))
+
+
 def _grow_candidates(mu: Partition, k: int, d: int, limit: Partition):
     """Partitions nu with mu <= nu <= limit reachable by adding a k^d rectangle.
 
@@ -242,19 +285,8 @@ def _grow_candidates(mu: Partition, k: int, d: int, limit: Partition):
     """
     nmu = len(mu)
     goal = sum(mu) + k * d
-    maxlen = min(len(limit), nmu + d)
-    caps, floors = [], []  # the bounds on row i that do not depend on the rows above
-    for i in range(maxlen):
-        row = mu[i] if i < nmu else 0
-        cap = row + k
-        if limit[i] < cap:
-            cap = limit[i]
-        # i < maxlen <= len(mu) + d, so mu[i - d] is in range whenever i >= d
-        if i >= d and mu[i - d] < cap:
-            cap = mu[i - d]
-        caps.append(cap)
-        floor = k if i < d else 1
-        floors.append(row if row > floor else floor)
+    caps, floors = _row_bounds(mu, k, d, limit)
+    maxlen = len(caps)
     room = [0] * (maxlen + 1)  # room[i]: the most cells rows i.. can hold
     for i in range(maxlen - 1, -1, -1):
         room[i] = room[i + 1] + caps[i]
@@ -282,13 +314,39 @@ def _grow_candidates(mu: Partition, k: int, d: int, limit: Partition):
     yield from rec(0, goal, goal)
 
 
-# Tau's multiplicity over one rank counts 258 distinct (nu, mu, k, d) at
-# rank 10, 1,148 at 12, 4,926 at 14 and 10,529 at 15, so the memo overflows
-# above rank 14: rank 16 makes 23,538 counts on 22,005 distinct triples, at
-# no cost in time (32,768 entries took 4.14 s against 4.13 s, 2-CPU host).
+# Tau's multiplicity over one rank, from an empty memo, counts 122 distinct
+# (nu, mu, k, d) at rank 10, 768 at 12, 3,978 at 14 and 9,062 at 15, so the
+# memo overflows above rank 14: rank 16 makes 20,430 counts on 19,801
+# distinct triples, at no measured cost in time (its sweep took 2.83-2.92 s
+# with 32,768 entries against 2.95-3.63 s, 2-CPU host, whose speed swings).
 # An entry holds about 420 bytes with its nu and mu (tracemalloc, Python
 # 3.11), so a full memo holds about 3.4 MB.
 _RECTANGLE_MEMO_SIZE = 8192
+
+
+def _two_rectangles(nu: Partition, mu: Partition, k: int, d: int) -> int:
+    """c(nu; a^b, k^d) for the rectangle mu = a^b, by the rule, not by a count.
+
+    A product of two rectangles is multiplicity-free (Okada, J. Algebra 205
+    (1998); Stembridge, Ann. Comb. 5 (2001)).  With L = b + d and m =
+    min(b, d), c = 1 exactly when len(nu) <= L, nu_m >= max(a, k), nu_i +
+    nu_(L+1-i) = a + k for i <= m, and nu_i is the width of the taller
+    rectangle for m < i <= L - m (rows counted from 1, nu padded with zeros
+    to L rows); otherwise c = 0.  The rule matches `_count_tableaux` on
+    every nu in the (b + d) x (a + k) box with |nu| = a*b + k*d, for every
+    a, b, k, d <= 5: 99,180 triples.
+    """
+    a, b = mu[0], len(mu)
+    rows, m = b + d, min(b, d)
+    if len(nu) > rows:
+        return 0
+    nu += (0,) * (rows - len(nu))
+    wide = a if b > d else k
+    return int(
+        nu[m - 1] >= max(a, k)
+        and all(nu[i] + nu[rows - 1 - i] == a + k for i in range(m))
+        and all(x == wide for x in nu[m : rows - m])
+    )
 
 
 @lru_cache(maxsize=_RECTANGLE_MEMO_SIZE)
@@ -327,17 +385,36 @@ def multiplicity_in_induced(cs: Iterable[tuple[int, int]], delta: Weight) -> int
     rank 12 over 100 times slower).  Every intermediate shape is confined
     below the target and grown by `_grow_candidates`.
 
+    The factors with k = 0 go first: det^0 is the trivial character, so
+    each leaves every state as it is.  With none left the module is the
+    trivial one, and the answer is 1 exactly when the target is empty.
+
     Each candidate nu of a state mu is a partition with mu <= nu, no zero
     part, |nu| = |mu| + k*d and the caps and floors of `_grow_candidates`,
     so its coefficient c(nu; mu, k^d) needs none of `lr_coefficient`'s
-    checks (Fulton, *Young Tableaux*, section 5):
-    - mu = (), the state before the first rectangle: nu has at most
-      len(mu) + d = d rows, each capped and floored at k, so nu = k^d and
-      c = 1.
+    checks (Fulton, *Young Tableaux*, section 5).  Two kinds of factor need
+    no search for their candidates:
+    - The first, on the state mu = (): nu has at most len(mu) + d = d
+      rows, each capped and floored at k, so nu = k^d and c = 1.  The
+      product starts from the state k^d when k^d fits inside the target
+      and answers 0 otherwise.
+    - The last, when there are two or more: every candidate has |mu| + k*d
+      cells, which by the check of sizes is |target|, and lies inside the
+      target, so the target is the only one.  `_is_candidate` tests it
+      against each state with the bounds the search would apply.  With one
+      factor, k^d fits inside a target of k*d cells, so it is the target
+      and the answer is 1.
+    The coefficient of each candidate:
     - d = 1: row i is capped at mu[i-1] and floored at mu[i], so nu/mu is
       a horizontal strip of k cells and c = 1 by the Pieri rule.
     - k = 1: row i is capped at mu[i] + 1, so nu/mu is a vertical strip of
       d cells and c = 1 by the dual Pieri rule.
+    - mu = a^b, a rectangle, as the state k_1^(d_1) of the second factor
+      always is: c is 0 or 1 by the rule for a product of two rectangles,
+      read by `_two_rectangles` with no count (Okada, J. Algebra 205
+      (1998); Stembridge, Ann. Comb. 5 (2001); checked against the raw
+      counter on every nu in the (b + d) x (a + k) box for a, b, k, d <=
+      5).
     - Otherwise k^d fits inside nu: the floors give nu[i] >= k for i < d,
       and the caps nu[i] <= mu[i] + k give |mu| + k*d = |nu| <= |mu| +
       k*len(nu), so len(nu) >= d.  `_rectangle_coefficient` hands nu at
@@ -345,8 +422,11 @@ def multiplicity_in_induced(cs: Iterable[tuple[int, int]], delta: Weight) -> int
       as `lr_coefficient` would, ties as given, and keeps the count for
       later calls.  Such a c can exceed 1: products with a rectangle are
       not multiplicity-free.
+    An empty chain set raises ValueError before anything else.
     """
     factors = [(top - length + 1, length) for top, length in canonical_order(cs)]
+    if not factors:
+        raise ValueError("chain set needs at least one chain")
     n = sum(d for _, d in factors)
     if len(delta) != n:
         raise ValueError(f"delta has {len(delta)} coordinates, parameter has {n}")
@@ -368,18 +448,30 @@ def multiplicity_in_induced(cs: Iterable[tuple[int, int]], delta: Weight) -> int
         factors = [(k + shift, d) for k, d in factors]
         target = normalize_partition(x + shift for x in delta_std)
 
-    states: dict[Partition, int] = {(): 1}
-    for k, d in factors:
-        if k == 0:  # det^0 is the trivial character: every state stays
-            continue
+    factors = [(k, d) for k, d in factors if k]  # det^0 is the trivial character
+    if not factors:
+        return int(not target)
+    k, d = factors[0]
+    if not _fits(target, (k,) * d):  # k^d, the first factor's one candidate
+        return 0
+    states: dict[Partition, int] = {(k,) * d: 1}
+    for i, (k, d) in enumerate(factors[1:], 2):
+        strip = k == 1 or d == 1
         new: dict[Partition, int] = {}
         for mu, coeff in states.items():
-            if k == 1 or d == 1 or not mu:  # a strip, or k^d itself: c = 1
-                for nu in _grow_candidates(mu, k, d, target):
-                    new[nu] = new.get(nu, 0) + coeff
+            if i < len(factors):
+                candidates = _grow_candidates(mu, k, d, target)
+            elif _is_candidate(target, mu, k, d):  # the last factor's one candidate
+                candidates = (target,)
+            else:
                 continue
-            for nu in _grow_candidates(mu, k, d, target):
-                c_lr = _rectangle_coefficient(nu, mu, k, d)
+            for nu in candidates:
+                if strip:
+                    c_lr = 1
+                elif mu[0] == mu[-1]:
+                    c_lr = _two_rectangles(nu, mu, k, d)
+                else:
+                    c_lr = _rectangle_coefficient(nu, mu, k, d)
                 if c_lr:
                     new[nu] = new.get(nu, 0) + coeff * c_lr
         states = new

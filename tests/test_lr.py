@@ -6,7 +6,7 @@ homogeneous factors and counts chains of horizontal strips, one Pieri step
 per factor, with the determinant providing the signs.
 """
 
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +17,8 @@ from spinchains.chains import Chain, ChainSet, canonical_order, lambda_doubled
 from spinchains.lr import (
     _count_tableaux,
     _grow_candidates,
+    _is_candidate,
+    _two_rectangles,
     contains,
     is_lattice_word,
     lr_coefficient,
@@ -359,6 +361,8 @@ def test_multiplicity_central_character_mismatch_is_zero():
 
 
 def test_multiplicity_rejects_malformed_delta():
+    with pytest.raises(ValueError, match="chain set needs at least one chain"):
+        multiplicity_in_induced((), ())
     with pytest.raises(ValueError):
         multiplicity_in_induced(EX22, (1,) * 9)  # odd coordinates
     with pytest.raises(ValueError):
@@ -415,21 +419,45 @@ def test_dual_twist_keeps_the_multiplicity_by_the_slow_path():
             assert multiplicity_by_lr_coefficient(cs, tau) == multiplicity_by_lr_coefficient(*dual_query(cs, tau)) == 1, cs.to_lists()
 
 
-def test_tau_sweep_at_rank_10_makes_258_raw_counts(monkeypatch):
-    """The work counter of the multiplicity engine: tau's multiplicity for
-    every rank-10 parameter, from an empty memo, calls the raw counter 258
-    times (counting every query as given makes 354)."""
+def test_tau_sweep_at_rank_10_makes_122_raw_counts_and_353_grow_calls(monkeypatch):
+    """The work counters of the multiplicity engine: tau's multiplicity for
+    every rank-10 parameter, from an empty memo, calls the raw counter 122
+    times and the candidate search 353 times (counting every query as given
+    makes 221 and 388).  Counting a product of two rectangles by tableaux
+    made 258 raw counts; searching for the first and the last factor's
+    candidates made 882 searches."""
     queries = [(cs, spin_lowest_k_type(cs).tau) for cs in generate(10)]
-    calls = []
+    counts, searches = [], []
 
-    def recording(outer, inner, weight):
-        calls.append(None)
+    def counting(outer, inner, weight):
+        counts.append(None)
         return _count_tableaux(outer, inner, weight)
 
+    def searching(mu, k, d, limit):
+        searches.append(None)
+        return _grow_candidates(mu, k, d, limit)
+
     lr._rectangle_coefficient.cache_clear()
-    monkeypatch.setattr(lr, "_count_tableaux", recording)
+    monkeypatch.setattr(lr, "_count_tableaux", counting)
+    monkeypatch.setattr(lr, "_grow_candidates", searching)
     assert all(multiplicity_in_induced(cs, tau) == 1 for cs, tau in queries)
-    assert len(calls) == 258
+    assert (len(counts), len(searches)) == (122, 353)
+
+
+def test_two_rectangle_rule_matches_the_raw_counter():
+    """The rule for c(nu; a^b, k^d) that multiplicity_in_induced takes in
+    place of a count, against the raw counter for 1 <= a, b, k, d <= 4 on
+    every nu of a*b + k*d cells in the (b + d) x (a + k) box (CI runs it
+    to 5)."""
+    triples = 0
+    for a, b, k, d in product(range(1, 5), repeat=4):
+        rect = (a,) * b
+        for nu in sub_partitions((a + k,) * (b + d)):
+            if sum(nu) == a * b + k * d:
+                count = _count_tableaux(nu, rect, (k,) * d) if contains(nu, rect) else 0
+                assert _two_rectangles(nu, rect, k, d) == count, (nu, a, b, k, d)
+                triples += 1
+    assert triples == 8_894
 
 
 @st.composite
@@ -503,8 +531,9 @@ def test_multiplicity_keeps_a_rectangle_coefficient_above_one(monkeypatch):
 
 def test_empty_state_takes_the_rectangle_with_no_raw_count(monkeypatch):
     """The first rectangle k^d, k, d >= 2, on the state (): its only
-    candidate is k^d itself, and multiplicity_in_induced adds it with
-    coefficient 1 instead of counting tableaux on a skew shape with no cells."""
+    candidate is k^d itself, with coefficient 1, so multiplicity_in_induced
+    starts from the state k^d with neither a search nor a count of tableaux
+    on a skew shape with no cells."""
     for k in range(2, 5):
         for d in range(2, 5):
             assert list(_grow_candidates((), k, d, (k * d,) * (d + 1))) == [(k,) * d], (k, d)
@@ -531,9 +560,11 @@ def test_grow_candidates_prunes_only_zero_coefficients():
         for k in range(1, 4):
             for d in range(1, 4):
                 for limit in by_size[sum(mu) + k * d]:
+                    pruned = set(_grow_candidates(mu, k, d, limit))
+                    # the last factor's test of the target, without the search
+                    assert _is_candidate(limit, mu, k, d) == (limit in pruned), (mu, k, d, limit)
                     if not contains(limit, mu):
                         continue
-                    pruned = set(_grow_candidates(mu, k, d, limit))
                     full = set(grow_candidates_unpruned(mu, k, d, limit))
                     assert pruned <= full, (mu, k, d, limit)
                     # multiplicity_in_induced hands these to the raw counter as k^d's outer
@@ -630,7 +661,7 @@ def test_rectangle_memo_keys_on_the_whole_rectangle():
 
 
 def test_memo_counter_matches_cell_by_cell_counter_on_multiplicity_shapes(monkeypatch):
-    """Every distinct triple the multiplicity of tau counts at ranks <= 10,
+    """Every distinct triple the multiplicity of tau counts at ranks <= 11,
     up to 30 cells and many letters, in both orientations: lr_triples(9)
     stops at 9 cells."""
     triples = set()
@@ -640,7 +671,7 @@ def test_memo_counter_matches_cell_by_cell_counter_on_multiplicity_shapes(monkey
         return _count_tableaux(outer, inner, weight)
 
     monkeypatch.setattr(lr, "_count_tableaux", recording)
-    for n in range(2, 11):
+    for n in range(2, 12):
         for cs in generate(n):
             multiplicity_in_induced(cs, spin_lowest_k_type(cs).tau)
     monkeypatch.undo()
