@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable
-from itertools import accumulate, filterfalse, zip_longest
-from math import isqrt
-from operator import le
+from itertools import filterfalse, zip_longest
+from math import inf, isqrt
 from typing import NamedTuple
 
 from .chains import (
@@ -83,16 +82,17 @@ def _strictly_decreasing(n: int, coord_sum: int, norm: int):
     yield from rec(0, isqrt(norm) + 1, coord_sum, norm)
 
 
-def _rearrangements(gamma: list[int], rho: Weight):
+def _rearrangements(gamma: list[int], rho: Weight, floor: list):
     """Every distinct rearrangement sigma of gamma with sigma + rho weakly
-    decreasing, that is sigma[i + 1] <= sigma[i] + 2; yields sigma + rho."""
+    decreasing, that is sigma[i + 1] <= sigma[i] + 2, and sigma >= floor in
+    each coordinate; yields sigma + rho."""
     left = Counter(gamma)
     vec = [0] * len(gamma)
     last = len(gamma) - 1
 
     def rec(i: int, cap: int):
         for value in left:  # the loop changes counts, never keys
-            if not left[value] or value > cap:
+            if not left[value] or not floor[i] <= value <= cap:
                 continue
             vec[i] = value + rho[i]
             if i == last:
@@ -105,67 +105,48 @@ def _rearrangements(gamma: list[int], rho: Weight):
     yield from rec(0, max(gamma))
 
 
-def spin_norm_shell(n: int, coord_sum: int, norm: int):
-    """Weakly decreasing integer vectors v of length n with sum(v) = coord_sum
-    and spin_norm_sq(2v) = norm.
+def spin_norm_shell(n: int, coord_sum: int, norm: int, floor: list):
+    """Weakly decreasing integer vectors v of length n with sum(v) = coord_sum,
+    spin_norm_sq(2v) = norm and v >= floor in each coordinate (-inf sets no
+    floor).
 
     With delta = 2v and gamma = {delta - rho}, u = gamma + rho is strictly
     decreasing with even coordinates, sum 2 * coord_sum and |u|^2 = norm.
     So the shell is: every such u' = u / 2, then every delta = sigma + rho
     with sigma a rearrangement of gamma = 2u' - rho that keeps delta
-    dominant.  Distinct sigma give distinct delta.
+    dominant and at least 2 * floor, checked as each coordinate is placed.
+    Distinct sigma give distinct delta.
     """
     if norm % 4:
         return
     rho = rho_doubled(n)
+    lo = [2 * f - r for f, r in zip(floor, rho)]  # sigma = 2v - rho
     for half in _strictly_decreasing(n, coord_sum, norm // 4):
-        for delta in _rearrangements([2 * x - r for x, r in zip(half, rho)], rho):
+        for delta in _rearrangements([2 * x - r for x, r in zip(half, rho)], rho, lo):
             yield tuple(x // 2 for x in delta)
-
-
-def _dominated(a, b) -> bool:
-    """Whether a <= b in dominance order: no partial sum of a exceeds b's."""
-    return all(map(le, accumulate(a), accumulate(b)))
 
 
 def spin_minimal_candidates(cs: Iterable[tuple[int, int]]) -> list[tuple[int, ...]]:
     """All dominant weights achieving the minimal spin norm |2lambda| with
     positive multiplicity, doubled, in descending order.
 
-    A shell lift v is asked for its multiplicity only if nu = v + t passes
-    two necessary tests for a constituent of the product of the rectangles
-    (k_i + t)^(d_i), the query in its given orientation shifted by t.  Every
-    constituent nu of s_lam s_mu contains lam and mu, and lam u mu <= nu <=
-    lam + mu in dominance order: an LR filling of nu/lam puts letter i only
-    in rows >= i, and conjugation, which reverses dominance, takes lam u mu
-    to lam' + mu'.  The factors commute, and + and u keep dominance, so nu
-    holds each rectangle, v[d_i - 1] >= k_i, and lies between the sorted
-    union and the row-wise sum of the rectangles.  Neither containment nor
-    the lower bound needs a shift; the latter gives v[-1] <= min k_i, so t
-    = max(0, -v[-1]) makes nu and every k_i + t non-negative.
-
-    `multiplicity_in_induced` may count the dual twist of the query
-    instead; the two have the same multiplicity, so a lift cut here has
-    multiplicity 0 whichever side the engine counts.
+    Only the shell lifts v that hold every rectangle k_i^(d_i) of the
+    chains, v[j] >= max{k_i : d_i > j}, are asked for their multiplicity;
+    the shell applies this floor as it places each coordinate.  The test is
+    necessary: every constituent of s_lam s_mu contains lam and mu, so every
+    constituent of the product of the rectangles contains each of them.
+    Adding t to v and to every k_i keeps the test, so it holds at whatever
+    shift makes them partitions.  `multiplicity_in_induced` may count the
+    dual twist of the query instead; the two have the same multiplicity, so
+    a lift cut here has multiplicity 0 whichever side the engine counts.
     """
     ordered = canonical_order(cs)
     lam = lambda_doubled(ordered)
     n = len(lam)
     factors = [(top - length + 1, length) for top, length in ordered]
-    union = sorted((k for k, d in factors for _ in range(d)), reverse=True)
-    widths = [sum(k for k, d in factors if d > j) for j in range(n)]
-    heights = [sum(d > j for _, d in factors) for j in range(n)]
-    hits = []
-    for v in spin_norm_shell(n, sum(lam), 4 * norm_sq(lam)):
-        if not _dominated(union, v) or any(v[d - 1] < k for k, d in factors):
-            continue
-        t = max(0, -v[-1])
-        if not _dominated([x + t for x in v], [w + t * h for w, h in zip(widths, heights)]):
-            continue
-        dv = tuple(2 * x for x in v)
-        if multiplicity_in_induced(ordered, dv) > 0:
-            hits.append(dv)
-    return sorted(hits, reverse=True)
+    floor = [max((k for k, d in factors if d > j), default=-inf) for j in range(n)]
+    lifts = (tuple(2 * x for x in v) for v in spin_norm_shell(n, sum(lam), 4 * norm_sq(lam), floor))
+    return sorted((dv for dv in lifts if multiplicity_in_induced(ordered, dv) > 0), reverse=True)
 
 
 def _is_horizontal_strip(outer, inner) -> bool:
@@ -211,12 +192,12 @@ def check_count(n_max):
 
 
 def check_oracle(n_max):
-    """The search equals the sorted tree level; a failing line names the
-    first parameter where the two lists differ."""
+    """The search, streamed, equals the sorted tree level; a failing line
+    names the first parameter where the two differ."""
     for n, level in _tree(n_max):
-        found, level = list(_interlaced_pairs(n)), sorted(level)
-        bad = found != level and next(a or b for a, b in zip_longest(found, level) if a != b)
-        yield f"definition search equals branching tree, n={n}", not bad, ChainSet(bad).to_json() if bad else f"{len(found)} parameters"
+        level = sorted(level)
+        bad = next((a or b for a, b in zip_longest(_interlaced_pairs(n), level) if a != b), None)
+        yield f"definition search equals branching tree, n={n}", bad is None, ChainSet(bad).to_json() if bad else f"{len(level)} parameters"
 
 
 def check_equivalence(n_max):

@@ -7,6 +7,7 @@ per factor, with the determinant providing the signs.
 """
 
 from itertools import permutations, product
+from math import inf
 
 import pytest
 from hypothesis import given, settings
@@ -375,7 +376,7 @@ def shell_queries(cs):
     """Every doubled delta that verify's uniqueness check asks about for cs:
     each lift of the spin-norm shell of |2lambda|, and tau."""
     lam = lambda_doubled(cs)
-    queries = [tuple(2 * x for x in v) for v in spin_norm_shell(cs.n, sum(lam), 4 * norm_sq(lam))]
+    queries = [tuple(2 * x for x in v) for v in spin_norm_shell(cs.n, sum(lam), 4 * norm_sq(lam), [-inf] * cs.n)]
     return queries + [spin_lowest_k_type(cs).tau]
 
 

@@ -1,6 +1,8 @@
 import hashlib
+from collections import Counter
 from itertools import product
-from math import isqrt
+from math import inf, isqrt
+from operator import le
 
 import pytest
 from hypothesis import given
@@ -132,12 +134,27 @@ def test_strictly_decreasing_finds_every_vector_and_nothing_else(coords):
         assert all(a > b for a, b in zip(w, w[1:])) and sum(w) == sum(v) and norm_sq(w) == norm_sq(v)
 
 
+# floors for the shell, cut to length n: no floor, then some that cut,
+# negative ones and ones that rise among them
+FLOORS = [(-inf,) * 4, (1, 0, -1, -2), (0, 0, -inf, -inf), (-1, -1, -1, -1), (2, -inf, 0, -inf), (-inf, -inf, -inf, 0)]
+
+
 def test_shell_equals_ball_on_small_ranges():
-    # beyond the bounds of any parameter, and norms that no even vector has
+    # beyond the bounds of any parameter, and norms that no even vector has;
+    # with a floor, the shell is the ball's points that clear it
+    kept, cut = Counter(), Counter()
     for n, coord_sum, norm in product(range(1, 5), range(-3, 4), range(81)):
-        shell = list(spin_norm_shell(n, coord_sum, norm))
-        assert len(shell) == len(set(shell))
-        assert set(shell) == set(ball_shell(n, coord_sum, norm)), (n, coord_sum, norm)
+        ball = ball_shell(n, coord_sum, norm)
+        for floor in FLOORS:
+            shell = list(spin_norm_shell(n, coord_sum, norm, floor[:n]))
+            assert len(shell) == len(set(shell))
+            expected = {v for v in ball if all(map(le, floor, v))}
+            assert set(shell) == expected, (n, coord_sum, norm, floor[:n])
+            kept[floor] += len(expected)
+            cut[floor] += len(ball) - len(expected)
+    # every floor keeps points, and every one but the first cuts some
+    assert all(kept[floor] for floor in FLOORS)
+    assert [bool(cut[floor]) for floor in FLOORS] == [False] + [True] * (len(FLOORS) - 1)
 
 
 def test_shell_lifts_and_hits_equal_the_ball():
@@ -146,7 +163,7 @@ def test_shell_lifts_and_hits_equal_the_ball():
     for cs in [*(ChainSet(pairs) for n in range(2, 6) for pairs in _pair_decompositions(n)), *generate(6)]:
         coord_sum, norm = sum(lambda_doubled(cs)), norm_sq(spin_lowest_k_type(cs).lambda2)
         points = ball_shell(cs.n, coord_sum, norm)
-        lifts = list(spin_norm_shell(cs.n, coord_sum, norm))
+        lifts = list(spin_norm_shell(cs.n, coord_sum, norm, [-inf] * cs.n))
         assert len(lifts) == len(set(lifts)) and set(lifts) == set(points), cs.to_lists()
         # the hits as spin_minimal_candidates found them in the ball
         hits = [dv for dv in (tuple(2 * x for x in v) for v in points) if multiplicity_in_induced(cs, dv) > 0]
@@ -154,35 +171,35 @@ def test_shell_lifts_and_hits_equal_the_ball():
 
 
 def spin_minimal_candidates_unfiltered(cs) -> list:
-    """spin_minimal_candidates before its prefilter, kept as its oracle:
-    every lift of the shell is asked for its multiplicity."""
+    """spin_minimal_candidates without its containment floor, kept as its
+    oracle: every lift of the shell is asked for its multiplicity."""
     ordered = canonical_order(cs)
     lam = lambda_doubled(ordered)
-    lifts = (tuple(2 * x for x in v) for v in spin_norm_shell(len(lam), sum(lam), 4 * norm_sq(lam)))
+    lifts = (tuple(2 * x for x in v) for v in spin_norm_shell(len(lam), sum(lam), 4 * norm_sq(lam), [-inf] * len(lam)))
     return sorted((dv for dv in lifts if multiplicity_in_induced(ordered, dv) > 0), reverse=True)
 
 
 def test_prefilter_keeps_every_hit():
     # every chain decomposition to rank 5, interlaced or not, also moved
-    # down by 6 so that the prefilter must shift, and every
-    # scattered parameter to rank 7
+    # down by 6 so that the floor goes negative, and every scattered
+    # parameter to rank 7
     decompositions = [pairs for n in range(2, 6) for pairs in _pair_decompositions(n)]
     lowered = [tuple((top - 6, length) for top, length in pairs) for pairs in decompositions]
     for pairs in [*decompositions, *lowered, *(pairs for n in range(2, 8) for pairs in _interlaced_pairs(n))]:
         assert spin_minimal_candidates(pairs) == spin_minimal_candidates_unfiltered(pairs), pairs
 
 
-def test_prefilter_asks_for_266_of_the_1623_lifts_to_rank_7(monkeypatch):
+def test_prefilter_asks_for_267_of_the_1623_lifts_to_rank_7(monkeypatch):
     params = [pairs for n in range(2, 8) for pairs in _interlaced_pairs(n)]
     lifts = 0
     for pairs in params:
         lam = lambda_doubled(pairs)
-        lifts += sum(1 for _ in spin_norm_shell(len(lam), sum(lam), 4 * norm_sq(lam)))
+        lifts += sum(1 for _ in spin_norm_shell(len(lam), sum(lam), 4 * norm_sq(lam), [-inf] * len(lam)))
     asked = []
     monkeypatch.setattr(verify, "multiplicity_in_induced", lambda cs, dv: asked.append(dv) or multiplicity_in_induced(cs, dv))
     for pairs in params:
         spin_minimal_candidates(pairs)
-    assert (lifts, len(asked)) == (1623, 266)
+    assert (lifts, len(asked)) == (1623, 267)
 
 
 def sweep_line(name, n_max):
