@@ -245,7 +245,8 @@ def involves_all_simple_reflections(perm: tuple[int, ...]) -> bool:
         raise ValueError("not a permutation of 1..n")
     running_max = 0
     for a in range(1, n):
-        running_max = max(running_max, perm[a - 1])
+        if perm[a - 1] > running_max:
+            running_max = perm[a - 1]
         if running_max == a:
             return False
     return True

@@ -31,12 +31,10 @@ factor is: a product of two rectangles is multiplicity-free, and
 `_two_rectangles` reads its 0 or 1 from a closed rule (Okada, J. Algebra
 205 (1998); Stembridge, Ann. Comb. 5 (2001)), checked against the raw
 counter on every triple with a, b, k, d <= 5.  Any other rectangle goes to
-the raw counter through
-`_rectangle_coefficient`, a second memo that outlives the call: keyed by
-(nu, mu, k, d) and bounded by `_RECTANGLE_MEMO_SIZE` entries, least
-recently used first out, it lets the parameters of one rank share their
-counts.  Only `multiplicity_in_induced` calls it; `lr_coefficient` and
-verify's LR line call the raw counter and keep no count between calls.
+the raw counter through `_rectangle_coefficient`, a memo that outlives the
+call: keyed by (nu, mu, k, d), it lets the parameters of one rank share
+their counts.  Only `multiplicity_in_induced` calls it; `lr_coefficient`
+and verify's LR line call the raw counter and keep no count between calls.
 
 Like `lr_coefficient`, the multiplicity counts whichever of two equal
 problems is smaller.  A query with factors det^(k_i) on GL(d_i) and target
@@ -46,10 +44,16 @@ C.  Taking the contragredient negates every character and sends the
 K-type delta to -w0.delta; twisting by det^C then adds C to every
 coordinate.  On partitions this is the complement in a box, under which
 an LR product of rectangles keeps its value (Fulton, *Young Tableaux*,
-sections 5 and 9).  The engine counts the side whose target has strictly
-fewer cells, the given one on a tie, and runs the dual's factors in
-reverse, so that their averages still decrease: in the canonical order
-the dual costs far more.
+sections 5 and 9).  Both sides are shifted tight, so that the least
+factor or the last target coordinate is 0; the engine counts the side
+whose target has fewer cells, the smaller (target, factors) on a tie,
+with the factors of k = 0 dropped and the rest by k decreasing, shorter
+first on ties.  That problem alone fixes the answer, and `_product` keeps
+it in a second memo across calls.  A scattered parameter and its entry
+reflection are dual twists whose two sides swap exactly, so they pick
+one problem, and a sweep over a rank computes one product per pair.
+Both memos are bounded by `_MEMO_SIZE` entries, least recently used
+first out.
 """
 
 from __future__ import annotations
@@ -57,7 +61,6 @@ from __future__ import annotations
 from collections.abc import Iterable
 from functools import lru_cache
 
-from .chains import canonical_order
 from .weights import Weight
 
 Partition = tuple[int, ...]
@@ -314,14 +317,18 @@ def _grow_candidates(mu: Partition, k: int, d: int, limit: Partition):
     yield from rec(0, goal, goal)
 
 
-# Tau's multiplicity over one rank, from an empty memo, counts 122 distinct
-# (nu, mu, k, d) at rank 10, 768 at 12, 3,978 at 14 and 9,062 at 15, so the
-# memo overflows above rank 14: rank 16 makes 20,430 counts on 19,801
-# distinct triples, at no measured cost in time (its sweep took 2.83-2.92 s
-# with 32,768 entries against 2.95-3.63 s, 2-CPU host, whose speed swings).
-# An entry holds about 420 bytes with its nu and mu (tracemalloc, Python
-# 3.11), so a full memo holds about 3.4 MB.
-_RECTANGLE_MEMO_SIZE = 8192
+# The bound of both memos.  Tau's multiplicity over one rank, from empty
+# memos, computes 136, 272, 528, 1,056, 2,080, 4,160 and 8,256 products at
+# ranks 10 to 16 (one per pair {p, p*} and one per self-dual parameter, the
+# other half read back), and 90, 252, 555, 1,376, 3,108, 7,170 and 17,343
+# raw rectangle counts.  Only rank 16 overflows: its counts fall on 17,018
+# distinct triples, and its sweep took 2.01-2.05 s with 8,192 entries
+# against 1.97-2.06 s with 32,768 (2-CPU host, whose speed swings); its
+# partners still find all 8,128 products.  Freed by cache_clear under
+# tracemalloc (Python 3.11) after rank 16, a rectangle entry holds about
+# 200 bytes and a product entry, whose key is the whole target and factor
+# tuple, about 560: 1.6 and 4.6 MB for the two full memos.
+_MEMO_SIZE = 8192
 
 
 def _two_rectangles(nu: Partition, mu: Partition, k: int, d: int) -> int:
@@ -349,7 +356,7 @@ def _two_rectangles(nu: Partition, mu: Partition, k: int, d: int) -> int:
     )
 
 
-@lru_cache(maxsize=_RECTANGLE_MEMO_SIZE)
+@lru_cache(maxsize=_MEMO_SIZE)
 def _rectangle_coefficient(nu: Partition, mu: Partition, k: int, d: int) -> int:
     """c(nu; mu, k^d) by the raw counter, on nu/mu or on nu/k^d, whichever
     has fewer cells, ties as given; memoised across calls."""
@@ -359,6 +366,54 @@ def _rectangle_coefficient(nu: Partition, mu: Partition, k: int, d: int) -> int:
     return _count_tableaux(nu, mu, rect)
 
 
+def _problem(target, factors) -> tuple[Partition, tuple[tuple[int, int], ...]]:
+    """One side of a query as `_product` keys it: the target without its
+    zero parts, and the factors (k, d) with k > 0, k decreasing, shorter
+    first on ties (the canonical order's key)."""
+    kept = sorted(((k, d) for k, d in factors if k), key=lambda f: (-f[0], f[1]))
+    return normalize_partition(target), tuple(kept)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _product(target: Partition, factors: tuple[tuple[int, int], ...]) -> int:
+    """The multiplicity of s_target in the product of the rectangles
+    k^(d) of factors, in that order, memoised across calls.
+
+    The caller has checked that |target| is the factors' total area and
+    that every rectangle fits inside target: both exits are cheap, so they
+    stay out of the memo.  With no factor the module is the trivial one.
+    The candidates and their coefficients are described in
+    `multiplicity_in_induced`.
+    """
+    if not factors:  # the trivial module
+        return int(not target)
+    k, d = factors[0]
+    states: dict[Partition, int] = {(k,) * d: 1}  # k^d, the first factor's one candidate
+    for i, (k, d) in enumerate(factors[1:], 2):
+        strip = k == 1 or d == 1
+        new: dict[Partition, int] = {}
+        for mu, coeff in states.items():
+            if i < len(factors):
+                candidates = _grow_candidates(mu, k, d, target)
+            elif _is_candidate(target, mu, k, d):  # the last factor's one candidate
+                candidates = (target,)
+            else:
+                continue
+            for nu in candidates:
+                if strip:
+                    c_lr = 1
+                elif mu[0] == mu[-1]:
+                    c_lr = _two_rectangles(nu, mu, k, d)
+                else:
+                    c_lr = _rectangle_coefficient(nu, mu, k, d)
+                if c_lr:
+                    new[nu] = new.get(nu, 0) + coeff * c_lr
+        states = new
+        if not states:
+            return 0
+    return states.get(target, 0)
+
+
 def multiplicity_in_induced(cs: Iterable[tuple[int, int]], delta: Weight) -> int:
     """Multiplicity of the K-type with doubled highest weight delta.
 
@@ -366,38 +421,66 @@ def multiplicity_in_induced(cs: Iterable[tuple[int, int]], delta: Weight) -> int
     factors given by the chains: k_i = top - length + 1 is a chain's average
     and d_i its length.  In the standard scale delta_std = delta / 2 the
     answer is an iterated product of rectangles, counted on one of two
-    orientations with the same answer:
-    - given: a uniform shift t = max(0, -min k_i, -delta_std[n-1]) makes
-      every k_i + t non-negative and delta_std + t a partition, of
-      |delta_std| + n*t cells; the answer is independent of t.  The
-      rectangles are (k_i + t)^(d_i).
+    sides with the same answer, each shifted tight, so that its smallest
+    factor or its last target coordinate is 0:
+    - given: with low = min(min k_i, delta_std[n-1]), the rectangles are
+      (k_i - low)^(d_i) and the target is delta_std - low, of |delta_std| -
+      n*low cells.  A uniform shift of every k_i and of delta_std leaves the
+      answer alone (it twists by a power of det), and a negative low shifts
+      up.
     - dual: with C = max(max k_i, delta_std[0]), the rectangles are
       (C - k_i)^(d_i) and the target is (C - delta_std[n-1], ..., C -
-      delta_std[0]), of n*C - |delta_std| cells, with no shift.  Restrict
-      the K-type to the product of the U(d_i): dualising sends each
-      det^(k_i) to det^(-k_i) and delta to -w0.delta, and the twist by
-      det^C adds C to every coordinate, so the multiplicity is unchanged.
-    The dual is counted only when its target has strictly fewer cells; on
-    a tie the query stays as given.  Either way the factors run with
-    averages decreasing, so the dual's run in the reverse of the canonical
-    order: the order of the product changes no answer, but it does change
-    the cost (the dual factors in canonical order made the tau sweep of
-    rank 12 over 100 times slower).  Every intermediate shape is confined
-    below the target and grown by `_grow_candidates`.
-
-    The factors with k = 0 go first: det^0 is the trivial character, so
-    each leaves every state as it is.  With none left the module is the
+      delta_std[0]), of n*C - |delta_std| cells.  Restrict the K-type to the
+      product of the U(d_i): dualising sends each det^(k_i) to det^(-k_i)
+      and delta to -w0.delta, and the twist by det^C adds C to every
+      coordinate, so the multiplicity is unchanged.
+    The engine counts the side whose target has fewer cells; on a tie it
+    counts the smaller (target, factors) tuple.  On each side the factors
+    with k = 0 are dropped, since det^0 is the trivial character and leaves
+    every state as it is, and the rest run with k decreasing, shorter first
+    on ties: the order of the product changes no answer, but it does change
+    the cost (the dual factors with k increasing made the tau sweep of rank
+    12 over 100 times slower).  With no factor left the module is the
     trivial one, and the answer is 1 exactly when the target is empty.
 
-    Each candidate nu of a state mu is a partition with mu <= nu, no zero
-    part, |nu| = |mu| + k*d and the caps and floors of `_grow_candidates`,
-    so its coefficient c(nu; mu, k^d) needs none of `lr_coefficient`'s
-    checks (Fulton, *Young Tableaux*, section 5).  Two kinds of factor need
-    no search for their candidates:
+    Two cheap exits answer 0 before any memo.  One is a target whose size
+    is not the factors' total area.  The other is a rectangle that does not
+    fit inside its target, on either side: every constituent nu of s_lambda
+    s_mu contains lambda and mu (Fulton, *Young Tableaux*, section 5), so
+    by induction every constituent of the product contains each of its
+    rectangles.  On the given side (k_i - low)^(d_i) fits inside delta_std -
+    low exactly when delta_std[d_i - 1] >= k_i, and on the dual side (C -
+    k_i)^(d_i) fits inside C - reversed(delta_std) exactly when
+    delta_std[n - d_i] <= k_i; a factor with k = 0 on its side meets its
+    condition anyway.  Both sides have the same answer, so both conditions
+    are necessary.
+
+    The chosen problem (target, factors) determines the answer, so
+    `_product` keeps it in a memo across calls, bounded by `_MEMO_SIZE`
+    entries.  A query and its dual twist share one entry.  Let p* be the twist of p by
+    the entry reflection e -> M + 1 - e, M the largest entry: its averages
+    are M + 1 - k_i, and by the twist lemma above mult(p, delta) =
+    mult(p*, delta*) with delta*_std = M + 1 - reversed(delta_std).  Then
+    p*'s given side has low* = min(M + 1 - max k_i, M + 1 - delta_std[0]) =
+    M + 1 - C, so its rectangles are (C - k_i)^(d_i) and its target C -
+    reversed(delta_std): p's dual side, exactly.  Likewise p*'s dual side is
+    p's given side.  The choice looks only at the pair of sides, so p and
+    p* pick the same problem.  Every sweep over a rank's scattered
+    parameters asks tau of both p and p*, and tau(p*) = tau(p)* (checked to
+    rank 16), so the second member of each pair is a memo hit.  A shift
+    that stopped at 0 on the given side, as a max(0, ...) would, leaves
+    the two sides a uniform twist apart, and no key would match them.
+
+    Every intermediate shape is confined below the target and grown by
+    `_grow_candidates`.  Each candidate nu of a state mu is a partition with
+    mu <= nu, no zero part, |nu| = |mu| + k*d and the caps and floors of
+    `_grow_candidates`, so its coefficient c(nu; mu, k^d) needs none of
+    `lr_coefficient`'s checks (Fulton, *Young Tableaux*, section 5).  Two
+    kinds of factor need no search for their candidates:
     - The first, on the state mu = (): nu has at most len(mu) + d = d
       rows, each capped and floored at k, so nu = k^d and c = 1.  The
-      product starts from the state k^d when k^d fits inside the target
-      and answers 0 otherwise.
+      product starts from the state k^d, which fits inside the target by
+      the exit above.
     - The last, when there are two or more: every candidate has |mu| + k*d
       cells, which by the check of sizes is |target|, and lies inside the
       target, so the target is the only one.  `_is_candidate` tests it
@@ -424,7 +507,7 @@ def multiplicity_in_induced(cs: Iterable[tuple[int, int]], delta: Weight) -> int
       not multiplicity-free.
     An empty chain set raises ValueError before anything else.
     """
-    factors = [(top - length + 1, length) for top, length in canonical_order(cs)]
+    factors = [(top - length + 1, length) for top, length in cs]
     if not factors:
         raise ValueError("chain set needs at least one chain")
     n = sum(d for _, d in factors)
@@ -439,42 +522,14 @@ def multiplicity_in_induced(cs: Iterable[tuple[int, int]], delta: Weight) -> int
     total = sum(delta_std)
     if total != sum(k * d for k, d in factors):
         return 0
-    shift = max(0, -min(k for k, _ in factors), -delta_std[-1])
-    twist = max(max(k for k, _ in factors), delta_std[0])  # the docstring's C
-    if n * twist - total < total + n * shift:  # the dual target has fewer cells
-        factors = [(twist - k, d) for k, d in reversed(factors)]
-        target = normalize_partition(twist - x for x in reversed(delta_std))
-    else:
-        factors = [(k + shift, d) for k, d in factors]
-        target = normalize_partition(x + shift for x in delta_std)
-
-    factors = [(k, d) for k, d in factors if k]  # det^0 is the trivial character
-    if not factors:
-        return int(not target)
-    k, d = factors[0]
-    if not _fits(target, (k,) * d):  # k^d, the first factor's one candidate
-        return 0
-    states: dict[Partition, int] = {(k,) * d: 1}
-    for i, (k, d) in enumerate(factors[1:], 2):
-        strip = k == 1 or d == 1
-        new: dict[Partition, int] = {}
-        for mu, coeff in states.items():
-            if i < len(factors):
-                candidates = _grow_candidates(mu, k, d, target)
-            elif _is_candidate(target, mu, k, d):  # the last factor's one candidate
-                candidates = (target,)
-            else:
-                continue
-            for nu in candidates:
-                if strip:
-                    c_lr = 1
-                elif mu[0] == mu[-1]:
-                    c_lr = _two_rectangles(nu, mu, k, d)
-                else:
-                    c_lr = _rectangle_coefficient(nu, mu, k, d)
-                if c_lr:
-                    new[nu] = new.get(nu, 0) + coeff * c_lr
-        states = new
-        if not states:
-            return 0
-    return states.get(target, 0)
+    if any(delta_std[d - 1] < k or k < delta_std[n - d] for k, d in factors):
+        return 0  # a rectangle that does not fit inside its target, on one of the sides
+    low = min(min(k for k, _ in factors), delta_std[-1])
+    high = max(max(k for k, _ in factors), delta_std[0])  # the docstring's C
+    given_cells, dual_cells = total - n * low, n * high - total
+    sides = []
+    if given_cells <= dual_cells:
+        sides.append(_problem([x - low for x in delta_std], [(k - low, d) for k, d in factors]))
+    if dual_cells <= given_cells:
+        sides.append(_problem([high - x for x in reversed(delta_std)], [(high - k, d) for k, d in factors]))
+    return _product(*min(sides))

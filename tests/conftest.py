@@ -15,10 +15,12 @@ NAMES = {name: check for check in CHECKS for name in (SPEC_NAMES if check is che
 
 
 @pytest.fixture(autouse=True)
-def empty_rectangle_memo():
-    """Each test starts with lr's rectangle memo empty, so a test that patches
-    `lr._count_tableaux` sees every count that its own calls make."""
+def empty_lr_memos():
+    """Each test starts with lr's rectangle and product memos empty, so a
+    test that patches `lr._count_tableaux` or `lr._grow_candidates` sees
+    every count and search that its own calls make."""
     lr._rectangle_coefficient.cache_clear()
+    lr._product.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,7 @@ homogeneous factors and counts chains of horizontal strips, one Pieri step
 per factor, with the determinant providing the signs.
 """
 
+from functools import cache
 from itertools import permutations, product
 from math import inf
 
@@ -180,6 +181,27 @@ def dual_query(cs, delta):
     return chains, tuple(2 * C - x for x in reversed(delta))
 
 
+def tight_problem(cs, delta):
+    """The given side of (cs, delta) shifted tight, as multiplicity_in_induced
+    keys it: every average and delta_std moved down by the least of them
+    (up, when that is negative), then the chains whose average is now 0
+    and the target's zero parts dropped.  The factors (k, d) keep the
+    canonical order."""
+    delta_std = tuple(x // 2 for x in delta)
+    low = min(min(c.avg for c in cs), delta_std[-1])
+    target = normalize_partition(x - low for x in delta_std)
+    return target, tuple((c.avg - low, c.length) for c in canonical_order(cs) if c.avg != low)
+
+
+def chosen_problem(cs, delta):
+    """The problem multiplicity_in_induced counts: of the given side and
+    the dual twist's given side, both tight, the one whose target has fewer
+    cells, and the smaller (target, factors) on a tie.  Also whether that
+    was a tie between two different problems."""
+    given, dual = tight_problem(cs, delta), tight_problem(*dual_query(cs, delta))
+    return min(given, dual, key=lambda p: (sum(p[0]), p)), sum(given[0]) == sum(dual[0]) and given != dual
+
+
 def multiplicity_by_lr_coefficient(cs, delta):
     """The reference for multiplicity_in_induced, and its slow predecessor:
     the same iterated product over the same candidates, each coefficient
@@ -341,14 +363,17 @@ def test_multiplicity_of_lowest_k_type_over_enumeration():
 
 def test_multiplicity_shift_invariance():
     # moving every chain by 2t moves each average, and so tau, by 2t (4t
-    # doubled).  multiplicity_in_induced counts the 35-cell target of the
-    # given side for t = -7 and -3, shifted by 12 and 4, and the 37-cell
-    # dual for t >= 0, where the given side's target has 53 to 179 cells
+    # doubled).  Shifted tight, every t gives the same given side, a 35-cell
+    # target (the dual's has 37): shifted up by 12 and 4 for t = -7 and -3,
+    # and down by 2 + 2t for t >= 0.  One product, computed once and read
+    # from the memo five times
     tau = spin_lowest_k_type(EX22).tau
     assert multiplicity_in_induced(EX22, tau) == 1
     for t in (-7, -3, 1, 3, 7):
         moved = ChainSet(tuple(Chain(c.top + 2 * t, c.length) for c in EX22.chains))
         assert multiplicity_in_induced(moved, tuple(x + 4 * t for x in tau)) == 1, t
+    info = lr._product.cache_info()
+    assert (info.misses, info.hits) == (1, 5)
 
 
 def test_multiplicity_handles_negative_averages():
@@ -380,34 +405,105 @@ def shell_queries(cs):
     return queries + [spin_lowest_k_type(cs).tau]
 
 
+@cache
+def shell_sweep():
+    """(cs, delta, answer) for every shell query of every decomposition to
+    rank 5, the answer by the reference."""
+    return [
+        (cs, delta, multiplicity_by_lr_coefficient(cs, delta))
+        for n in range(2, 6)
+        for cs in map(ChainSet, _pair_decompositions(n))
+        for delta in shell_queries(cs)
+    ]
+
+
 def test_multiplicity_matches_lr_coefficient_path_on_every_shell(monkeypatch):
-    """Every shell query of every decomposition to rank 5.  The engine grows
-    its candidates under the target with fewer cells, the given one on a
-    tie, and counts some queries as given and some as their dual twist."""
-    limits = []
+    """Every shell query of every decomposition to rank 5, each from an
+    empty product memo.  The engine hands `_product` the tight side whose
+    target has fewer cells, the smaller problem on a tie, and grows its
+    candidates under that target; it counts some queries as given and some
+    as their dual twist.  A query that never reaches `_product` has sizes
+    that differ or a rectangle that does not fit inside its target, on
+    either side (every shell query has the right size, so only the second
+    exit is taken here, and each side's half of it ends some query that
+    the other half lets through)."""
+    problems, limits = [], []
+    product = lr._product
+
+    def recording_product(target, factors):
+        problems.append((target, factors))
+        return product(target, factors)
 
     def recording(mu, k, d, limit):
         limits.append(limit)
         return _grow_candidates(mu, k, d, limit)
 
+    monkeypatch.setattr(lr, "_product", recording_product)
     monkeypatch.setattr(lr, "_grow_candidates", recording)
-    nonzero, ties, sides = 0, 0, set()
-    for n in range(2, 6):
-        for pairs in _pair_decompositions(n):
-            cs = ChainSet(pairs)
-            for delta in shell_queries(cs):
-                limits.clear()
-                got = multiplicity_in_induced(cs, delta)
-                assert got == multiplicity_by_lr_coefficient(cs, delta), (pairs, delta)
-                nonzero += got > 0
-                given, dual = shifted_target(cs, delta)[0], shifted_target(*dual_query(cs, delta))[0]
-                if limits:
-                    assert set(limits) == {dual if sum(dual) < sum(given) else given}, (pairs, delta)
-                    sides.add(sum(dual) < sum(given))
-                    ties += sum(dual) == sum(given) and dual != given
+    nonzero, exits, sides, tie_sides = 0, set(), set(), set()
+    for cs, delta, expected in shell_sweep():
+        problems.clear()
+        limits.clear()
+        product.cache_clear()
+        got = multiplicity_in_induced(cs, delta)
+        assert got == expected, (cs, delta)
+        nonzero += got > 0
+        (target, factors), tie = chosen_problem(cs, delta)
+        if problems:
+            assert problems == [(target, factors)], (cs, delta)
+            assert set(limits) <= {target}, (cs, delta)
+            dual = (target, factors) != tight_problem(cs, delta)
+            sides.add(dual)
+            if tie:
+                tie_sides.add(dual)
+        else:
+            both = tight_problem(cs, delta), tight_problem(*dual_query(cs, delta))
+            fits = tuple(all(contains(side, (k,) * d) for k, d in side_factors) for side, side_factors in both)
+            assert got == 0 and (sum(delta) != 2 * sum(c.avg * c.length for c in cs) or fits != (True, True)), (cs, delta)
+            exits.add(fits)
     assert nonzero > 100  # the sweep reaches the product, not just the early 0
+    assert {(True, False), (False, True)} <= exits
     assert sides == {False, True}  # a rule that never flips, or always does, fails here
-    assert ties  # and one that flips on a tie
+    assert tie_sides == {False, True}  # and one that keeps either side on a tie
+
+
+def test_multiplicity_matches_lr_coefficient_path_cold_and_warm():
+    """The shell queries, whose answers are 0 and 1, and two queries with
+    answers 2 and 4, in one sweep from empty memos, then again with the
+    product memo full: every answer equals the reference both times, and
+    the second sweep computes no product.  The given sides shift both down
+    and up."""
+    above_one = [(ChainSet(((3, 1), (2, 1), (1, 1))), (10, 2, 0)), (ChainSet(((3, 1), (2, 2), (1, 2))), (10, 4, 2, -2, -4))]
+    sweep = shell_sweep() + [(cs, delta, multiplicity_by_lr_coefficient(cs, delta)) for cs, delta in above_one]
+    for _ in ("cold", "warm"):
+        misses = lr._product.cache_info().misses
+        for cs, delta, expected in sweep:
+            assert multiplicity_in_induced(cs, delta) == expected, (cs, delta)
+    assert lr._product.cache_info().misses == misses > 0
+    assert sorted({expected for _, _, expected in sweep}) == [0, 1, 2, 4]
+    lows = {min(min(c.avg for c in cs), delta[-1] // 2) for cs, delta, _ in sweep}
+    assert min(lows) < 0 < max(lows)
+
+
+def test_a_parameter_and_its_reflection_map_to_one_problem(monkeypatch):
+    """Every scattered parameter p of ranks 2..12 and its entry reflection
+    p*, each with its tau: multiplicity_in_induced hands `_product` the same
+    (target, factors) for both, so the second is a memo hit."""
+    problems = {}
+    current = []
+    monkeypatch.setattr(lr, "_product", lambda target, factors: current.append((target, factors)) or 1)
+    for n in range(2, 13):
+        rank = {}
+        for cs in generate(n):
+            current.clear()
+            multiplicity_in_induced(cs, spin_lowest_k_type(cs).tau)
+            rank[cs.chains] = current[0]
+        for chains, problem in rank.items():
+            top = chains[0].top  # M, the largest entry
+            mirror = ChainSet(tuple(Chain(top + 1 - c.bottom, c.length) for c in chains))
+            assert rank[mirror.chains] == problem, chains
+        problems[n] = len(set(rank.values()))
+    assert problems[10] == 136 and problems[12] == 528
 
 
 def test_dual_twist_keeps_the_multiplicity_by_the_slow_path():
@@ -420,13 +516,16 @@ def test_dual_twist_keeps_the_multiplicity_by_the_slow_path():
             assert multiplicity_by_lr_coefficient(cs, tau) == multiplicity_by_lr_coefficient(*dual_query(cs, tau)) == 1, cs.to_lists()
 
 
-def test_tau_sweep_at_rank_10_makes_122_raw_counts_and_353_grow_calls(monkeypatch):
+def test_tau_sweep_at_rank_10_computes_136_products_with_90_raw_counts_and_198_searches(monkeypatch):
     """The work counters of the multiplicity engine: tau's multiplicity for
-    every rank-10 parameter, from an empty memo, calls the raw counter 122
-    times and the candidate search 353 times (counting every query as given
-    makes 221 and 388).  Counting a product of two rectangles by tableaux
-    made 258 raw counts; searching for the first and the last factor's
-    candidates made 882 searches."""
+    every rank-10 parameter, from empty memos, computes 136 products, one
+    for each of the 120 pairs {p, p*} and the 16 self-dual parameters, and
+    reads the other 120 from the product memo.  The products call the raw
+    counter 90 times and the candidate search 198 times.  Before the tight
+    shifts and the product memo the sweep made 122 raw counts and 353
+    searches; counting a product of two rectangles by tableaux made 258 raw
+    counts, and searching for the first and the last factor's candidates
+    made 882 searches."""
     queries = [(cs, spin_lowest_k_type(cs).tau) for cs in generate(10)]
     counts, searches = [], []
 
@@ -438,11 +537,11 @@ def test_tau_sweep_at_rank_10_makes_122_raw_counts_and_353_grow_calls(monkeypatc
         searches.append(None)
         return _grow_candidates(mu, k, d, limit)
 
-    lr._rectangle_coefficient.cache_clear()
     monkeypatch.setattr(lr, "_count_tableaux", counting)
     monkeypatch.setattr(lr, "_grow_candidates", searching)
     assert all(multiplicity_in_induced(cs, tau) == 1 for cs, tau in queries)
-    assert (len(counts), len(searches)) == (122, 353)
+    info = lr._product.cache_info()
+    assert (info.misses, info.hits, len(counts), len(searches)) == (136, 120, 90, 198)
 
 
 def test_two_rectangle_rule_matches_the_raw_counter():
@@ -647,24 +746,29 @@ def test_rectangle_memo_keys_on_the_whole_rectangle():
             for k, d in order:
                 assert lr._rectangle_coefficient(nu, mu, k, d) == expected[k, d], (mu, order, k, d)
 
-    # a rank-9 sweep gives the same answers cold, warm and in reverse order
+    # a rank-9 sweep gives the same answers cold, warm and in reverse order;
+    # the product memo is emptied before each sweep, so that every product
+    # is computed again and the warm sweep reads the rectangle memo
     queries = [(cs, spin_lowest_k_type(cs).tau) for cs in generate(9)]
     lr._rectangle_coefficient.cache_clear()
+    lr._product.cache_clear()
     cold = [multiplicity_in_induced(cs, tau) for cs, tau in queries]
     hits = lr._rectangle_coefficient.cache_info().hits
+    lr._product.cache_clear()
     warm = [multiplicity_in_induced(cs, tau) for cs, tau in queries]
     info = lr._rectangle_coefficient.cache_info()
     assert info.hits > hits  # the warm sweep reads the memo
     assert 0 < info.currsize <= info.maxsize
     lr._rectangle_coefficient.cache_clear()
+    lr._product.cache_clear()
     backward = [multiplicity_in_induced(cs, tau) for cs, tau in reversed(queries)][::-1]
     assert cold == warm == backward == [1] * len(queries)
 
 
 def test_memo_counter_matches_cell_by_cell_counter_on_multiplicity_shapes(monkeypatch):
-    """Every distinct triple the multiplicity of tau counts at ranks <= 11,
+    """Every distinct triple the multiplicity of tau counts at ranks <= 12,
     up to 30 cells and many letters, in both orientations: lr_triples(9)
-    stops at 9 cells."""
+    stops at 9 cells.  With the tight shifts, ranks <= 11 reach only 28."""
     triples = set()
 
     def recording(outer, inner, weight):
@@ -672,7 +776,7 @@ def test_memo_counter_matches_cell_by_cell_counter_on_multiplicity_shapes(monkey
         return _count_tableaux(outer, inner, weight)
 
     monkeypatch.setattr(lr, "_count_tableaux", recording)
-    for n in range(2, 12):
+    for n in range(2, 13):
         for cs in generate(n):
             multiplicity_in_induced(cs, spin_lowest_k_type(cs).tau)
     monkeypatch.undo()
