@@ -25,15 +25,17 @@ checks.  Neither end of the product searches: the first rectangle's only
 candidate is the rectangle itself, and the last one's is the target, which
 `_is_candidate` tests against each state by the search's own bounds.  A
 one-row or one-column rectangle needs no count at all: every candidate is a
-horizontal or vertical strip, with coefficient 1 by the Pieri rule.  Nor
-does a rectangle on a rectangle state a^b, as every state of the second
-factor is: a product of two rectangles is multiplicity-free, and
+horizontal or vertical strip, with coefficient 1 by the Pieri rule.  Any
+other rectangle goes to `_coefficient`, which first strips full first
+columns (len(nu) = len(mu) + d) off the triple.  A rectangle on a
+rectangle state a^b, as every state of the second factor is, needs no
+count: a product of two rectangles is multiplicity-free, and
 `_two_rectangles` reads its 0 or 1 from a closed rule (Okada, J. Algebra
 205 (1998); Stembridge, Ann. Comb. 5 (2001)), checked against the raw
-counter on every triple with a, b, k, d <= 5.  Any other rectangle goes to
-the raw counter through `_rectangle_coefficient`, a memo that outlives the
-call: keyed by (nu, mu, k, d), it lets the parameters of one rank share
-their counts.  Only `multiplicity_in_induced` calls it; `lr_coefficient`
+counter on every triple with a, b, k, d <= 5.  The rest goes to the raw
+counter through `_rectangle_coefficient`, a memo that outlives the call:
+keyed by the stripped (nu, mu, k, d), it lets the parameters of one rank
+share their counts.  Only `multiplicity_in_induced` calls it; `lr_coefficient`
 and verify's LR line call the raw counter and keep no count between calls.
 
 Like `lr_coefficient`, the multiplicity counts whichever of two equal
@@ -232,39 +234,26 @@ def _count_tableaux(outer: Partition, inner: Partition, weight: Partition) -> in
     return total
 
 
-def _row_bounds(mu: Partition, k: int, d: int, limit: Partition) -> tuple[list[int], list[int]]:
-    """The caps and floors of `_grow_candidates` on each row a candidate may
-    have, min(len(limit), len(mu) + d) of them: the bounds on row i that do
-    not depend on the rows above."""
-    nmu = len(mu)
-    caps, floors = [], []
-    for i in range(min(len(limit), nmu + d)):
-        row = mu[i] if i < nmu else 0
-        cap = row + k
-        if limit[i] < cap:
-            cap = limit[i]
-        # i < len(mu) + d, so mu[i - d] is in range whenever i >= d
-        if i >= d and mu[i - d] < cap:
-            cap = mu[i - d]
-        caps.append(cap)
-        floor = k if i < d else 1
-        floors.append(row if row > floor else floor)
-    return caps, floors
-
-
 def _is_candidate(nu: Partition, mu: Partition, k: int, d: int) -> bool:
     """Whether `_grow_candidates(mu, k, d, nu)` yields nu, for a partition nu
     of |mu| + k*d cells with no zero part.
 
     Every candidate under the limit nu has |nu| cells and lies inside nu, so
     nu is the only one there can be, and the search yields it exactly when
-    it covers mu, has no more rows than the bounds and keeps every row
-    between its floor and its cap.  The search's other bounds hold for any
-    such nu: its rows decrease, each is at most the cells left, and room
-    never asks of a row more than the rows below it leave over.
+    it covers mu, has at most len(mu) + d rows and keeps every row between
+    the floor and the cap of `_grow_candidates` (the cap nu[i] holds anyway).
+    The search's other bounds hold for any such nu: its rows decrease, each
+    is at most the cells left, and room never asks of a row more than the
+    rows below it leave over.  The test stops at the first row that fails.
     """
-    caps, floors = _row_bounds(mu, k, d, nu)
-    return len(mu) <= len(nu) <= len(caps) and all(lo <= x <= hi for x, lo, hi in zip(nu, floors, caps))
+    nmu = len(mu)
+    if not nmu <= len(nu) <= nmu + d:
+        return False
+    for i, x in enumerate(nu):
+        row = mu[i] if i < nmu else 0
+        if x < row or x > row + k or (x < k if i < d else x > mu[i - d]):
+            return False
+    return True
 
 
 def _grow_candidates(mu: Partition, k: int, d: int, limit: Partition):
@@ -288,7 +277,18 @@ def _grow_candidates(mu: Partition, k: int, d: int, limit: Partition):
     """
     nmu = len(mu)
     goal = sum(mu) + k * d
-    caps, floors = _row_bounds(mu, k, d, limit)
+    caps, floors = [], []  # the bounds on row i that do not depend on the rows above
+    for i in range(min(len(limit), nmu + d)):
+        row = mu[i] if i < nmu else 0
+        cap = row + k
+        if limit[i] < cap:
+            cap = limit[i]
+        # i < len(mu) + d, so mu[i - d] is in range whenever i >= d
+        if i >= d and mu[i - d] < cap:
+            cap = mu[i - d]
+        caps.append(cap)
+        floor = k if i < d else 1
+        floors.append(row if row > floor else floor)
     maxlen = len(caps)
     room = [0] * (maxlen + 1)  # room[i]: the most cells rows i.. can hold
     for i in range(maxlen - 1, -1, -1):
@@ -320,14 +320,13 @@ def _grow_candidates(mu: Partition, k: int, d: int, limit: Partition):
 # The bound of both memos.  Tau's multiplicity over one rank, from empty
 # memos, computes 136, 272, 528, 1,056, 2,080, 4,160 and 8,256 products at
 # ranks 10 to 16 (one per pair {p, p*} and one per self-dual parameter, the
-# other half read back), and 90, 252, 555, 1,376, 3,108, 7,170 and 17,343
-# raw rectangle counts.  Only rank 16 overflows: its counts fall on 17,018
-# distinct triples, and its sweep took 2.01-2.05 s with 8,192 entries
-# against 1.97-2.06 s with 32,768 (2-CPU host, whose speed swings); its
-# partners still find all 8,128 products.  Freed by cache_clear under
-# tracemalloc (Python 3.11) after rank 16, a rectangle entry holds about
-# 200 bytes and a product entry, whose key is the whole target and factor
-# tuple, about 560: 1.6 and 4.6 MB for the two full memos.
+# other half read back), and 74, 194, 398, 951, 2,074, 4,640 and 10,914
+# raw rectangle counts, each on a triple of its own, so no larger memo
+# would save a count.  Only rank 16 overflows; its partners still find all
+# 8,128 products.  Freed by cache_clear under tracemalloc (Python 3.11)
+# after rank 16, a rectangle entry holds about 200 bytes and a product
+# entry, whose key is the whole target and factor tuple, about 560: 1.6
+# and 4.6 MB for the two full memos.
 _MEMO_SIZE = 8192
 
 
@@ -341,7 +340,8 @@ def _two_rectangles(nu: Partition, mu: Partition, k: int, d: int) -> int:
     rectangle for m < i <= L - m (rows counted from 1, nu padded with zeros
     to L rows); otherwise c = 0.  The rule matches `_count_tableaux` on
     every nu in the (b + d) x (a + k) box with |nu| = a*b + k*d, for every
-    a, b, k, d <= 5: 99,180 triples.
+    a, b, k, d <= 5: 99,180 triples; one row and one column beyond the box,
+    where the peel of `_coefficient` can send nu, both give 0.
     """
     a, b = mu[0], len(mu)
     rows, m = b + d, min(b, d)
@@ -356,22 +356,52 @@ def _two_rectangles(nu: Partition, mu: Partition, k: int, d: int) -> int:
     )
 
 
+def _coefficient(nu: Partition, mu: Partition, k: int, d: int) -> int:
+    """c(nu; mu, k^d) for mu and k^d inside nu, |nu| = |mu| + k*d, counting
+    only where no rule answers.
+
+    While len(nu) = len(mu) + d and k > 1, the first column comes off all
+    three: every part drops by 1, zero parts go, and k^d becomes (k-1)^d.
+    Proof: c^l_(m,r) = c^(l')_(m',r') for the conjugates, where the test
+    reads l'_1 = m'_1 + r'_1.  Row 1 of an LR tableau holds only 1s, as its
+    reading word starts there, and here row 1 of l'/m' has r'_1 cells, so
+    it holds all r'_1 ones.  Deleting it and lowering every letter by one
+    is a bijection onto the LR tableaux of l'/m' and content r', each with
+    its first row gone: column strictness below row 1 and the lattice test
+    of 2 against 1 hold on both sides (Fulton, *Young Tableaux*, section 5;
+    King, Tollu and Toumazet, J. Combin. Theory Ser. A 116 (2009)).  Rows
+    i < d of nu keep k^d inside it.  Then a column (k = 1) is a vertical
+    strip, by the dual Pieri rule; an empty mu needs nu = k^d; a rectangle
+    mu goes to `_two_rectangles`; and only the rest, keyed on the peeled
+    triple, to `_rectangle_coefficient`.
+    """
+    while k > 1 and len(nu) == len(mu) + d:
+        nu = tuple([x - 1 for x in nu if x > 1])
+        mu = tuple([x - 1 for x in mu if x > 1])
+        k -= 1
+    if k == 1:
+        return int(len(nu) <= len(mu) + d and all(x <= y + 1 for x, y in zip(nu, mu + (0,) * d)))
+    if not mu:
+        return int(nu == (k,) * d)
+    if mu[0] == mu[-1]:
+        return _two_rectangles(nu, mu, k, d)
+    return _rectangle_coefficient(nu, mu, k, d)
+
+
 @lru_cache(maxsize=_MEMO_SIZE)
 def _rectangle_coefficient(nu: Partition, mu: Partition, k: int, d: int) -> int:
     """c(nu; mu, k^d) by the raw counter, on nu/mu or on nu/k^d, whichever
-    has fewer cells, ties as given; memoised across calls."""
+    has fewer cells, ties as given; memoised across calls, keyed by the
+    triple as `_coefficient` left it."""
     rect = (k,) * d
     if sum(mu) < k * d:
         return _count_tableaux(nu, rect, mu)
     return _count_tableaux(nu, mu, rect)
 
 
-def _problem(target, factors) -> tuple[Partition, tuple[tuple[int, int], ...]]:
-    """One side of a query as `_product` keys it: the target without its
-    zero parts, and the factors (k, d) with k > 0, k decreasing, shorter
-    first on ties (the canonical order's key)."""
-    kept = sorted(((k, d) for k, d in factors if k), key=lambda f: (-f[0], f[1]))
-    return normalize_partition(target), tuple(kept)
+def _canonical(factor: tuple[int, int]) -> tuple[int, int]:
+    """The order of a side's factors (k, d): k decreasing, shorter first on ties."""
+    return -factor[0], factor[1]
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -400,12 +430,7 @@ def _product(target: Partition, factors: tuple[tuple[int, int], ...]) -> int:
             else:
                 continue
             for nu in candidates:
-                if strip:
-                    c_lr = 1
-                elif mu[0] == mu[-1]:
-                    c_lr = _two_rectangles(nu, mu, k, d)
-                else:
-                    c_lr = _rectangle_coefficient(nu, mu, k, d)
+                c_lr = 1 if strip else _coefficient(nu, mu, k, d)
                 if c_lr:
                     new[nu] = new.get(nu, 0) + coeff * c_lr
         states = new
@@ -492,17 +517,13 @@ def multiplicity_in_induced(cs: Iterable[tuple[int, int]], delta: Weight) -> int
       a horizontal strip of k cells and c = 1 by the Pieri rule.
     - k = 1: row i is capped at mu[i] + 1, so nu/mu is a vertical strip of
       d cells and c = 1 by the dual Pieri rule.
-    - mu = a^b, a rectangle, as the state k_1^(d_1) of the second factor
-      always is: c is 0 or 1 by the rule for a product of two rectangles,
-      read by `_two_rectangles` with no count (Okada, J. Algebra 205
-      (1998); Stembridge, Ann. Comb. 5 (2001); checked against the raw
-      counter on every nu in the (b + d) x (a + k) box for a, b, k, d <=
-      5).
-    - Otherwise k^d fits inside nu: the floors give nu[i] >= k for i < d,
-      and the caps nu[i] <= mu[i] + k give |mu| + k*d = |nu| <= |mu| +
-      k*len(nu), so len(nu) >= d.  `_rectangle_coefficient` hands nu at
-      once to the raw `_count_tableaux`, on the smaller of nu/mu and nu/k^d
-      as `lr_coefficient` would, ties as given, and keeps the count for
+    - Otherwise k^d fits inside nu, as the floors give nu[i] >= k for i <
+      d, and `_coefficient` strips first columns off the triple, then
+      reads a rule where one applies: a column, an empty mu, or a
+      rectangle mu = a^b (as the state k_1^(d_1) of the second factor
+      always is).  What is left goes to the raw `_count_tableaux` through
+      `_rectangle_coefficient`, on the smaller of nu/mu and nu/k^d as
+      `lr_coefficient` would, ties as given, and the count is kept for
       later calls.  Such a c can exceed 1: products with a rectangle are
       not multiplicity-free.
     An empty chain set raises ValueError before anything else.
@@ -510,26 +531,34 @@ def multiplicity_in_induced(cs: Iterable[tuple[int, int]], delta: Weight) -> int
     factors = [(top - length + 1, length) for top, length in cs]
     if not factors:
         raise ValueError("chain set needs at least one chain")
-    n = sum(d for _, d in factors)
+    n = sum([d for _, d in factors])
     if len(delta) != n:
         raise ValueError(f"delta has {len(delta)} coordinates, parameter has {n}")
-    if any(x % 2 for x in delta):
+    if any([x % 2 for x in delta]):
         raise ValueError("delta must have even (doubled) coordinates")
-    for a, b in zip(delta, delta[1:]):
-        if a < b:
-            raise ValueError("delta must be dominant")
-    delta_std = tuple(x // 2 for x in delta)
+    delta_std = [x // 2 for x in delta]
+    if sorted(delta_std, reverse=True) != delta_std:
+        raise ValueError("delta must be dominant")
     total = sum(delta_std)
-    if total != sum(k * d for k, d in factors):
+    if total != sum([k * d for k, d in factors]):
         return 0
-    if any(delta_std[d - 1] < k or k < delta_std[n - d] for k, d in factors):
-        return 0  # a rectangle that does not fit inside its target, on one of the sides
-    low = min(min(k for k, _ in factors), delta_std[-1])
-    high = max(max(k for k, _ in factors), delta_std[0])  # the docstring's C
+    low, high = delta_std[-1], delta_std[0]  # to become min(min k_i, low) and the docstring's C
+    for k, d in factors:
+        if delta_std[d - 1] < k or k < delta_std[n - d]:
+            return 0  # a rectangle that does not fit inside its target, on one of the sides
+        if k < low:
+            low = k
+        elif k > high:
+            high = k
     given_cells, dual_cells = total - n * low, n * high - total
+    # each side tight in one pass: delta_std is dominant and low <= its last
+    # coordinate, so its zero parts are the trailing x == low (x == high on
+    # the dual side); factors k decreasing, shorter first on ties
     sides = []
     if given_cells <= dual_cells:
-        sides.append(_problem([x - low for x in delta_std], [(k - low, d) for k, d in factors]))
+        target = tuple([x - low for x in delta_std if x != low])
+        sides.append((target, tuple(sorted([(k - low, d) for k, d in factors if k != low], key=_canonical))))
     if dual_cells <= given_cells:
-        sides.append(_problem([high - x for x in reversed(delta_std)], [(high - k, d) for k, d in factors]))
+        target = tuple([high - x for x in reversed(delta_std) if x != high])
+        sides.append((target, tuple(sorted([(high - k, d) for k, d in factors if k != high], key=_canonical))))
     return _product(*min(sides))

@@ -82,15 +82,17 @@ def _strictly_decreasing(n: int, coord_sum: int, norm: int):
     yield from rec(0, isqrt(norm) + 1, coord_sum, norm)
 
 
-def _rearrangements(gamma: list[int], rho: Weight, floor: list):
+def _rearrangements(gamma: list[int], rho: Weight, floor: list, ceiling: list):
     """Every distinct rearrangement sigma of gamma with sigma + rho weakly
-    decreasing, that is sigma[i + 1] <= sigma[i] + 2, and sigma >= floor in
-    each coordinate; yields sigma + rho."""
+    decreasing, that is sigma[i + 1] <= sigma[i] + 2, and floor <= sigma <=
+    ceiling in each coordinate; yields sigma + rho."""
     left = Counter(gamma)
     vec = [0] * len(gamma)
     last = len(gamma) - 1
 
     def rec(i: int, cap: int):
+        if ceiling[i] < cap:
+            cap = ceiling[i]
         for value in left:  # the loop changes counts, never keys
             if not left[value] or not floor[i] <= value <= cap:
                 continue
@@ -105,24 +107,25 @@ def _rearrangements(gamma: list[int], rho: Weight, floor: list):
     yield from rec(0, max(gamma))
 
 
-def spin_norm_shell(n: int, coord_sum: int, norm: int, floor: list):
+def spin_norm_shell(n: int, coord_sum: int, norm: int, floor: list, ceiling: list):
     """Weakly decreasing integer vectors v of length n with sum(v) = coord_sum,
-    spin_norm_sq(2v) = norm and v >= floor in each coordinate (-inf sets no
-    floor).
+    spin_norm_sq(2v) = norm and floor <= v <= ceiling in each coordinate
+    (-inf sets no floor, inf no ceiling).
 
     With delta = 2v and gamma = {delta - rho}, u = gamma + rho is strictly
     decreasing with even coordinates, sum 2 * coord_sum and |u|^2 = norm.
     So the shell is: every such u' = u / 2, then every delta = sigma + rho
     with sigma a rearrangement of gamma = 2u' - rho that keeps delta
-    dominant and at least 2 * floor, checked as each coordinate is placed.
-    Distinct sigma give distinct delta.
+    dominant and between 2 * floor and 2 * ceiling, checked as each
+    coordinate is placed.  Distinct sigma give distinct delta.
     """
     if norm % 4:
         return
     rho = rho_doubled(n)
     lo = [2 * f - r for f, r in zip(floor, rho)]  # sigma = 2v - rho
+    hi = [2 * c - r for c, r in zip(ceiling, rho)]
     for half in _strictly_decreasing(n, coord_sum, norm // 4):
-        for delta in _rearrangements([2 * x - r for x, r in zip(half, rho)], rho, lo):
+        for delta in _rearrangements([2 * x - r for x, r in zip(half, rho)], rho, lo, hi):
             yield tuple(x // 2 for x in delta)
 
 
@@ -131,21 +134,25 @@ def spin_minimal_candidates(cs: Iterable[tuple[int, int]]) -> list[tuple[int, ..
     positive multiplicity, doubled, in descending order.
 
     Only the shell lifts v that hold every rectangle k_i^(d_i) of the
-    chains, v[j] >= max{k_i : d_i > j}, are asked for their multiplicity;
-    the shell applies this floor as it places each coordinate.  The test is
-    necessary: every constituent of s_lam s_mu contains lam and mu, so every
-    constituent of the product of the rectangles contains each of them.
-    Adding t to v and to every k_i keeps the test, so it holds at whatever
-    shift makes them partitions.  `multiplicity_in_induced` may count the
-    dual twist of the query instead; the two have the same multiplicity, so
-    a lift cut here has multiplicity 0 whichever side the engine counts.
+    chains, v[j] >= max{k_i : d_i > j}, and of their dual twist, v[j] <=
+    min{k_i : d_i > n - 1 - j}, are asked for their multiplicity; the shell
+    applies this floor and ceiling as it places each coordinate.  The floor
+    is necessary: every constituent of s_lam s_mu contains lam and mu, so
+    every constituent of the product of the rectangles contains each of
+    them.  Adding t to v and to every k_i keeps the test, so it holds at
+    whatever shift makes them partitions.  The ceiling is the floor of the
+    dual twist, with the same multiplicity: (C - k_i)^(d_i) fits inside C -
+    reversed(v) exactly when v[j] <= k_i for j >= n - d_i.  So a lift cut
+    here has multiplicity 0, whichever side `multiplicity_in_induced`
+    counts; its first exit applies both halves too.
     """
     ordered = canonical_order(cs)
     lam = lambda_doubled(ordered)
     n = len(lam)
     factors = [(top - length + 1, length) for top, length in ordered]
     floor = [max((k for k, d in factors if d > j), default=-inf) for j in range(n)]
-    lifts = (tuple(2 * x for x in v) for v in spin_norm_shell(n, sum(lam), 4 * norm_sq(lam), floor))
+    ceiling = [min((k for k, d in factors if d > n - 1 - j), default=inf) for j in range(n)]
+    lifts = (tuple(2 * x for x in v) for v in spin_norm_shell(n, sum(lam), 4 * norm_sq(lam), floor, ceiling))
     return sorted((dv for dv in lifts if multiplicity_in_induced(ordered, dv) > 0), reverse=True)
 
 

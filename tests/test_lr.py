@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from spinchains import lr
 from spinchains.chains import Chain, ChainSet, canonical_order, lambda_doubled
 from spinchains.lr import (
+    _coefficient,
     _count_tableaux,
     _grow_candidates,
     _is_candidate,
@@ -401,7 +402,7 @@ def shell_queries(cs):
     """Every doubled delta that verify's uniqueness check asks about for cs:
     each lift of the spin-norm shell of |2lambda|, and tau."""
     lam = lambda_doubled(cs)
-    queries = [tuple(2 * x for x in v) for v in spin_norm_shell(cs.n, sum(lam), 4 * norm_sq(lam), [-inf] * cs.n)]
+    queries = [tuple(2 * x for x in v) for v in spin_norm_shell(cs.n, sum(lam), 4 * norm_sq(lam), [-inf] * cs.n, [inf] * cs.n)]
     return queries + [spin_lowest_k_type(cs).tau]
 
 
@@ -516,16 +517,17 @@ def test_dual_twist_keeps_the_multiplicity_by_the_slow_path():
             assert multiplicity_by_lr_coefficient(cs, tau) == multiplicity_by_lr_coefficient(*dual_query(cs, tau)) == 1, cs.to_lists()
 
 
-def test_tau_sweep_at_rank_10_computes_136_products_with_90_raw_counts_and_198_searches(monkeypatch):
+def test_tau_sweep_at_rank_10_computes_136_products_with_74_raw_counts_and_198_searches(monkeypatch):
     """The work counters of the multiplicity engine: tau's multiplicity for
     every rank-10 parameter, from empty memos, computes 136 products, one
     for each of the 120 pairs {p, p*} and the 16 self-dual parameters, and
     reads the other 120 from the product memo.  The products call the raw
-    counter 90 times and the candidate search 198 times.  Before the tight
-    shifts and the product memo the sweep made 122 raw counts and 353
-    searches; counting a product of two rectangles by tableaux made 258 raw
-    counts, and searching for the first and the last factor's candidates
-    made 882 searches."""
+    counter 74 times and the candidate search 198 times.  Before the first
+    columns were peeled off the sweep made 90 raw counts; before the tight
+    shifts and the product memo, 122 raw counts and 353 searches; counting a
+    product of two rectangles by tableaux made 258 raw counts, and
+    searching for the first and the last factor's candidates made 882
+    searches."""
     queries = [(cs, spin_lowest_k_type(cs).tau) for cs in generate(10)]
     counts, searches = [], []
 
@@ -541,7 +543,7 @@ def test_tau_sweep_at_rank_10_computes_136_products_with_90_raw_counts_and_198_s
     monkeypatch.setattr(lr, "_grow_candidates", searching)
     assert all(multiplicity_in_induced(cs, tau) == 1 for cs, tau in queries)
     info = lr._product.cache_info()
-    assert (info.misses, info.hits, len(counts), len(searches)) == (136, 120, 90, 198)
+    assert (info.misses, info.hits, len(counts), len(searches)) == (136, 120, 74, 198)
 
 
 def test_two_rectangle_rule_matches_the_raw_counter():
@@ -558,6 +560,86 @@ def test_two_rectangle_rule_matches_the_raw_counter():
                 assert _two_rectangles(nu, rect, k, d) == count, (nu, a, b, k, d)
                 triples += 1
     assert triples == 8_894
+
+
+def test_two_rectangle_rule_is_zero_one_row_and_one_column_beyond_the_box():
+    """The peel in `_coefficient` hands `_two_rectangles` shapes of its own
+    making: the rule against the raw counter on every nu of a*b + k*d cells
+    in the (b + d + 1) x (a + k + 1) box outside the (b + d) x (a + k) one,
+    for 1 <= a, b, k, d <= 3, where the count is 0."""
+    triples = 0
+    for a, b, k, d in product(range(1, 4), repeat=4):
+        rect = (a,) * b
+        for nu in sub_partitions((a + k + 1,) * (b + d + 1)):
+            if sum(nu) == a * b + k * d and (len(nu) > b + d or nu[0] > a + k):
+                count = _count_tableaux(nu, rect, (k,) * d) if contains(nu, rect) else 0
+                assert _two_rectangles(nu, rect, k, d) == count == 0, (nu, a, b, k, d)
+                triples += 1
+    assert triples == 731
+
+
+def strip_first_column(p):
+    return tuple(x - 1 for x in p if x > 1)
+
+
+def test_first_column_strips_off_every_triple_whose_lengths_add_up():
+    """The lemma behind the peel, on general triples: c(l; m, r) = c(l-; m-,
+    r-), each with its first column gone, whenever len(l) = len(m) +
+    len(r), on every triple with |l| <= 8, by the raw counter on both
+    sides."""
+    triples = nonzero = 0
+    for outer, inner, weight in lr_triples(8):
+        if weight and len(outer) == len(inner) + len(weight):
+            stripped = strip_first_column(outer), strip_first_column(inner), strip_first_column(weight)
+            count = _count_tableaux(outer, inner, weight)
+            assert count == _count_tableaux(*stripped), (outer, inner, weight)
+            triples += 1
+            nonzero += count > 0
+    assert (triples, nonzero) == (816, 501)
+
+
+def rectangle_triples(max_size):
+    """(nu, mu, k, d) with |nu| <= max_size, mu inside nu, k*d = |nu| -
+    |mu| and k^d inside nu: the domain of `_coefficient`."""
+    for nu in partitions_up_to(max_size):
+        for mu in sub_partitions(nu):
+            rest = sum(nu) - sum(mu)
+            for k in range(1, rest + 1):
+                d = rest // k
+                if k * d == rest and len(nu) >= d and nu[d - 1] >= k:
+                    yield nu, mu, k, d
+
+
+def test_peeled_coefficient_equals_the_raw_counter_on_every_small_triple():
+    """`_coefficient` against the raw counter on the whole unpeeled triple,
+    for every triple of its domain with |nu| <= 10 (CI runs it to 18).
+    Some triples peel down to a column, an empty mu or a rectangle mu."""
+    triples = peeled = 0
+    for nu, mu, k, d in rectangle_triples(10):
+        assert _coefficient(nu, mu, k, d) == _count_tableaux(nu, mu, (k,) * d), (nu, mu, k, d)
+        triples += 1
+        peeled += k > 1 and len(nu) == len(mu) + d
+    assert (triples, peeled) == (3_531, 629)
+
+
+def test_peeled_coefficient_equals_the_raw_counter_on_the_tau_sweeps(monkeypatch):
+    """Every distinct (nu, mu, k, d) that the tau sweeps of ranks <= 12 hand
+    `_coefficient`, against the raw counter on the unpeeled triple."""
+    calls = set()
+
+    def recording(nu, mu, k, d):
+        calls.add((nu, mu, k, d))
+        return _coefficient(nu, mu, k, d)
+
+    monkeypatch.setattr(lr, "_coefficient", recording)
+    for n in range(2, 13):
+        for cs in generate(n):
+            multiplicity_in_induced(cs, spin_lowest_k_type(cs).tau)
+    monkeypatch.undo()
+    peeled = [(nu, mu, k, d) for nu, mu, k, d in calls if len(nu) == len(mu) + d]
+    assert len(calls) > 1000 and len(peeled) > len(calls) // 2
+    for nu, mu, k, d in calls:
+        assert _coefficient(nu, mu, k, d) == _count_tableaux(nu, mu, (k,) * d), (nu, mu, k, d)
 
 
 @st.composite

@@ -134,27 +134,36 @@ def test_strictly_decreasing_finds_every_vector_and_nothing_else(coords):
         assert all(a > b for a, b in zip(w, w[1:])) and sum(w) == sum(v) and norm_sq(w) == norm_sq(v)
 
 
-# floors for the shell, cut to length n: no floor, then some that cut,
-# negative ones and ones that rise among them
-FLOORS = [(-inf,) * 4, (1, 0, -1, -2), (0, 0, -inf, -inf), (-1, -1, -1, -1), (2, -inf, 0, -inf), (-inf, -inf, -inf, 0)]
+# (floor, ceiling) bounds for the shell, cut to length n: none, then floors
+# that cut, negative ones and ones that rise among them, then ceilings that
+# cut, and both at once
+NO_FLOOR, NO_CEILING = (-inf,) * 4, (inf,) * 4
+FLOORS = [(1, 0, -1, -2), (0, 0, -inf, -inf), (-1, -1, -1, -1), (2, -inf, 0, -inf), (-inf, -inf, -inf, 0)]
+CEILINGS = [(inf, inf, 0, -1), (1, 1, 1, 1), (2, inf, 0, inf), (inf, inf, inf, -2), (0, -1, -1, -1)]
+BOUNDS = [
+    (NO_FLOOR, NO_CEILING),
+    *((floor, NO_CEILING) for floor in FLOORS),
+    *((NO_FLOOR, ceiling) for ceiling in CEILINGS),
+    ((-1, -1, -1, -2), (2, 1, 1, 0)),
+]
 
 
 def test_shell_equals_ball_on_small_ranges():
     # beyond the bounds of any parameter, and norms that no even vector has;
-    # with a floor, the shell is the ball's points that clear it
+    # with bounds, the shell is the ball's points between them
     kept, cut = Counter(), Counter()
     for n, coord_sum, norm in product(range(1, 5), range(-3, 4), range(81)):
         ball = ball_shell(n, coord_sum, norm)
-        for floor in FLOORS:
-            shell = list(spin_norm_shell(n, coord_sum, norm, floor[:n]))
+        for floor, ceiling in BOUNDS:
+            shell = list(spin_norm_shell(n, coord_sum, norm, floor[:n], ceiling[:n]))
             assert len(shell) == len(set(shell))
-            expected = {v for v in ball if all(map(le, floor, v))}
-            assert set(shell) == expected, (n, coord_sum, norm, floor[:n])
-            kept[floor] += len(expected)
-            cut[floor] += len(ball) - len(expected)
-    # every floor keeps points, and every one but the first cuts some
-    assert all(kept[floor] for floor in FLOORS)
-    assert [bool(cut[floor]) for floor in FLOORS] == [False] + [True] * (len(FLOORS) - 1)
+            expected = {v for v in ball if all(map(le, floor, v)) and all(map(le, v, ceiling))}
+            assert set(shell) == expected, (n, coord_sum, norm, floor[:n], ceiling[:n])
+            kept[floor, ceiling] += len(expected)
+            cut[floor, ceiling] += len(ball) - len(expected)
+    # every pair of bounds keeps points, and every one but the first cuts some
+    assert all(kept[bounds] for bounds in BOUNDS)
+    assert [bool(cut[bounds]) for bounds in BOUNDS] == [False] + [True] * (len(BOUNDS) - 1)
 
 
 def test_shell_lifts_and_hits_equal_the_ball():
@@ -163,7 +172,7 @@ def test_shell_lifts_and_hits_equal_the_ball():
     for cs in [*(ChainSet(pairs) for n in range(2, 6) for pairs in _pair_decompositions(n)), *generate(6)]:
         coord_sum, norm = sum(lambda_doubled(cs)), norm_sq(spin_lowest_k_type(cs).lambda2)
         points = ball_shell(cs.n, coord_sum, norm)
-        lifts = list(spin_norm_shell(cs.n, coord_sum, norm, [-inf] * cs.n))
+        lifts = list(spin_norm_shell(cs.n, coord_sum, norm, [-inf] * cs.n, [inf] * cs.n))
         assert len(lifts) == len(set(lifts)) and set(lifts) == set(points), cs.to_lists()
         # the hits as spin_minimal_candidates found them in the ball
         hits = [dv for dv in (tuple(2 * x for x in v) for v in points) if multiplicity_in_induced(cs, dv) > 0]
@@ -171,17 +180,18 @@ def test_shell_lifts_and_hits_equal_the_ball():
 
 
 def spin_minimal_candidates_unfiltered(cs) -> list:
-    """spin_minimal_candidates without its containment floor, kept as its
-    oracle: every lift of the shell is asked for its multiplicity."""
+    """spin_minimal_candidates without its containment floor and ceiling,
+    kept as its oracle: every lift of the shell is asked for its
+    multiplicity."""
     ordered = canonical_order(cs)
     lam = lambda_doubled(ordered)
-    lifts = (tuple(2 * x for x in v) for v in spin_norm_shell(len(lam), sum(lam), 4 * norm_sq(lam), [-inf] * len(lam)))
+    lifts = (tuple(2 * x for x in v) for v in spin_norm_shell(len(lam), sum(lam), 4 * norm_sq(lam), [-inf] * len(lam), [inf] * len(lam)))
     return sorted((dv for dv in lifts if multiplicity_in_induced(ordered, dv) > 0), reverse=True)
 
 
 def test_prefilter_keeps_every_hit():
     # every chain decomposition to rank 5, interlaced or not, also moved
-    # down by 6 so that the floor goes negative, and every scattered
+    # down by 6 so that the floor and the ceiling go negative, and every scattered
     # parameter to rank 7
     decompositions = [pairs for n in range(2, 6) for pairs in _pair_decompositions(n)]
     lowered = [tuple((top - 6, length) for top, length in pairs) for pairs in decompositions]
@@ -189,17 +199,18 @@ def test_prefilter_keeps_every_hit():
         assert spin_minimal_candidates(pairs) == spin_minimal_candidates_unfiltered(pairs), pairs
 
 
-def test_prefilter_asks_for_267_of_the_1623_lifts_to_rank_7(monkeypatch):
+def test_prefilter_asks_for_97_of_the_1623_lifts_to_rank_7(monkeypatch):
+    # the floor alone asked 267; the ceiling, its dual half, cuts 170 more
     params = [pairs for n in range(2, 8) for pairs in _interlaced_pairs(n)]
     lifts = 0
     for pairs in params:
         lam = lambda_doubled(pairs)
-        lifts += sum(1 for _ in spin_norm_shell(len(lam), sum(lam), 4 * norm_sq(lam), [-inf] * len(lam)))
+        lifts += sum(1 for _ in spin_norm_shell(len(lam), sum(lam), 4 * norm_sq(lam), [-inf] * len(lam), [inf] * len(lam)))
     asked = []
     monkeypatch.setattr(verify, "multiplicity_in_induced", lambda cs, dv: asked.append(dv) or multiplicity_in_induced(cs, dv))
     for pairs in params:
         spin_minimal_candidates(pairs)
-    assert (lifts, len(asked)) == (1623, 267)
+    assert (lifts, len(asked)) == (1623, 97)
 
 
 def sweep_line(name, n_max):
